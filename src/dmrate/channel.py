@@ -18,7 +18,7 @@ from scipy.special import erfc
 
 from .detector import DetectorModel
 from .fock import displaced_thermal_matrix
-from .observables import NUMERIC_CUTOFF_LIMIT, moment_observables
+from .observables import moment_observables
 
 __all__ = [
     "ChannelModel",
@@ -107,8 +107,8 @@ def simulate_statistics(ch: ChannelModel, det: DetectorModel, pp: ProtocolParams
     """Expectation values of F_Q, F_P, S_Q, S_P for each signal.
 
     Identical detector arms have closed forms; distinct arms take traces of
-    the numerically integrated observables against the truncated conditional
-    states (cutoff capped by the numeric-path limit).
+    the numerically integrated observables against the conditional states,
+    both truncated at the protocol cutoff.
     """
     if det.simple_case():
         eta = det.eta_d * ch.eta_t
@@ -122,7 +122,7 @@ def simulate_statistics(ch: ChannelModel, det: DetectorModel, pp: ProtocolParams
             sp.append(2.0 * eta * a.imag**2 + noise)
         return SimulatedStatistics(tuple(fq), tuple(fp), tuple(sq), tuple(sp))
 
-    N = min(pp.cutoff, NUMERIC_CUTOFF_LIMIT)
+    N = pp.cutoff
     obs = moment_observables(det, N)
     fq, fp, sq, sp = [], [], [], []
     for x in range(4):

@@ -4,8 +4,11 @@ The detector is two homodyne detectors behind a 50:50 splitter, each modeled
 as a beam-splitter of transmittance eta_j with a thermal state on the idle
 port.  Each POVM element G_y is a scaled projection onto a displaced
 (squeezed, if the two arms differ) thermal state; its matrix elements have
-closed forms that are built here.  The Wigner-quadrature route in
-`povm_oracle_entry` double-checks them without sharing any code path.
+closed forms that are built here.  For distinct arms, `povm_weighted_sum`
+builds weighted sums of G_y over many outcomes y at once, which is what the
+quadrature of the region and moment observables needs.  The
+Wigner-quadrature route in `povm_oracle_entry` double-checks them without
+sharing any code path.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ __all__ = [
     "GeneralPovmParams",
     "povm_element_simple",
     "povm_element_general",
+    "povm_weighted_sum",
     "povm_oracle_entry",
     "IDEAL_NBAR_THRESHOLD",
 ]
@@ -33,8 +37,8 @@ __all__ = [
 IDEAL_NBAR_THRESHOLD = 1e-12
 
 # lambda_1 == lambda_2 collapses the squeezing of the general POVM; at this
-# gap the B-tilde powers in the general formula degenerate and the simple
-# displaced-thermal formula takes over.
+# gap the B-tilde powers in the general formula degenerate and their
+# B-tilde -> 0 limit, the displaced-thermal form, takes over.
 DEGENERATE_LAMBDA_GAP = 1e-12
 
 
@@ -116,7 +120,8 @@ class GeneralPovmParams:
     alpha_het: complex
 
     @classmethod
-    def from_detector(cls, det: DetectorModel, y: complex) -> "GeneralPovmParams":
+    def from_detector(cls, det: DetectorModel, y: complex | np.ndarray) -> "GeneralPovmParams":
+        # An array of outcomes y gives the array of their alpha_het.
         lam1, lam2 = det.lambdas()
         nbar = (np.sqrt((1 + 2 * lam1) * (1 + 2 * lam2)) - 1) / 2
         xi = 0.25 * np.log((1 + 2 * lam2) / (1 + 2 * lam1))
@@ -149,53 +154,62 @@ def _btilde_sqrt(lam1: float, lam2: float) -> complex:
     return 1j * mag if lam1 > lam2 else -mag
 
 
-def povm_element_general(y: complex, det: DetectorModel, N: int) -> FockOperator:
-    """G_y in the photon-number basis for arbitrary (eta_1, nu_1, eta_2, nu_2):
-    the displaced-squeezed-thermal matrix elements, prefactor
-    1/sqrt(eta_1 eta_2).  Degenerate squeezing routes to the simple formula."""
+def povm_weighted_sum(ys, weights, det: DetectorModel, N: int) -> np.ndarray:
+    """sum_i weights[r, i] G_{ys[i]} for every row r of ``weights``, for
+    arbitrary (eta_1, nu_1, eta_2, nu_2).  ``ys`` is a 1-D array of outcomes
+    and ``weights`` a real (rows, len(ys)) array; the result has shape
+    (rows, N+1, N+1).
+
+    Each G_y is a short sum of rank-1 terms,
+        G_y = q0(y)/sqrt(eta_1 eta_2) sum_k (a_t^k/k!) w_k w_k^H,
+        w_k[m] = sqrt(m!)/(m-k)! P_{m-k}(y) for m >= k (0 otherwise),
+    with P_j = (b/sqrt2)^j H_j(c_t/(sqrt2 b)) and b the B-tilde square root.
+    Since w_k is P shifted down by k and rescaled entrywise, every term of
+    every weighted sum is a block of the (N+1) x (N+1) Gram matrix
+    M = P^T diag(weights q0) conj(P), with P the len(ys) x (N+1) table of
+    P_j(y_i): one matmul per row, whatever the number of outcomes.
+    Degenerate squeezing (lambda_1 == lambda_2) takes the b -> 0 limit
+    P_j = c_t^j, a scaled displaced thermal state at alpha_het.
+    """
     if N < 1:
         raise ValueError("cutoff N must be >= 1")
+    ys = np.asarray(ys, dtype=complex)
+    weights = np.asarray(weights, dtype=float)
     lam1, lam2 = det.lambdas()
-    params = GeneralPovmParams.from_detector(det, y)
-    if abs(lam1 - lam2) < DEGENERATE_LAMBDA_GAP:
-        # B-tilde -> 0: Hermite terms collapse; the element is a scaled
-        # displaced thermal state with the general displacement alpha_het.
-        rho = displaced_thermal_matrix(params.alpha_het, params.nbar_het, N)
-        return FockOperator(rho / (np.sqrt(det.eta1 * det.eta2) * np.pi), hermitian=True)
-
+    alpha = GeneralPovmParams.from_detector(det, ys).alpha_het
     a_t = 1.0 - (lam1 + lam2 + 2.0) / (2.0 * (lam1 + 1) * (lam2 + 1))
-    b_sqrt = _btilde_sqrt(lam1, lam2)
-    bs_sqrt = np.conj(b_sqrt)
     # The Re axis of the outcome plane belongs to arm 1 and the Im axis to
     # arm 2, matching the Gaussian Wigner form of G_y.
-    c_t = params.alpha_het.real / (lam1 + 1) + 1j * params.alpha_het.imag / (lam2 + 1)
+    c_t = alpha.real / (lam1 + 1) + 1j * alpha.imag / (lam2 + 1)
     q0 = (
         (1.0 / np.pi)
         / np.sqrt((lam1 + 1) * (lam2 + 1))
-        * np.exp(-params.alpha_het.real ** 2 / (lam1 + 1) - params.alpha_het.imag ** 2 / (lam2 + 1))
+        * np.exp(-alpha.real**2 / (lam1 + 1) - alpha.imag**2 / (lam2 + 1))
     )
-    herm_arg = c_t / (np.sqrt(2.0) * b_sqrt)
-    herm_arg_c = np.conj(c_t) / (np.sqrt(2.0) * bs_sqrt)
+    degree = np.arange(N + 1)
+    if abs(lam1 - lam2) < DEGENERATE_LAMBDA_GAP:
+        P = c_t[:, None] ** degree
+    else:
+        b_sqrt = _btilde_sqrt(lam1, lam2)
+        herm_arg = c_t / (np.sqrt(2.0) * b_sqrt)
+        P = np.stack([hermite(j, herm_arg) for j in degree], axis=1) * (b_sqrt / np.sqrt(2.0)) ** degree
+    d = weights * (q0 / np.sqrt(det.eta1 * det.eta2))
+    gram = P.T @ (d[:, :, None] * P.conj())
+    log_fact = gammaln(degree + 1.0)
+    out = np.zeros_like(gram)
+    for k in degree:
+        size = N + 1 - k
+        coef = np.exp(0.5 * log_fact[k:] - log_fact[:size])
+        out[:, k:, k:] += (a_t**k * np.exp(-log_fact[k])) * np.outer(coef, coef) * gram[:, :size, :size]
+    return out
 
-    g = np.zeros((N + 1, N + 1), dtype=complex)
-    # Bounded lookups; degree <= N.
-    herm = [hermite(ell, herm_arg) for ell in range(N + 1)]
-    herm_c = [hermite(ell, herm_arg_c) for ell in range(N + 1)]
-    pow_b = (b_sqrt / np.sqrt(2.0)) ** np.arange(N + 1)
-    pow_bc = (bs_sqrt / np.sqrt(2.0)) ** np.arange(N + 1)
-    lg = gammaln(np.arange(N + 2))
-    for m in range(N + 1):
-        for n in range(m, N + 1):
-            acc = 0.0 + 0.0j
-            for k in range(m + 1):
-                logw = lg[k + 1] + (lg[m + 1] - lg[k + 1] - lg[m - k + 1]) + (
-                    lg[n + 1] - lg[k + 1] - lg[n - k + 1]
-                )
-                acc += np.exp(logw) * a_t**k * pow_b[m - k] * pow_bc[n - k] * herm[m - k] * herm_c[n - k]
-            val = acc * q0 * np.exp(-0.5 * (lg[m + 1] + lg[n + 1]))
-            g[m, n] = val
-            g[n, m] = np.conj(val)
-    return FockOperator(g / np.sqrt(det.eta1 * det.eta2), hermitian=True)
+
+def povm_element_general(y: complex, det: DetectorModel, N: int) -> FockOperator:
+    """G_y in the photon-number basis for arbitrary (eta_1, nu_1, eta_2, nu_2):
+    the displaced-squeezed-thermal matrix elements, prefactor
+    1/sqrt(eta_1 eta_2); the one-node case of `povm_weighted_sum`."""
+    g = povm_weighted_sum(np.array([y]), np.ones((1, 1)), det, N)[0]
+    return FockOperator(g, hermitian=True)
 
 
 def povm_element(y: complex, det: DetectorModel, N: int) -> FockOperator:

@@ -81,17 +81,22 @@ def laguerre(k: int, j: int, x: float) -> float:
     return cur
 
 
-def hermite(ell: int, z: complex) -> complex:
-    """Physicists' Hermite polynomial H_ell(z), complex argument allowed."""
+def hermite(ell: int, z):
+    """Physicists' Hermite polynomial H_ell(z), complex argument allowed.
+
+    z may be a scalar or an array; the recurrence runs elementwise and the
+    result has z's shape (a scalar for scalar z).
+    """
     if ell < 0:
         raise ValueError(f"hermite needs ell >= 0, got {ell}")
+    z = np.asarray(z, dtype=complex)
+    prev = np.ones_like(z)
     if ell == 0:
-        return 1.0 + 0.0j
-    prev = 1.0 + 0.0j
+        return prev[()]
     cur = 2.0 * z
     for i in range(1, ell):
         prev, cur = cur, 2.0 * z * cur - 2.0 * i * prev
-    return cur
+    return cur[()]
 
 
 def _binomial_series(s: float, n: int) -> np.ndarray:

@@ -6,9 +6,11 @@ first/second-moment observables integrate the POVM against
 sqrt(2)Re(y), sqrt(2)Im(y) and their squares.  Identical detector arms get
 closed forms (angular integrals are elementary, radial integrals reduce to a
 gamma function times a Taylor coefficient); the ideal detector reduces to
-quadrature operators and incomplete-gamma radial masses; distinct arms fall
-back to per-entry 2-D quadrature, which is capped at small cutoffs because it
-costs O(N^2) double integrals.
+quadrature operators and incomplete-gamma radial masses.  Distinct arms
+integrate the POVM numerically over a tensor Gauss-Legendre grid in polar
+coordinates (radius times angle), refined until two levels agree.  Each grid
+is one call of the batched kernel `detector.povm_weighted_sum`, which sums
+all nodes and all weights of the grid with one matmul per weight.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gammaincc, gammainc, gammaln
 
-from .detector import DetectorModel, povm_element_general
+from .detector import DetectorModel, povm_weighted_sum
 from .fock import FockOperator, laguerre, quadrature_operators, taylor_f
 
 __all__ = [
@@ -30,12 +32,7 @@ __all__ = [
     "region_complement",
     "moment_observables",
     "observable_set",
-    "NUMERIC_CUTOFF_LIMIT",
 ]
-
-# The distinct-arm fallback performs one adaptive 2-D quadrature per matrix
-# entry; past this cutoff the cost is prohibitive without an explicit opt-in.
-NUMERIC_CUTOFF_LIMIT = 10
 
 _RADIAL_TOL = 1e-12
 
@@ -157,22 +154,17 @@ def _simple_regions(det: DetectorModel, delta_a: float, N: int) -> tuple[FockOpe
 
 def _polar_grid_integral(det: DetectorModel, N: int, weights, r_lo, r_hi, th_lo, th_hi, n_r, n_th):
     # Tensor Gauss-Legendre integral of weight(y) G_y over the polar patch,
-    # done for all weights and all matrix entries in one POVM pass per node.
+    # for all weights at once; each weight maps the array of nodes y to its
+    # values there.
     xr, wr = np.polynomial.legendre.leggauss(n_r)
     xt, wt = np.polynomial.legendre.leggauss(n_th)
     r = 0.5 * (r_hi - r_lo) * (xr + 1.0) + r_lo
     wr = wr * 0.5 * (r_hi - r_lo)
     th = 0.5 * (th_hi - th_lo) * (xt + 1.0) + th_lo
     wt = wt * 0.5 * (th_hi - th_lo)
-    out = [np.zeros((N + 1, N + 1), dtype=complex) for _ in weights]
-    for ri, rwi in zip(r, wr):
-        for ti, twi in zip(th, wt):
-            y = ri * np.exp(1j * ti)
-            g = povm_element_general(y, det, N).entries
-            base = rwi * twi * ri
-            for acc, w in zip(out, weights):
-                acc += (base * w(y)) * g
-    return out
+    y = (r[:, None] * np.exp(1j * th)).ravel()
+    base = np.outer(wr * r, wt).ravel()
+    return povm_weighted_sum(y, np.stack([base * w(y) for w in weights]), det, N)
 
 
 def _polar_integral_refined(det: DetectorModel, N: int, weights, r_lo, r_hi, th_lo, th_hi, tol=1e-8):
@@ -204,9 +196,7 @@ def _general_regions(det: DetectorModel, delta_a: float, N: int) -> tuple[FockOp
     return tuple(ops)
 
 
-def region_operators(
-    det: DetectorModel, delta_a: float, N: int, allow_large_numeric: bool = False
-) -> RegionSet:
+def region_operators(det: DetectorModel, delta_a: float, N: int) -> RegionSet:
     """Key-map region operators R_0..R_3 in the truncated photon-number basis.
 
     With delta_a = 0 the four operators resolve the identity exactly at every
@@ -220,11 +210,6 @@ def region_operators(
         return RegionSet(_ideal_regions(delta_a, N), "ideal")
     if det.simple_case():
         return RegionSet(_simple_regions(det, delta_a, N), "closed-form")
-    if N > NUMERIC_CUTOFF_LIMIT and not allow_large_numeric:
-        raise ValueError(
-            f"distinct detector arms use per-entry 2-D quadrature; N={N} exceeds the "
-            f"cap {NUMERIC_CUTOFF_LIMIT} (pass allow_large_numeric=True to override)"
-        )
     return RegionSet(_general_regions(det, delta_a, N), "numeric")
 
 
@@ -298,9 +283,7 @@ def _general_moments(det: DetectorModel, N: int):
     return tuple(FockOperator(0.5 * (M + M.conj().T), hermitian=True) for M in mats)
 
 
-def moment_observables(
-    det: DetectorModel, N: int, allow_large_numeric: bool = False
-) -> ObservableSet:
+def moment_observables(det: DetectorModel, N: int) -> ObservableSet:
     """First-moment (F_Q, F_P) and second-moment (S_Q, S_P) observables.
 
     For identical arms F_Q and F_P live on the first off-diagonals and
@@ -315,19 +298,12 @@ def moment_observables(
     if det.simple_case():
         fq, fp, sq, sp = _simple_moments(det, N)
         return ObservableSet(fq, fp, sq, sp, method="closed-form")
-    if N > NUMERIC_CUTOFF_LIMIT and not allow_large_numeric:
-        raise ValueError(
-            f"distinct detector arms use per-entry 2-D quadrature; N={N} exceeds the "
-            f"cap {NUMERIC_CUTOFF_LIMIT} (pass allow_large_numeric=True to override)"
-        )
     fq, fp, sq, sp = _general_moments(det, N)
     return ObservableSet(fq, fp, sq, sp, method="numeric")
 
 
-def observable_set(
-    det: DetectorModel, delta_a: float, N: int, allow_large_numeric: bool = False
-) -> ObservableSet:
+def observable_set(det: DetectorModel, delta_a: float, N: int) -> ObservableSet:
     """Moment observables plus region operators for one detector and radius."""
-    base = moment_observables(det, N, allow_large_numeric)
-    regions = region_operators(det, delta_a, N, allow_large_numeric)
+    base = moment_observables(det, N)
+    regions = region_operators(det, delta_a, N)
     return ObservableSet(base.fq, base.fp, base.sq, base.sp, regions, base.method)

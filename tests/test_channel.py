@@ -94,6 +94,25 @@ class TestSimulatedStatistics:
             assert got.fq[x] == pytest.approx(ref.fq[x], abs=2e-4)
             assert got.sq[x] == pytest.approx(ref.sq[x], abs=2e-4)
 
+    def test_distinct_arms_match_per_arm_closed_form(self):
+        # Independent physics check of the numeric observables: each
+        # homodyne arm sees its own efficiency and electronic noise, so
+        # F_Q/S_Q follow the identical-arm closed form with (eta1, nu1) and
+        # F_P/S_P with (eta2, nu2).
+        det = DetectorModel(0.70, 0.74, 0.01, 0.02)
+        ch = ChannelModel.from_distance(5.0, 0.01)
+        pp = ProtocolParams(alpha=0.75, cutoff=10)
+        stats = simulate_statistics(ch, det, pp)
+        for x in range(4):
+            a = pp.signal(x)
+            for eta, nu, f, s, amp in (
+                (det.eta1, det.nu1, stats.fq, stats.sq, a.real),
+                (det.eta2, det.nu2, stats.fp, stats.sp, a.imag),
+            ):
+                t = eta * ch.eta_t
+                assert f[x] == pytest.approx(np.sqrt(2 * t) * amp, abs=1e-8)
+                assert s[x] == pytest.approx(2 * t * amp**2 + 1 + 0.5 * t * ch.xi + nu, abs=1e-8)
+
     def test_untrusted_inversion(self):
         ch = ChannelModel.from_distance(15.0, 0.015)
         pp = ProtocolParams(alpha=0.7)

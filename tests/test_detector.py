@@ -10,10 +10,15 @@ from dmrate.detector import (
     povm_element_general,
     povm_element_simple,
     povm_oracle_entry,
+    povm_weighted_sum,
 )
+from dmrate.fock import displaced_thermal_matrix
+
 SIMPLE = DetectorModel.simple(0.719, 0.01)
 GENERAL = DetectorModel(0.719, 0.6, 0.01, 0.05)
 GENERAL_SWAPPED = DetectorModel(0.6, 0.719, 0.05, 0.01)
+# Distinct arms with lambda_1 == lambda_2 == 1: the degenerate branch.
+DEGENERATE = DetectorModel(0.5, 1.0, 0.0, 1.0)
 
 
 class TestDetectorModel:
@@ -124,6 +129,41 @@ class TestGeneralPovm:
     def test_hermitian(self):
         g = povm_element_general(0.3 - 0.2j, GENERAL, 8).entries
         assert np.max(np.abs(g - g.conj().T)) == 0.0
+
+
+class TestWeightedSum:
+    YS = np.array([0.4 + 0.25j, -0.7 + 0.1j, 0.2 - 0.9j])
+    # Entries checked at each y; together they cover diagonal, near and far
+    # off-diagonal entries.
+    ENTRIES = ([(0, 0), (1, 2)], [(0, 3), (2, 2)], [(3, 5), (1, 4)])
+
+    def test_batched_call_matches_oracle(self):
+        # Identity weights: row i of one batched call is G_{y_i}.
+        for det in (GENERAL, GENERAL_SWAPPED):
+            g = povm_weighted_sum(self.YS, np.eye(len(self.YS)), det, 6)
+            for i, y in enumerate(self.YS):
+                for m, n in self.ENTRIES[i]:
+                    assert g[i, m, n] == pytest.approx(povm_oracle_entry(m, n, y, det), abs=1e-7)
+
+    def test_weighted_sum_of_single_elements(self):
+        c = np.array([[0.3, -1.2, 2.0], [1.0, 0.0, 0.5]])
+        got = povm_weighted_sum(self.YS, c, GENERAL, 8)
+        singles = np.array([povm_element_general(y, GENERAL, 8).entries for y in self.YS])
+        expect = np.einsum("ri,imn->rmn", c, singles)
+        assert np.max(np.abs(got - expect)) < 1e-13
+
+    def test_degenerate_branch(self):
+        assert not DEGENERATE.simple_case()
+        lam1, lam2 = DEGENERATE.lambdas()
+        assert lam1 == lam2
+        g = povm_weighted_sum(self.YS, np.eye(len(self.YS)), DEGENERATE, 8)
+        scale = np.sqrt(DEGENERATE.eta1 * DEGENERATE.eta2) * np.pi
+        for i, y in enumerate(self.YS):
+            p = GeneralPovmParams.from_detector(DEGENERATE, y)
+            expect = displaced_thermal_matrix(p.alpha_het, p.nbar_het, 8) / scale
+            assert np.max(np.abs(g[i] - expect)) < 1e-13
+        y = self.YS[1]
+        assert g[1, 1, 2] == pytest.approx(povm_oracle_entry(1, 2, y, DEGENERATE), abs=1e-7)
 
 
 class TestOracle:

@@ -69,6 +69,15 @@ class TestHermite:
         with pytest.raises(ValueError):
             hermite(-1, 0.0)
 
+    def test_array_argument_elementwise(self):
+        z = np.array([[0.3 - 0.7j, 1.5], [-2.0 + 0.1j, 0.0]])
+        for ell in (0, 1, 5):
+            got = hermite(ell, z)
+            assert got.shape == z.shape
+            expect = [hermite(ell, complex(v)) for v in z.ravel()]
+            np.testing.assert_allclose(got.ravel(), expect, rtol=1e-14, atol=0)
+        assert np.ndim(hermite(3, 0.2 + 0.1j)) == 0
+
 
 class TestTaylorF:
     def test_constant_term_is_one(self):

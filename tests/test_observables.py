@@ -5,7 +5,6 @@ from scipy import integrate
 from dmrate.detector import DetectorModel, povm_element
 from dmrate.fock import quadrature_operators, thermal_matrix
 from dmrate.observables import (
-    NUMERIC_CUTOFF_LIMIT,
     moment_observables,
     observable_set,
     region_complement,
@@ -143,11 +142,21 @@ class TestMomentObservables:
 class TestGeneralNumericPath:
     GENERAL = DetectorModel(0.72, 0.6, 0.01, 0.03)
 
-    def test_cap_enforced(self):
-        with pytest.raises(ValueError):
-            region_operators(self.GENERAL, 0.0, NUMERIC_CUTOFF_LIMIT + 1)
-        with pytest.raises(ValueError):
-            moment_observables(self.GENERAL, NUMERIC_CUTOFF_LIMIT + 1)
+    def test_cutoff_12_numeric(self):
+        # At cutoff 12 the refined grid converges, the regions at
+        # delta_a = 0 still resolve the identity, the moments are
+        # Hermitian, and the second moments (integrals of G_y against
+        # nonnegative weights) are positive semidefinite.
+        N = 12
+        obs = observable_set(self.GENERAL, 0.0, N)
+        assert obs.method == obs.regions.method == "numeric"
+        total = sum(R.entries for R in obs.regions)
+        assert np.max(np.abs(total - np.eye(N + 1))) < 1e-8
+        for M in (obs.fq, obs.fp, obs.sq, obs.sp):
+            assert M.dim == N + 1
+            assert np.max(np.abs(M.entries - M.entries.conj().T)) == 0.0
+        for M in (obs.sq, obs.sp):
+            assert np.linalg.eigvalsh(M.entries).min() > -1e-8
 
     def test_numeric_regions_resolve_identity(self):
         regions = region_operators(self.GENERAL, 0.0, 3)
