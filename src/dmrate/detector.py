@@ -6,9 +6,9 @@ port.  Each POVM element G_y is a scaled projection onto a displaced
 (squeezed, if the two arms differ) thermal state; its matrix elements have
 closed forms that are built here.  For distinct arms, `povm_weighted_sum`
 builds weighted sums of G_y over many outcomes y at once, which is what the
-quadrature of the region and moment observables needs.  The
-Wigner-quadrature route in `povm_oracle_entry` double-checks them without
-sharing any code path.
+quadrature of the region and moment observables needs.  The tests check these
+matrix elements against an independent Wigner-quadrature oracle in
+`tests/support/wigner.py`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 from scipy.special import gammaln
 
 from .fock import FockOperator, coherent_state_vector, displaced_thermal_matrix, hermite
-from .wigner import overlap_integral_complex, povm_wigner_gaussian, transition_wigner
 
 __all__ = [
     "DetectorModel",
@@ -27,7 +26,6 @@ __all__ = [
     "povm_element_simple",
     "povm_element_general",
     "povm_weighted_sum",
-    "povm_oracle_entry",
     "IDEAL_NBAR_THRESHOLD",
 ]
 
@@ -221,14 +219,3 @@ def povm_element(y: complex, det: DetectorModel, N: int) -> FockOperator:
         return povm_element_simple(y, det, N)
     return povm_element_general(y, det, N)
 
-
-def povm_oracle_entry(m: int, n: int, y: complex, det: DetectorModel, tol: float = 1e-10) -> complex:
-    """<m|G_y|n> by phase-space quadrature: the overlap of the transition
-    Wigner function of |n><m| with the Gaussian Wigner function of G_y.
-    Oracle only; not used by any production path."""
-    if m < 0 or n < 0:
-        raise ValueError("Fock indices must be >= 0")
-    if max(m, n) > 20:
-        raise ValueError("oracle entries limited to m, n <= 20")
-    wg = povm_wigner_gaussian(y, det.eta1, det.nu1, det.eta2, det.nu2)
-    return overlap_integral_complex(transition_wigner(n, m), wg, tol=tol)

@@ -1,9 +1,11 @@
 """Gaussian Wigner functions and phase-space overlap quadrature.
 
-This module is the oracle path: operators are represented as functions on the
-complex plane and traces are computed by adaptive 2-D quadrature through the
-overlap formula Tr(FG) = pi * integral(W_F * W_G).  Nothing here touches the
-analytic photon-number-basis constructors it is used to cross-check.
+This module is the tests' oracle path: operators are represented as functions
+on the complex plane and traces are computed by adaptive 2-D quadrature
+through the overlap formula Tr(FG) = pi * integral(W_F * W_G).  Nothing here
+touches the analytic photon-number-basis constructors it is used to
+cross-check; `povm_oracle_entry` checks the POVM matrix elements of
+`dmrate.detector` this way.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gammaln
 
-from .fock import laguerre
+from dmrate.detector import DetectorModel
+from dmrate.fock import laguerre
 
 __all__ = [
     "WignerGaussian",
@@ -27,6 +30,7 @@ __all__ = [
     "plane_integral",
     "overlap_integral",
     "overlap_integral_complex",
+    "povm_oracle_entry",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -168,3 +172,14 @@ def overlap_integral_complex(wf, wg, radius: float | None = None, tol: float = D
     re = plane_integral(lambda g: np.real(wf(g) * wg(g)), radius=R, tol=tol)
     im = plane_integral(lambda g: np.imag(wf(g) * wg(g)), radius=R, tol=tol)
     return np.pi * (re + 1j * im)
+
+
+def povm_oracle_entry(m: int, n: int, y: complex, det: DetectorModel, tol: float = DEFAULT_TOL) -> complex:
+    """<m|G_y|n> by phase-space quadrature: the overlap of the transition
+    Wigner function of |n><m| with the Gaussian Wigner function of G_y."""
+    if m < 0 or n < 0:
+        raise ValueError("Fock indices must be >= 0")
+    if max(m, n) > 20:
+        raise ValueError("oracle entries limited to m, n <= 20")
+    wg = povm_wigner_gaussian(y, det.eta1, det.nu1, det.eta2, det.nu2)
+    return overlap_integral_complex(transition_wigner(n, m), wg, tol=tol)

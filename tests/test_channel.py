@@ -181,18 +181,23 @@ class TestDiscretization:
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_against_raw_2d_quadrature(self):
-        pp = ProtocolParams(alpha=0.75, delta_a=0.5)
-        dd = discretization_distribution(self.CH, DET, pp)
-        for (x, z) in [(0, 0), (0, 1), (2, 0)]:
-            ref, _ = integrate.dblquad(
-                lambda r, th: pdf_outcome(r * np.exp(1j * th), x, self.CH, DET, pp) * r,
-                (2 * z - 1) * np.pi / 4,
-                (2 * z + 1) * np.pi / 4,
-                pp.delta_a,
-                10.0,
-                epsabs=1e-11,
-            )
-            assert dd.conditional[x, z] == pytest.approx(ref, abs=1e-9)
+        # The sector rule against adaptive 2-D quadrature of the outcome
+        # density, over postselection radii and the sharply peaked strong
+        # signal of test_strong_signal_limit; r_max leaves < 1e-20 mass out.
+        cases = [(self.CH, DET, ProtocolParams(alpha=0.75, delta_a=da), 10.0) for da in (0.0, 0.5, 1.5)]
+        cases.append((ChannelModel(eta_t=1.0, xi=0.0), DetectorModel.ideal(), ProtocolParams(alpha=6.0), 13.0))
+        for ch, det, pp, r_max in cases:
+            dd = discretization_distribution(ch, det, pp)
+            for (x, z) in [(0, 0), (0, 1), (2, 0)]:
+                ref, _ = integrate.dblquad(
+                    lambda r, th: pdf_outcome(r * np.exp(1j * th), x, ch, det, pp) * r,
+                    (2 * z - 1) * np.pi / 4,
+                    (2 * z + 1) * np.pi / 4,
+                    pp.delta_a,
+                    r_max,
+                    epsabs=1e-11,
+                )
+                assert dd.conditional[x, z] == pytest.approx(ref, abs=1e-9)
 
 
 class TestEcCost:

@@ -9,10 +9,10 @@ from dmrate.detector import (
     povm_element,
     povm_element_general,
     povm_element_simple,
-    povm_oracle_entry,
     povm_weighted_sum,
 )
 from dmrate.fock import displaced_thermal_matrix
+from support.wigner import povm_oracle_entry
 
 SIMPLE = DetectorModel.simple(0.719, 0.01)
 GENERAL = DetectorModel(0.719, 0.6, 0.01, 0.05)

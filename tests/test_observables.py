@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from dmrate.detector import DetectorModel, povm_element
-from dmrate.fock import quadrature_operators, thermal_matrix
+from dmrate.fock import laguerre, quadrature_operators, thermal_matrix
 from dmrate.observables import (
+    _disk_head,
     moment_observables,
     observable_set,
     region_complement,
@@ -12,7 +15,9 @@ from dmrate.observables import (
 )
 
 SIMPLE = DetectorModel.simple(0.719, 0.01)
+NOISY = DetectorModel.simple(0.60, 0.30)
 IDEAL = DetectorModel.ideal()
+DISK_RADII = (0.1, 0.6, 1.5, 3.0)
 
 
 def region_mass_by_quadrature(rho, det, j, delta_a, N, tol=1e-9):
@@ -48,12 +53,26 @@ class TestRegionOperators:
                     assert w.min() >= -1e-10
 
     def test_completeness_with_disk(self):
-        delta_a = 0.6
-        for det in (SIMPLE, IDEAL):
-            regions = region_operators(det, delta_a, 10)
-            disk = region_complement(det, delta_a, 10)
-            total = sum(R.entries for R in regions) + disk.entries
-            assert np.max(np.abs(total - np.eye(11))) < 1e-8
+        for delta_a in DISK_RADII:
+            for det in (SIMPLE, IDEAL):
+                regions = region_operators(det, delta_a, 20)
+                disk = region_complement(det, delta_a, 20)
+                total = sum(R.entries for R in regions) + disk.entries
+                assert np.max(np.abs(total - np.eye(21))) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        eta=st.floats(0.3, 1.0),
+        nu=st.floats(0.0, 0.5),
+        delta_a=st.floats(0.0, 3.0),
+        N=st.integers(2, 20),
+    )
+    def test_completeness_with_disk_property(self, eta, nu, delta_a, N):
+        det = DetectorModel.simple(eta, nu)
+        disk = region_complement(det, delta_a, N).entries
+        total = sum(R.entries for R in region_operators(det, delta_a, N)) + disk
+        assert np.max(np.abs(total - np.eye(N + 1))) < 1e-12
+        assert np.all(np.diag(disk).real >= 0.0) and np.all(np.diag(disk).real <= 1.0 + 1e-12)
 
     def test_thermal_mass_against_quadrature_ideal(self):
         N, delta_a = 12, 0.6
@@ -86,6 +105,27 @@ class TestRegionOperators:
             region_operators(SIMPLE, -0.1, 5)
         with pytest.raises(ValueError):
             region_operators(SIMPLE, 0.0, 0)
+
+
+class TestDiskIntegral:
+    @pytest.mark.parametrize("det", [SIMPLE, NOISY], ids=["simple", "noisy"])
+    def test_closed_form_against_quadrature(self, det):
+        # integral_0^delta exp(-r^2/A) L_m^(k)(-r^2/B) r^(k+1) dr for every
+        # (m, k) with m + k <= 20, against adaptive quadrature.
+        eta, nbar = det.eta_d, det.nbar_d
+        A, B = eta * (1 + nbar), eta * nbar * (1 + nbar)
+        for delta_a in DISK_RADII:
+            for m in range(21):
+                for k in range(21 - m):
+                    ref, _ = integrate.quad(
+                        lambda r: np.exp(-r * r / A) * laguerre(m, k, -r * r / B) * r ** (k + 1),
+                        0.0,
+                        delta_a,
+                        epsabs=0.0,
+                        epsrel=1e-13,
+                        limit=200,
+                    )
+                    assert _disk_head(m, k, A, B, delta_a) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 class TestMomentObservables:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dmrate.fock import coherent_overlap, displaced_thermal_matrix, thermal_matrix
-from dmrate.wigner import (
+from support.wigner import (
     WignerGaussian,
     overlap_integral,
     overlap_integral_complex,
