@@ -8,10 +8,8 @@ lower bound and subtract the error-correction cost.
 """
 
 from .fock import (
-    FockOperator,
     coherent_overlap,
     hermite,
-    hermitian_log,
     hermitian_sqrt,
     laguerre,
     quadrature_operators,
@@ -21,10 +19,8 @@ from .fock import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "FockOperator",
     "coherent_overlap",
     "hermite",
-    "hermitian_log",
     "hermitian_sqrt",
     "laguerre",
     "quadrature_operators",

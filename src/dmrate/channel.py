@@ -133,10 +133,10 @@ def simulate_statistics(ch: ChannelModel, det: DetectorModel, pp: ProtocolParams
     fq, fp, sq, sp = [], [], [], []
     for x in range(4):
         sigma = simulated_conditional_state(ch, x, pp, N)
-        fq.append(float(np.trace(sigma @ obs.fq.entries).real))
-        fp.append(float(np.trace(sigma @ obs.fp.entries).real))
-        sq.append(float(np.trace(sigma @ obs.sq.entries).real))
-        sp.append(float(np.trace(sigma @ obs.sp.entries).real))
+        fq.append(float(np.trace(sigma @ obs.fq).real))
+        fp.append(float(np.trace(sigma @ obs.fp).real))
+        sq.append(float(np.trace(sigma @ obs.sq).real))
+        sp.append(float(np.trace(sigma @ obs.sp).real))
     return SimulatedStatistics(tuple(fq), tuple(fp), tuple(sq), tuple(sp))
 
 

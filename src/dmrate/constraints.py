@@ -81,7 +81,7 @@ def build_constraints(
     """
     if mode not in ("trusted", "untrusted"):
         raise ValueError(f"mode must be 'trusted' or 'untrusted', got {mode!r}")
-    dim_b = obs.fq.dim
+    dim_b = obs.fq.shape[0]
     if dim_b != pp.cutoff + 1:
         raise ValueError(f"observable dimension {dim_b} does not match cutoff {pp.cutoff}")
     dim = DIM_A * dim_b
@@ -105,19 +105,19 @@ def build_constraints(
 
     if mode == "trusted":
         named_ops = [
-            ("FQ", obs.fq.entries, stats.fq),
-            ("FP", obs.fp.entries, stats.fp),
-            ("SQ", obs.sq.entries, stats.sq),
-            ("SP", obs.sp.entries, stats.sp),
+            ("FQ", obs.fq, stats.fq),
+            ("FP", obs.fp, stats.fp),
+            ("SQ", obs.sq, stats.sq),
+            ("SP", obs.sp, stats.sp),
         ]
     else:
         q, p, n_op, d = quadrature_operators(pp.cutoff)
         eff = untrusted_statistics(stats)
         named_ops = [
-            ("q", q.entries, eff["q"]),
-            ("p", p.entries, eff["p"]),
-            ("n", n_op.entries, eff["n"]),
-            ("d", d.entries, eff["d"]),
+            ("q", q, eff["q"]),
+            ("p", p, eff["p"]),
+            ("n", n_op, eff["n"]),
+            ("d", d, eff["d"]),
         ]
 
     for name, op_b, values in named_ops:

@@ -18,11 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .fock import FockOperator, coherent_state_vector, displaced_thermal_matrix, hermite
+from .fock import coherent_state_vector, displaced_thermal_matrix, hermite, hermitize
 
 __all__ = [
     "DetectorModel",
     "GeneralPovmParams",
+    "povm_element",
     "povm_element_simple",
     "povm_element_general",
     "povm_weighted_sum",
@@ -96,16 +97,6 @@ class DetectorModel:
             (1.0 - self.eta2 + self.nu2) / self.eta2,
         )
 
-    def ancilla_nbar(self, arm: int) -> float:
-        """Mean photon number nu_j / (2(1 - eta_j)) of the thermal state on
-        arm j's idle port; only defined for eta_j < 1."""
-        eta, nu = (self.eta1, self.nu1) if arm == 1 else (self.eta2, self.nu2)
-        if eta >= 1.0:
-            if nu == 0.0:
-                return 0.0
-            raise ValueError("ancilla occupation undefined at eta = 1 with nu > 0")
-        return nu / (2.0 * (1.0 - eta))
-
 
 @dataclass(frozen=True)
 class GeneralPovmParams:
@@ -127,7 +118,7 @@ class GeneralPovmParams:
         return cls(lam1, lam2, nbar, xi, alpha)
 
 
-def povm_element_simple(y: complex, det: DetectorModel, N: int) -> FockOperator:
+def povm_element_simple(y: complex, det: DetectorModel, N: int) -> np.ndarray:
     """G_y in the photon-number basis for identical detector arms:
     (1/(eta_d pi)) times a displaced thermal state at y/sqrt(eta_d) with
     occupation nbar_d.  The near-ideal detector branches to the coherent
@@ -138,7 +129,7 @@ def povm_element_simple(y: complex, det: DetectorModel, N: int) -> FockOperator:
         raise ValueError("detector arms differ; use povm_element_general")
     eta = det.eta_d
     rho = displaced_thermal_matrix(y / np.sqrt(eta), det.nbar_d, N)
-    return FockOperator(rho / (eta * np.pi), hermitian=True)
+    return hermitize(rho / (eta * np.pi))
 
 
 def _btilde_sqrt(lam1: float, lam2: float) -> complex:
@@ -202,19 +193,18 @@ def povm_weighted_sum(ys, weights, det: DetectorModel, N: int) -> np.ndarray:
     return out
 
 
-def povm_element_general(y: complex, det: DetectorModel, N: int) -> FockOperator:
+def povm_element_general(y: complex, det: DetectorModel, N: int) -> np.ndarray:
     """G_y in the photon-number basis for arbitrary (eta_1, nu_1, eta_2, nu_2):
     the displaced-squeezed-thermal matrix elements, prefactor
     1/sqrt(eta_1 eta_2); the one-node case of `povm_weighted_sum`."""
-    g = povm_weighted_sum(np.array([y]), np.ones((1, 1)), det, N)[0]
-    return FockOperator(g, hermitian=True)
+    return hermitize(povm_weighted_sum(np.array([y]), np.ones((1, 1)), det, N)[0])
 
 
-def povm_element(y: complex, det: DetectorModel, N: int) -> FockOperator:
+def povm_element(y: complex, det: DetectorModel, N: int) -> np.ndarray:
     """G_y by whichever closed form applies to the detector."""
     if det.is_ideal():
         v = coherent_state_vector(y, N)
-        return FockOperator(np.outer(v, v.conj()) / np.pi, hermitian=True)
+        return hermitize(np.outer(v, v.conj()) / np.pi)
     if det.simple_case():
         return povm_element_simple(y, det, N)
     return povm_element_general(y, det, N)

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fock import CLAMP_REL, FockOperator
+from .fock import CLAMP_REL, check_hermitian, hermitize
 from .maps import PostprocessingMaps
 
-__all__ = ["objective", "gradient", "objective_with_gradient", "line_objective", "PERTURBATION"]
+__all__ = ["objective", "objective_with_gradient", "line_objective", "PERTURBATION"]
 
 LN2 = float(np.log(2.0))
 
@@ -44,23 +44,15 @@ def _clamped_log(mat: np.ndarray) -> tuple[np.ndarray, float]:
     return (u * np.log(w)) @ u.conj().T, float(np.sum(w * np.log(w)))
 
 
-def _validate(rho: np.ndarray, maps: PostprocessingMaps, tol: float = 1e-7):
-    rho = np.asarray(rho, dtype=complex)
+def _validate(rho: np.ndarray, maps: PostprocessingMaps) -> np.ndarray:
     if rho.shape != (maps.dim_ab, maps.dim_ab):
         raise ValueError(f"state shape {rho.shape} does not match A(x)B dimension {maps.dim_ab}")
-    if np.max(np.abs(rho - rho.conj().T)) > tol * max(1.0, float(np.max(np.abs(rho)))):
-        raise ValueError("state must be Hermitian")
-    if np.linalg.eigvalsh(rho).min() < -tol:
-        raise ValueError("objective of a non-PSD state")
-    return 0.5 * (rho + rho.conj().T)
+    return check_hermitian(rho, psd_tol=1e-7)
 
 
-def objective(rho: np.ndarray | FockOperator, maps: PostprocessingMaps, validate: bool = True) -> float:
+def objective(rho: np.ndarray, maps: PostprocessingMaps) -> float:
     """Relative entropy between G(rho) and its pinching, in bits."""
-    rho = np.asarray(rho, dtype=complex)
-    if validate:
-        rho = _validate(rho, maps)
-    rho = _perturb(rho)
+    rho = _perturb(_validate(np.asarray(rho, dtype=complex), maps))
     w = maps.w_coords
     term1 = _entropy_sum(np.linalg.eigvalsh(w @ rho @ w.conj().T))
     term2 = 0.0
@@ -70,7 +62,7 @@ def objective(rho: np.ndarray | FockOperator, maps: PostprocessingMaps, validate
 
 
 def objective_with_gradient(
-    rho: np.ndarray | FockOperator, maps: PostprocessingMaps, validate: bool = True
+    rho: np.ndarray, maps: PostprocessingMaps, validate: bool = True
 ) -> tuple[float, np.ndarray]:
     """Objective in bits and its gradient G+[log2 G(rho)] - G+[log2 Z(G(rho))]."""
     rho = np.asarray(rho, dtype=complex)
@@ -85,13 +77,7 @@ def objective_with_gradient(
         log_tau, ent = _clamped_log(blk @ rho @ blk.conj().T)
         term2 += ent
         grad -= blk.conj().T @ log_tau @ blk
-    grad = 0.5 * (grad + grad.conj().T)
-    return (term1 - term2) / LN2, grad / LN2
-
-
-def gradient(rho: np.ndarray | FockOperator, maps: PostprocessingMaps) -> FockOperator:
-    _, g = objective_with_gradient(rho, maps)
-    return FockOperator(g, hermitian=True)
+    return (term1 - term2) / LN2, hermitize(grad) / LN2
 
 
 def line_objective(

@@ -7,13 +7,12 @@ factorial ratios that do appear downstream go through log-gamma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from scipy.special import gammaln
 
 __all__ = [
-    "FockOperator",
+    "hermitize",
+    "check_hermitian",
     "laguerre",
     "hermite",
     "taylor_f",
@@ -21,48 +20,34 @@ __all__ = [
     "coherent_overlap",
     "coherent_state_vector",
     "displaced_thermal_matrix",
-    "thermal_matrix",
     "hermitian_sqrt",
-    "hermitian_log",
-    "sqrt_factorial_ratio",
 ]
 
-# Relative eigenvalue floor used by the matrix log (and, mirrored at zero, by
-# the matrix sqrt).  Mirrors the usual perturbation trick for relative
-# entropies of rank-deficient states.
+# Relative eigenvalue floor of the clamped logs in `entropy` (and, mirrored
+# at zero, of the matrix sqrt).  Mirrors the usual perturbation trick for
+# relative entropies of rank-deficient states.
 CLAMP_REL = 1e-12
 
 
-@dataclass
-class FockOperator:
-    """A complex square matrix on the truncated basis {|0>, ..., |N>}.
+def hermitize(m: np.ndarray) -> np.ndarray:
+    """(m + m+)/2: the Hermitian part, exactly Hermitian afterwards."""
+    return 0.5 * (m + m.conj().T)
 
-    ``hermitian=True`` enforces exact Hermiticity at construction: the input
-    must be Hermitian up to round-off and is symmetrized, so that
-    ``entries == entries.conj().T`` holds exactly afterwards.
-    """
 
-    entries: np.ndarray
-    hermitian: bool = False
-    dim: int = field(init=False)
-
-    def __post_init__(self):
-        m = np.atleast_2d(np.asarray(self.entries, dtype=complex))
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if self.hermitian:
-            asym = np.max(np.abs(m - m.conj().T))
-            scale = max(1.0, float(np.max(np.abs(m))))
-            if asym > 1e-8 * scale:
-                raise ValueError(f"matrix tagged hermitian is not (asymmetry {asym:.3e})")
-            m = 0.5 * (m + m.conj().T)
-        self.entries = m
-        self.dim = m.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.entries.astype(dtype)
-        return self.entries
+def check_hermitian(m: np.ndarray, psd_tol: float | None = None) -> np.ndarray:
+    """The exactly Hermitian part of a square matrix whose asymmetry is at
+    most 1e-8 relative to its largest entry (or 1); if ``psd_tol`` is given,
+    its eigenvalues must also be >= -psd_tol.  Else ValueError."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    asym = float(np.max(np.abs(m - m.conj().T)))
+    if asym > 1e-8 * max(1.0, float(np.max(np.abs(m)))):
+        raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3e})")
+    h = hermitize(m)
+    if psd_tol is not None and np.linalg.eigvalsh(h).min() < -psd_tol:
+        raise ValueError("matrix is not positive semidefinite within tolerance")
+    return h
 
 
 def laguerre(k: int, j: int, x: float) -> float:
@@ -122,7 +107,7 @@ def taylor_f(n: int, a: float, alpha: float, k: float) -> float:
     return float(np.dot(c1, c2[::-1]))
 
 
-def quadrature_operators(N: int) -> tuple[FockOperator, FockOperator, FockOperator, FockOperator]:
+def quadrature_operators(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Truncated q, p, photon-number and d = a^2 + a+^2 matrices at cutoff N.
 
     The annihilation operator has <n-1|a|n> = sqrt(n).  The truncated
@@ -136,12 +121,7 @@ def quadrature_operators(N: int) -> tuple[FockOperator, FockOperator, FockOperat
     p = 1j * (ad - a) / np.sqrt(2.0)
     n_op = ad @ a
     d = a @ a + ad @ ad
-    return (
-        FockOperator(q, hermitian=True),
-        FockOperator(p, hermitian=True),
-        FockOperator(n_op, hermitian=True),
-        FockOperator(d, hermitian=True),
-    )
+    return hermitize(q), hermitize(p), hermitize(n_op), hermitize(d)
 
 
 def coherent_overlap(a: complex, b: complex) -> complex:
@@ -159,23 +139,6 @@ def coherent_state_vector(alpha: complex, N: int) -> np.ndarray:
         return v
     phase = np.exp(1j * n * np.angle(alpha))
     return np.exp(logmag) * phase
-
-
-def sqrt_factorial_ratio(m: int, n: int) -> float:
-    """sqrt(m!/n!) via log-gamma; exact factorials overflow at the cutoffs used."""
-    return float(np.exp(0.5 * (gammaln(m + 1) - gammaln(n + 1))))
-
-
-def thermal_matrix(nbar: float, N: int) -> np.ndarray:
-    """Truncated thermal state diag(nbar^n / (1+nbar)^(n+1))."""
-    if nbar < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {nbar}")
-    if nbar == 0:
-        rho = np.zeros((N + 1, N + 1), dtype=complex)
-        rho[0, 0] = 1.0
-        return rho
-    n = np.arange(N + 1)
-    return np.diag(np.exp(n * np.log(nbar) - (n + 1) * np.log1p(nbar))).astype(complex)
 
 
 def displaced_thermal_matrix(alpha: complex, nbar: float, N: int) -> np.ndarray:
@@ -208,29 +171,10 @@ def displaced_thermal_matrix(alpha: complex, nbar: float, N: int) -> np.ndarray:
     return rho
 
 
-def _eig_hermitian(M: FockOperator | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    m = np.asarray(M, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
-    if np.max(np.abs(m - m.conj().T)) > 1e-8 * max(1.0, float(np.max(np.abs(m)))):
-        raise ValueError("matrix function of a non-Hermitian input")
-    return np.linalg.eigh(0.5 * (m + m.conj().T))
-
-
-def hermitian_sqrt(M: FockOperator | np.ndarray) -> FockOperator:
+def hermitian_sqrt(M: np.ndarray) -> np.ndarray:
     """PSD square root by eigendecomposition; eigenvalues below the clamp
     threshold go to zero first."""
-    w, U = _eig_hermitian(M)
+    w, U = np.linalg.eigh(check_hermitian(M))
     floor = CLAMP_REL * max(float(w[-1]), 0.0)
     w = np.where(w < floor, 0.0, w)
-    return FockOperator((U * np.sqrt(w)) @ U.conj().T, hermitian=True)
-
-
-def hermitian_log(M: FockOperator | np.ndarray) -> FockOperator:
-    """Matrix log by eigendecomposition with eigenvalues clamped to
-    CLAMP_REL * lambda_max before the log."""
-    w, U = _eig_hermitian(M)
-    if w[-1] <= 0:
-        raise ValueError("matrix log needs at least one positive eigenvalue")
-    w = np.maximum(w, CLAMP_REL * float(w[-1]))
-    return FockOperator((U * np.log(w)) @ U.conj().T, hermitian=True)
+    return hermitize((U * np.sqrt(w)) @ U.conj().T)

@@ -1,105 +1,46 @@
-"""Postprocessing map G (Kraus isometry onto the key register) and the
-pinching channel Z that dephases the register."""
+"""The blocks E_z = 1_A (x) sqrt(R_z) of the Kraus operator K of the
+postprocessing map G(rho) = K rho K+, and the factor W with W+W = K+K.
+That is all the objective needs: G and the register pinching Z are never
+formed here (the tests form them, in ``tests/support/maps.py``)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .fock import FockOperator, hermitian_sqrt
-from .observables import RegionSet
+from .fock import hermitian_sqrt
 
-__all__ = ["PostprocessingMaps", "build_postprocessing_maps", "apply_G", "apply_G_adjoint", "apply_Z"]
-
-DIM_R = 4
+__all__ = ["PostprocessingMaps", "build_postprocessing_maps"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PostprocessingMaps:
-    """Kraus operator K = sum_z |z>_R (x) 1_A (x) sqrt(R_z)_B and the register
-    projectors.  K+K = 1_A (x) sum_z R_z is the identity exactly when the
-    postselection radius is zero, and contractive otherwise."""
+    """K = sum_z |z>_R (x) E_z, kept as its ``blocks`` E_z.  K+K = 1_A (x)
+    sum_z R_z is the identity exactly when the postselection radius is zero,
+    and contractive otherwise.  ``w_coords`` is the upper-triangular W with
+    W+W = K+K: G(rho) on the column space of K is W rho W+.  Every array is
+    read-only, since cached maps are shared."""
 
-    sqrt_regions: tuple[np.ndarray, ...]
+    sqrt_regions: InitVar[tuple[np.ndarray, ...]]
     dim_a: int
     dim_b: int
+    blocks: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    w_coords: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self._blocks = tuple(
-            np.kron(np.eye(self.dim_a, dtype=complex), s) for s in self.sqrt_regions
-        )
-        self._w_coords: np.ndarray | None = None
+    def __post_init__(self, sqrt_regions):
+        blocks = tuple(np.kron(np.eye(self.dim_a, dtype=complex), s) for s in sqrt_regions)
+        w_coords = np.linalg.qr(np.vstack(blocks), mode="r")
+        for m in (*blocks, w_coords):
+            m.setflags(write=False)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "w_coords", w_coords)
 
     @property
     def dim_ab(self) -> int:
         return self.dim_a * self.dim_b
 
-    @property
-    def blocks(self) -> tuple[np.ndarray, ...]:
-        """E_z = 1_A (x) sqrt(R_z); K stacks these over the register index."""
-        return self._blocks
 
-    @property
-    def kraus(self) -> np.ndarray:
-        return np.vstack(self._blocks)
-
-    def z_projector(self, j: int) -> np.ndarray:
-        proj = np.zeros((DIM_R, DIM_R), dtype=complex)
-        proj[j, j] = 1.0
-        return np.kron(proj, np.eye(self.dim_ab, dtype=complex))
-
-    @property
-    def kraus_gram(self) -> np.ndarray:
-        """K+K on A (x) B."""
-        out = np.zeros((self.dim_ab, self.dim_ab), dtype=complex)
-        for blk in self._blocks:
-            out += blk.conj().T @ blk
-        return out
-
-    @property
-    def w_coords(self) -> np.ndarray:
-        """Upper-triangular W with W+W = K+K; G(rho) expressed on the column
-        space of K is W rho W+, which is all the entropy computations need."""
-        if self._w_coords is None:
-            self._w_coords = np.linalg.qr(self.kraus, mode="r")
-        return self._w_coords
-
-
-def build_postprocessing_maps(regions: RegionSet, dim_a: int = 4) -> PostprocessingMaps:
-    roots = tuple(hermitian_sqrt(R.entries).entries for R in regions)
-    return PostprocessingMaps(roots, dim_a, regions[0].dim)
-
-
-def _check_state(rho: np.ndarray, tol: float = 1e-7) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if np.max(np.abs(rho - rho.conj().T)) > tol * max(1.0, float(np.max(np.abs(rho)))):
-        raise ValueError("state must be Hermitian")
-    if np.linalg.eigvalsh(rho).min() < -tol:
-        raise ValueError("state must be positive semidefinite within tolerance")
-    return rho
-
-
-def apply_G(rho: FockOperator | np.ndarray, maps: PostprocessingMaps) -> FockOperator:
-    """K rho K+ on register (x) A (x) B; trace equals the kept mass of rho."""
-    rho = _check_state(np.asarray(rho))
-    k = maps.kraus
-    return FockOperator(k @ rho @ k.conj().T, hermitian=True)
-
-
-def apply_G_adjoint(y: FockOperator | np.ndarray, maps: PostprocessingMaps) -> FockOperator:
-    k = maps.kraus
-    return FockOperator(k.conj().T @ np.asarray(y, dtype=complex) @ k, hermitian=True)
-
-
-def apply_Z(sigma: FockOperator | np.ndarray, maps: PostprocessingMaps) -> FockOperator:
-    """Pinching over the key register: keep the register-diagonal blocks."""
-    sigma = np.asarray(sigma, dtype=complex)
-    d = maps.dim_ab
-    if sigma.shape != (DIM_R * d, DIM_R * d):
-        raise ValueError(f"expected operator on the register space, got shape {sigma.shape}")
-    out = np.zeros_like(sigma)
-    for z in range(DIM_R):
-        sl = slice(z * d, (z + 1) * d)
-        out[sl, sl] = sigma[sl, sl]
-    return FockOperator(out, hermitian=bool(np.max(np.abs(sigma - sigma.conj().T)) < 1e-8))
+def build_postprocessing_maps(regions: tuple[np.ndarray, ...], dim_a: int = 4) -> PostprocessingMaps:
+    roots = tuple(hermitian_sqrt(R) for R in regions)
+    return PostprocessingMaps(roots, dim_a, regions[0].shape[0])

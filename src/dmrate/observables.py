@@ -24,11 +24,10 @@ import numpy as np
 from scipy.special import gammaincc, gammainc, gammaln
 
 from .detector import DetectorModel, povm_weighted_sum
-from .fock import FockOperator, quadrature_operators, taylor_f
+from .fock import hermitize, quadrature_operators, taylor_f
 
 __all__ = [
     "ObservableSet",
-    "RegionSet",
     "region_operators",
     "region_complement",
     "moment_observables",
@@ -37,32 +36,21 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class RegionSet:
-    """The four key-map region operators plus how they were obtained."""
-
-    ops: tuple[FockOperator, FockOperator, FockOperator, FockOperator]
-    method: str
-
-    def __iter__(self):
-        return iter(self.ops)
-
-    def __getitem__(self, j):
-        return self.ops[j]
-
-    def __len__(self):
-        return 4
-
-
-@dataclass(frozen=True)
 class ObservableSet:
-    """First/second-moment observables and region operators for one detector."""
+    """First/second-moment observables and region operators for one detector,
+    all read-only (cached sets are shared).  ``method`` names the branch both
+    took: "ideal", "closed-form" or "numeric"."""
 
-    fq: FockOperator
-    fp: FockOperator
-    sq: FockOperator
-    sp: FockOperator
-    regions: RegionSet | None = None
+    fq: np.ndarray
+    fp: np.ndarray
+    sq: np.ndarray
+    sp: np.ndarray
+    regions: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
     method: str = "closed-form"
+
+    def __post_init__(self):
+        for m in (self.fq, self.fp, self.sq, self.sp, *(self.regions or ())):
+            m.setflags(write=False)
 
 
 def _sector_phase(k: int, j: int) -> complex:
@@ -113,7 +101,7 @@ def _radial_tail(m: int, n: int, eta: float, nbar: float, delta_a: float) -> flo
     return full - _disk_head(m, k, A, B, delta_a)
 
 
-def _ideal_regions(delta_a: float, N: int) -> tuple[FockOperator, ...]:
+def _ideal_regions(delta_a: float, N: int) -> tuple[np.ndarray, ...]:
     ops = []
     x = delta_a * delta_a
     for j in range(4):
@@ -130,7 +118,7 @@ def _ideal_regions(delta_a: float, N: int) -> tuple[FockOperator, ...]:
                 )
                 R[m, n] = val
                 R[n, m] = np.conj(val)
-        ops.append(FockOperator(R, hermitian=True))
+        ops.append(R)
     return tuple(ops)
 
 
@@ -144,7 +132,7 @@ def _simple_disk_diagonal(eta: float, nbar: float, delta_a: float, N: int) -> np
     return diag
 
 
-def _simple_regions(det: DetectorModel, delta_a: float, N: int) -> tuple[FockOperator, ...]:
+def _simple_regions(det: DetectorModel, delta_a: float, N: int) -> tuple[np.ndarray, ...]:
     eta, nbar = det.eta_d, det.nbar_d
     radial = {}
     for m in range(N + 1):
@@ -161,7 +149,7 @@ def _simple_regions(det: DetectorModel, delta_a: float, N: int) -> tuple[FockOpe
                 val = np.exp(_log_cmn(m, n, eta, nbar)) * _sector_phase(m - n, j) * radial[(m, n)]
                 R[m, n] = val
                 R[n, m] = np.conj(val)
-        ops.append(FockOperator(R, hermitian=True))
+        ops.append(R)
     return tuple(ops)
 
 
@@ -199,17 +187,17 @@ def _numeric_box(det: DetectorModel) -> float:
     return 6.0 * np.sqrt(1.0 + max(det.nu1, det.nu2)) + 4.0
 
 
-def _general_regions(det: DetectorModel, delta_a: float, N: int) -> tuple[FockOperator, ...]:
+def _general_regions(det: DetectorModel, delta_a: float, N: int) -> tuple[np.ndarray, ...]:
     r_hi = _numeric_box(det)
     ops = []
     for j in range(4):
         th_lo, th_hi = (2 * j - 1) * np.pi / 4, (2 * j + 1) * np.pi / 4
         (R,) = _polar_integral_refined(det, N, [lambda y: 1.0], delta_a, r_hi, th_lo, th_hi)
-        ops.append(FockOperator(0.5 * (R + R.conj().T), hermitian=True))
+        ops.append(hermitize(R))
     return tuple(ops)
 
 
-def region_operators(det: DetectorModel, delta_a: float, N: int) -> RegionSet:
+def region_operators(det: DetectorModel, delta_a: float, N: int) -> tuple[np.ndarray, ...]:
     """Key-map region operators R_0..R_3 in the truncated photon-number basis.
 
     With delta_a = 0 the four operators resolve the identity exactly at every
@@ -220,32 +208,30 @@ def region_operators(det: DetectorModel, delta_a: float, N: int) -> RegionSet:
     if N < 1:
         raise ValueError("cutoff N must be >= 1")
     if det.is_ideal():
-        return RegionSet(_ideal_regions(delta_a, N), "ideal")
+        return _ideal_regions(delta_a, N)
     if det.simple_case():
-        return RegionSet(_simple_regions(det, delta_a, N), "closed-form")
-    return RegionSet(_general_regions(det, delta_a, N), "numeric")
+        return _simple_regions(det, delta_a, N)
+    return _general_regions(det, delta_a, N)
 
 
-def region_complement(det: DetectorModel, delta_a: float, N: int) -> FockOperator:
+def region_complement(det: DetectorModel, delta_a: float, N: int) -> np.ndarray:
     """Operator of the discarded central disk |y| < delta_a; diagonal, since
     the full-circle angular integral kills every off-diagonal entry."""
     if delta_a < 0:
         raise ValueError(f"postselection radius must be >= 0, got {delta_a}")
     if det.is_ideal():
         diag = gammainc(np.arange(N + 1) + 1, delta_a * delta_a)
-        return FockOperator(np.diag(diag).astype(complex), hermitian=True)
+        return np.diag(diag).astype(complex)
     if not det.simple_case():
         raise ValueError("disk complement implemented for identical arms only")
     diag = _simple_disk_diagonal(det.eta_d, det.nbar_d, delta_a, N)
-    return FockOperator(np.diag(diag).astype(complex), hermitian=True)
+    return np.diag(diag).astype(complex)
 
 
-def _ideal_moments(N: int) -> tuple[FockOperator, FockOperator, FockOperator, FockOperator]:
+def _ideal_moments(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     q, p, n_op, d = quadrature_operators(N)
     eye = np.eye(N + 1)
-    sq = FockOperator(n_op.entries + d.entries / 2 + eye, hermitian=True)
-    sp = FockOperator(n_op.entries - d.entries / 2 + eye, hermitian=True)
-    return q, p, sq, sp
+    return q, p, n_op + d / 2 + eye, n_op - d / 2 + eye
 
 
 def _simple_moments(det: DetectorModel, N: int):
@@ -271,7 +257,7 @@ def _simple_moments(det: DetectorModel, N: int):
             sq[m + 2, m] = second
             sp[m, m + 2] = -second
             sp[m + 2, m] = -second
-    return tuple(FockOperator(x, hermitian=True) for x in (fq, fp, sq, sp))
+    return fq, fp, sq, sp
 
 
 def _general_moments(det: DetectorModel, N: int):
@@ -283,7 +269,7 @@ def _general_moments(det: DetectorModel, N: int):
         lambda y: 2.0 * y.imag**2,
     ]
     mats = _polar_integral_refined(det, N, weights, 0.0, r_hi, 0.0, 2 * np.pi)
-    return tuple(FockOperator(0.5 * (M + M.conj().T), hermitian=True) for M in mats)
+    return tuple(hermitize(M) for M in mats)
 
 
 def moment_observables(det: DetectorModel, N: int) -> ObservableSet:

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve, solve_triangular
 
+from .fock import hermitize
+
 __all__ = ["SdpResult", "SdpError", "solve_sdp", "independent_rows"]
 
 
@@ -66,10 +68,6 @@ def independent_rows(ops: np.ndarray, tol: float = 1e-9) -> list[int]:
     return kept
 
 
-def _hermitize(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.conj().T)
-
-
 def _trace_prod(a: np.ndarray, b: np.ndarray) -> float:
     # Re Tr(ab) without forming the product.
     return float((a.ravel() @ b.T.ravel()).real)
@@ -79,7 +77,7 @@ def _max_step(chol_lower: np.ndarray, direction: np.ndarray) -> float:
     # Largest alpha with M + alpha * D >= 0, via the whitened direction.
     w = solve_triangular(chol_lower, direction, lower=True)
     w = solve_triangular(chol_lower, w.conj().T, lower=True)
-    lam_min = float(np.linalg.eigvalsh(_hermitize(w)).min())
+    lam_min = float(np.linalg.eigvalsh(hermitize(w)).min())
     if lam_min >= -1e-14:
         return np.inf
     return -1.0 / lam_min
@@ -99,7 +97,7 @@ def solve_sdp(
     """
     n = c_mat.shape[0]
     m = ops.shape[0]
-    c_mat = _hermitize(np.asarray(c_mat, dtype=complex))
+    c_mat = hermitize(np.asarray(c_mat, dtype=complex))
     norms = np.array([max(np.linalg.norm(a, "fro"), 1e-300) for a in ops])
     ops = np.asarray(ops, dtype=complex) / norms[:, None, None]
     b = np.asarray(b, dtype=float) / norms
@@ -153,7 +151,7 @@ def solve_sdp(
         except np.linalg.LinAlgError:
             status = "stalled"
             break
-        s_inv = _hermitize(cho_solve(s_cho, np.eye(n, dtype=complex)))
+        s_inv = hermitize(cho_solve(s_cho, np.eye(n, dtype=complex)))
 
         # Schur complement M[i,j] = Re Tr(A_i X A_j S^-1), via batched matmul.
         t_ops = np.matmul(np.matmul(x[None, :, :], ops), s_inv[None, :, :])
@@ -173,7 +171,7 @@ def solve_sdp(
             rhs = base_rhs - aop(comp_target @ s_inv)
             dy = lu_solve(schur_lu, rhs)
             ds = r_d - amat(dy)
-            dx = _hermitize(comp_target @ s_inv - x - x @ ds @ s_inv)
+            dx = hermitize(comp_target @ s_inv - x - x @ ds @ s_inv)
             return dx, dy, ds
 
         # Predictor, with one synchronized step length for both cones: letting
@@ -192,9 +190,9 @@ def solve_sdp(
         tau = 0.9 if mu > 1e-4 else 0.98
         alpha = min(1.0, tau * _max_step(x_chol, dx), tau * _max_step(s_chol, ds))
 
-        x = _hermitize(x + alpha * dx)
+        x = hermitize(x + alpha * dx)
         y = y + alpha * dy
-        s = _hermitize(s + alpha * ds)
+        s = hermitize(s + alpha * ds)
 
     if status != "optimal" and best is not None:
         x, y, s = best

@@ -18,6 +18,7 @@ import numpy as np
 
 from .constraints import ConstraintSet
 from .entropy import line_objective, objective_with_gradient
+from .fock import hermitize
 from .maps import PostprocessingMaps
 from .sdp import SdpError, independent_rows, solve_sdp
 
@@ -107,10 +108,6 @@ def _line_search(phi, points: int, f0: float) -> tuple[float, float]:
     return best_t, best_f
 
 
-def _hermitize(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.conj().T)
-
-
 def _affine_project(rho: np.ndarray, ops: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Minimum-Frobenius-norm correction onto the affine subspace A(rho) = b.
     m = ops.shape[0]
@@ -129,18 +126,18 @@ def _feasible_start(rho: np.ndarray, ops: np.ndarray, b: np.ndarray, rounds: int
     # Degenerate sets (pure-state corners) converge slowly, hence the budget.
     for _ in range(rounds):
         rho = _affine_project(rho, ops, b)
-        w, u = np.linalg.eigh(_hermitize(rho))
+        w, u = np.linalg.eigh(hermitize(rho))
         if w.min() >= -1e-12:
-            return _hermitize(rho)
+            return hermitize(rho)
         rho = (u * np.maximum(w, 0.0)) @ u.conj().T
-    return _hermitize(rho)
+    return hermitize(rho)
 
 
 def _repaired_dual_bound(grad: np.ndarray, ops: np.ndarray, b: np.ndarray, y: np.ndarray, trace_pos: int) -> float:
     # Shift the trace coordinate until sum_i y_i Gamma_i <= grad holds exactly;
     # any dual-feasible y gives a valid bound b.y on min <sigma, grad>.
     s_mat = grad - np.tensordot(y, ops, axes=1)
-    lam_min = float(np.linalg.eigvalsh(_hermitize(s_mat)).min())
+    lam_min = float(np.linalg.eigvalsh(hermitize(s_mat)).min())
     margin = 1e-12 * (1.0 + float(np.max(np.abs(grad))))
     y = y.copy()
     if lam_min < margin:
@@ -179,7 +176,7 @@ def solve(
         pre = solve_sdp(c0, ops, b, tol=opts.ipm_tol, max_iters=max(200, opts.ipm_max_iters))
     except SdpError as exc:
         raise InfeasibleError(f"feasibility pre-solve failed: {exc}", np.inf) from exc
-    rho = _feasible_start(_hermitize(pre.x), ops, b)
+    rho = _feasible_start(hermitize(pre.x), ops, b)
     full_res = float(np.max(np.abs(cs.residuals(rho))))
     if full_res > 5e-8 or np.linalg.eigvalsh(rho).min() < -1e-9:
         raise InfeasibleError("no feasible state found", full_res)
@@ -213,7 +210,7 @@ def solve(
             certified = False
             break
 
-        sigma = _hermitize(sub.x)
+        sigma = hermitize(sub.x)
         if sub.primal_residual > 5e-8:
             # Polish the atom so mixing cannot degrade the iterate's
             # feasibility beyond what the subproblem geometry allows; at
@@ -254,7 +251,7 @@ def solve(
             status = "converged_approx" if gap < 1e3 * opts.gap_tol else "stalled"
             certified = certified and status == "converged_approx"
             break
-        rho = _hermitize(rho + t_step * delta)
+        rho = hermitize(rho + t_step * delta)
         f, grad = objective_with_gradient(rho, maps, validate=False)
         history.append(f)
 

@@ -79,10 +79,10 @@ class TestSimulatedStatistics:
         obs = moment_observables(DET, 20)
         for x in range(4):
             sigma = simulated_conditional_state(ch, x, pp, 20)
-            assert np.trace(sigma @ obs.fq.entries).real == pytest.approx(stats.fq[x], abs=1e-6)
-            assert np.trace(sigma @ obs.fp.entries).real == pytest.approx(stats.fp[x], abs=1e-6)
-            assert np.trace(sigma @ obs.sq.entries).real == pytest.approx(stats.sq[x], abs=1e-6)
-            assert np.trace(sigma @ obs.sp.entries).real == pytest.approx(stats.sp[x], abs=1e-6)
+            assert np.trace(sigma @ obs.fq).real == pytest.approx(stats.fq[x], abs=1e-6)
+            assert np.trace(sigma @ obs.fp).real == pytest.approx(stats.fp[x], abs=1e-6)
+            assert np.trace(sigma @ obs.sq).real == pytest.approx(stats.sq[x], abs=1e-6)
+            assert np.trace(sigma @ obs.sp).real == pytest.approx(stats.sp[x], abs=1e-6)
 
     def test_general_detector_path(self):
         det = DetectorModel(0.7, 0.7 - 1e-9, 0.02, 0.02)

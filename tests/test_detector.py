@@ -37,13 +37,6 @@ class TestDetectorModel:
     def test_nbar_d(self):
         assert SIMPLE.nbar_d == pytest.approx((1 - 0.719 + 0.01) / 0.719)
 
-    def test_ancilla_nbar(self):
-        det = DetectorModel.simple(0.7, 0.06)
-        assert det.ancilla_nbar(1) == pytest.approx(0.06 / (2 * 0.3))
-        assert DetectorModel.ideal().ancilla_nbar(1) == 0.0
-        with pytest.raises(ValueError):
-            DetectorModel(1.0, 1.0, 0.1, 0.1).ancilla_nbar(1)
-
     def test_ideal_flag(self):
         assert DetectorModel.ideal().is_ideal()
         assert not SIMPLE.is_ideal()
@@ -75,7 +68,7 @@ class TestGeneralParams:
 class TestSimplePovm:
     def test_ideal_limit_entries(self):
         y = 0.5 - 0.7j
-        g = povm_element(y, DetectorModel.ideal(), 8).entries
+        g = povm_element(y, DetectorModel.ideal(), 8)
         for m in range(9):
             for n in range(9):
                 expect = np.exp(-abs(y) ** 2) * y**m * np.conj(y) ** n / np.pi
@@ -83,7 +76,7 @@ class TestSimplePovm:
                 assert g[m, n] == pytest.approx(expect, abs=1e-12)
 
     def test_vacuum_diagonal_at_origin(self):
-        g = povm_element_simple(0.0, SIMPLE, 5).entries
+        g = povm_element_simple(0.0, SIMPLE, 5)
         nbar = SIMPLE.nbar_d
         assert g[0, 0] == pytest.approx(1 / (0.719 * np.pi * (1 + nbar)))
 
@@ -93,41 +86,41 @@ class TestSimplePovm:
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(21)
-        g = povm_element_simple(0.45 + 0.3j, SIMPLE, 8).entries
+        g = povm_element_simple(0.45 + 0.3j, SIMPLE, 8)
         for _ in range(6):
             m, n = rng.integers(0, 9, size=2)
             ref = povm_oracle_entry(int(m), int(n), 0.45 + 0.3j, SIMPLE)
             assert g[m, n] == pytest.approx(ref, abs=1e-8)
 
     def test_hermitian(self):
-        g = povm_element_simple(0.3 + 0.8j, SIMPLE, 10).entries
+        g = povm_element_simple(0.3 + 0.8j, SIMPLE, 10)
         assert np.max(np.abs(g - g.conj().T)) == 0.0
 
 
 class TestGeneralPovm:
     def test_reduces_to_simple(self):
         y = 0.35 - 0.55j
-        gs = povm_element_simple(y, SIMPLE, 9).entries
-        gg = povm_element_general(y, SIMPLE, 9).entries
+        gs = povm_element_simple(y, SIMPLE, 9)
+        gg = povm_element_general(y, SIMPLE, 9)
         assert np.max(np.abs(gs - gg)) < 1e-8
 
     def test_near_degenerate_continuity(self):
         y = 0.2 + 0.4j
         det_eps = DetectorModel(0.719, 0.719, 0.01, 0.01 + 1e-6)
-        gg = povm_element_general(y, det_eps, 8).entries
-        gs = povm_element_simple(y, SIMPLE, 8).entries
+        gg = povm_element_general(y, det_eps, 8)
+        gs = povm_element_simple(y, SIMPLE, 8)
         assert np.max(np.abs(gg - gs)) < 1e-4
 
     def test_matches_oracle(self):
         y = 0.4 + 0.25j
         for det in (GENERAL, GENERAL_SWAPPED):
-            g = povm_element_general(y, det, 7).entries
+            g = povm_element_general(y, det, 7)
             for (m, n) in [(0, 0), (0, 1), (1, 2), (2, 2), (0, 3), (3, 5)]:
                 ref = povm_oracle_entry(m, n, y, det)
                 assert g[m, n] == pytest.approx(ref, abs=1e-7)
 
     def test_hermitian(self):
-        g = povm_element_general(0.3 - 0.2j, GENERAL, 8).entries
+        g = povm_element_general(0.3 - 0.2j, GENERAL, 8)
         assert np.max(np.abs(g - g.conj().T)) == 0.0
 
 
@@ -148,7 +141,7 @@ class TestWeightedSum:
     def test_weighted_sum_of_single_elements(self):
         c = np.array([[0.3, -1.2, 2.0], [1.0, 0.0, 0.5]])
         got = povm_weighted_sum(self.YS, c, GENERAL, 8)
-        singles = np.array([povm_element_general(y, GENERAL, 8).entries for y in self.YS])
+        singles = np.array([povm_element_general(y, GENERAL, 8) for y in self.YS])
         expect = np.einsum("ri,imn->rmn", c, singles)
         assert np.max(np.abs(got - expect)) < 1e-13
 

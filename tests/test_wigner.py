@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dmrate.fock import coherent_overlap, displaced_thermal_matrix, thermal_matrix
+from dmrate.fock import coherent_overlap, displaced_thermal_matrix
 from support.wigner import (
     WignerGaussian,
     overlap_integral,
@@ -70,7 +70,7 @@ class TestOverlap:
         # Truncated-basis Tr(FG) against quadrature, mean photon <= 3 at N=20.
         N = 20
         cases = [
-            (wigner_state("thermal", nbar=0.5), thermal_matrix(0.5, N)),
+            (wigner_state("thermal", nbar=0.5), displaced_thermal_matrix(0.0, 0.5, N)),
             (wigner_state("dts", alpha=1.3 - 0.4j, nbar=0.3), displaced_thermal_matrix(1.3 - 0.4j, 0.3, N)),
         ]
         for (wf, F) in cases:
