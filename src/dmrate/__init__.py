@@ -7,23 +7,11 @@ solve with Frank-Wolfe over a dense interior-point subproblem -> certify a
 lower bound and subtract the error-correction cost.
 """
 
-from .fock import (
-    coherent_overlap,
-    hermite,
-    hermitian_sqrt,
-    laguerre,
-    quadrature_operators,
-    taylor_f,
-)
+from .channel import ChannelModel, ProtocolParams
+from .detector import DetectorModel
+from .pipeline import evaluate_point
+from .solver import KeyRateResult
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "coherent_overlap",
-    "hermite",
-    "hermitian_sqrt",
-    "laguerre",
-    "quadrature_operators",
-    "taylor_f",
-    "__version__",
-]
+__all__ = ["evaluate_point", "ChannelModel", "DetectorModel", "ProtocolParams", "KeyRateResult", "__version__"]

@@ -28,10 +28,8 @@ __all__ = [
     "simulate_statistics",
     "untrusted_statistics",
     "simulated_conditional_state",
-    "pdf_outcome",
     "discretization_distribution",
     "ec_cost",
-    "effective_excess_noise",
 ]
 
 ATTENUATION_DB_PER_KM = 0.2
@@ -150,15 +148,6 @@ def untrusted_statistics(stats: SimulatedStatistics) -> dict[str, tuple[float, f
     return {"q": q, "p": p, "n": n, "d": d}
 
 
-def pdf_outcome(y: complex, x: int, ch: ChannelModel, det: DetectorModel, pp: ProtocolParams) -> float:
-    """Outcome density P(y|x) of the noisy heterodyne on the simulated state."""
-    if not det.simple_case():
-        raise ValueError("outcome density implemented for identical detector arms")
-    s = _noise_variance(ch, det)
-    c = np.sqrt(det.eta_d * ch.eta_t) * pp.signal(x)
-    return float(np.exp(-abs(y - c) ** 2 / s) / (np.pi * s))
-
-
 @dataclass(frozen=True)
 class DiscretizedDistribution:
     """Joint distribution of (signal x, key symbol z) after postselection."""
@@ -253,9 +242,3 @@ def ec_cost(dd: DiscretizedDistribution, beta: float) -> tuple[float, float, flo
     mi = _entropy_bits(px) + h_z - _entropy_bits(joint.ravel())
     delta_ec = h_z - beta * mi
     return delta_ec, dd.p_pass, h_z, mi
-
-
-def effective_excess_noise(ch: ChannelModel, det: DetectorModel) -> float:
-    """Channel-input-referred excess noise when the detector is untrusted:
-    xi + nu_el / (eta_d eta_t)."""
-    return ch.xi + det.nu_el / (det.eta_d * ch.eta_t)

@@ -4,7 +4,7 @@ the unit-trace constraint, and the partial-trace pin to Alice's Gram matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,48 +12,38 @@ from .channel import ProtocolParams, SimulatedStatistics, untrusted_statistics
 from .fock import coherent_overlap, quadrature_operators
 from .observables import ObservableSet
 
-__all__ = ["Constraint", "ConstraintSet", "alice_gram", "build_constraints"]
+__all__ = ["ConstraintSet", "alice_gram", "build_constraints", "check_mode"]
 
 DIM_A = 4
 
 
 @dataclass(frozen=True)
-class Constraint:
-    operator: np.ndarray
-    value: float
-    label: str
-
-
-@dataclass(frozen=True)
 class ConstraintSet:
-    """Equality constraints Tr(rho Gamma_i) = c_i plus bookkeeping."""
+    """Equality constraints Tr(rho Gamma_i) = c_i: the Gamma_i stacked as a
+    read-only (m, n, n) array, the c_i as a read-only (m,) array, and one
+    label per row."""
 
-    constraints: tuple[Constraint, ...]
-    rho_a: np.ndarray
-    dim_a: int
-    dim_b: int
+    operators: np.ndarray
+    values: np.ndarray
+    labels: tuple[str, ...]
+
+    def __post_init__(self):
+        ops = np.array(self.operators, dtype=complex)
+        values = np.array(self.values, dtype=float)
+        m = len(self.labels)
+        if ops.shape[:1] != (m,) or ops.ndim != 3 or ops.shape[1] != ops.shape[2] or values.shape != (m,):
+            raise ValueError(f"{m} labels, operators of shape {ops.shape}, values of shape {values.shape}")
+        for arr in (ops, values):
+            arr.setflags(write=False)
+        object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "values", values)
 
     @property
     def dim(self) -> int:
-        return self.dim_a * self.dim_b
-
-    def operators(self) -> np.ndarray:
-        return np.stack([c.operator for c in self.constraints])
-
-    def values(self) -> np.ndarray:
-        return np.array([c.value for c in self.constraints])
+        return self.operators.shape[1]
 
     def residuals(self, rho: np.ndarray) -> np.ndarray:
-        ops = self.operators()
-        got = np.einsum("iab,ba->i", ops, rho).real
-        return got - self.values()
-
-    def drop_moments(self, keep: int) -> "ConstraintSet":
-        """Copy with only the first `keep` moment constraints retained;
-        structural constraints (trace, partial trace) always stay."""
-        structural = [c for c in self.constraints if not c.label.startswith("moment")]
-        moments = [c for c in self.constraints if c.label.startswith("moment")]
-        return ConstraintSet(tuple(structural + moments[:keep]), self.rho_a, self.dim_a, self.dim_b)
+        return np.einsum("iab,ba->i", self.operators, rho).real - self.values
 
 
 def alice_gram(pp: ProtocolParams) -> np.ndarray:
@@ -63,6 +53,12 @@ def alice_gram(pp: ProtocolParams) -> np.ndarray:
         for j in range(DIM_A):
             rho[i, j] = np.sqrt(pp.PRIORS[i] * pp.PRIORS[j]) * coherent_overlap(pp.signal(i), pp.signal(j))
     return rho
+
+
+def check_mode(mode: str) -> None:
+    """ValueError unless mode names a detector-noise scenario."""
+    if mode not in ("trusted", "untrusted"):
+        raise ValueError(f"mode must be 'trusted' or 'untrusted', got {mode!r}")
 
 
 def _embed(op_a: np.ndarray, dim_b: int) -> np.ndarray:
@@ -79,29 +75,29 @@ def build_constraints(
     simulated data recast accordingly.  Both add the unit-trace constraint and
     the 16 real functionals pinning Tr_B(rho) to Alice's Gram matrix.
     """
-    if mode not in ("trusted", "untrusted"):
-        raise ValueError(f"mode must be 'trusted' or 'untrusted', got {mode!r}")
+    check_mode(mode)
     dim_b = obs.fq.shape[0]
     if dim_b != pp.cutoff + 1:
         raise ValueError(f"observable dimension {dim_b} does not match cutoff {pp.cutoff}")
     dim = DIM_A * dim_b
     rho_a = alice_gram(pp)
 
-    cons: list[Constraint] = [Constraint(np.eye(dim, dtype=complex), 1.0, "trace")]
+    # The trace comes first: the solver's dual repair shifts row 0.
+    rows: list[tuple[np.ndarray, float, str]] = [(np.eye(dim, dtype=complex), 1.0, "trace")]
 
     for i in range(DIM_A):
         e_ii = np.zeros((DIM_A, DIM_A), dtype=complex)
         e_ii[i, i] = 1.0
-        cons.append(Constraint(_embed(e_ii, dim_b), rho_a[i, i].real, f"ptrace-d{i}"))
+        rows.append((_embed(e_ii, dim_b), rho_a[i, i].real, f"ptrace-d{i}"))
     for i in range(DIM_A):
         for j in range(i + 1, DIM_A):
             re_op = np.zeros((DIM_A, DIM_A), dtype=complex)
             re_op[i, j] = re_op[j, i] = 1.0
-            cons.append(Constraint(_embed(re_op, dim_b), 2 * rho_a[i, j].real, f"ptrace-re{i}{j}"))
+            rows.append((_embed(re_op, dim_b), 2 * rho_a[i, j].real, f"ptrace-re{i}{j}"))
             im_op = np.zeros((DIM_A, DIM_A), dtype=complex)
             im_op[i, j] = 1.0j
             im_op[j, i] = -1.0j
-            cons.append(Constraint(_embed(im_op, dim_b), 2 * rho_a[i, j].imag, f"ptrace-im{i}{j}"))
+            rows.append((_embed(im_op, dim_b), 2 * rho_a[i, j].imag, f"ptrace-im{i}{j}"))
 
     if mode == "trusted":
         named_ops = [
@@ -120,12 +116,11 @@ def build_constraints(
             ("d", d, eff["d"]),
         ]
 
-    for name, op_b, values in named_ops:
+    for name, op_b, stat in named_ops:
         for x in range(DIM_A):
             proj = np.zeros((DIM_A, DIM_A), dtype=complex)
             proj[x, x] = 1.0
-            cons.append(
-                Constraint(np.kron(proj, op_b), pp.PRIORS[x] * values[x], f"moment-{name}-x{x}")
-            )
+            rows.append((np.kron(proj, op_b), pp.PRIORS[x] * stat[x], f"moment-{name}-x{x}"))
 
-    return ConstraintSet(tuple(cons), rho_a, DIM_A, dim_b)
+    ops, values, labels = zip(*rows)
+    return ConstraintSet(np.stack(ops), np.array(values), labels)

@@ -4,17 +4,19 @@ Everything is computed on the column space of the Kraus operator: with
 W+W = K+K, the spectrum of G(rho) equals the spectrum of W rho W+, and the
 register-diagonal blocks of G(rho) are E_z rho E_z+ with
 E_z = 1_A (x) sqrt(R_z).  No operator on the full register space is ever
-formed, which keeps one evaluation at cutoff 12 under a millisecond.
+formed.  At cutoff 12, on one BLAS thread of a 2-core x86-64 Xeon, one
+value-and-gradient evaluation takes about 3.5 ms and one line evaluation
+1.1-1.6 ms.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fock import CLAMP_REL, check_hermitian, hermitize
+from .fock import CLAMP_REL, hermitize
 from .maps import PostprocessingMaps
 
-__all__ = ["objective", "objective_with_gradient", "line_objective", "PERTURBATION"]
+__all__ = ["objective_with_gradient", "line_objective", "PERTURBATION"]
 
 LN2 = float(np.log(2.0))
 
@@ -28,47 +30,31 @@ def _perturb(rho: np.ndarray, eps: float = PERTURBATION) -> np.ndarray:
     return (1.0 - eps) * rho + (eps / d) * np.eye(d, dtype=complex)
 
 
-def _entropy_sum(w: np.ndarray) -> float:
-    # sum lambda ln lambda with the relative clamp; zero rows contribute 0.
+def _clamp(w: np.ndarray) -> np.ndarray:
+    # Ascending eigenvalues floored at CLAMP_REL * lambda_max (at 1e-300 if
+    # none is positive), so that their logs stay finite.
     top = float(w[-1])
-    if top <= 0.0:
-        return 0.0
-    w = np.maximum(w, CLAMP_REL * top)
+    return np.maximum(w, CLAMP_REL * top if top > 0 else 1e-300)
+
+
+def _entropy_sum(w: np.ndarray) -> float:
+    # sum lambda ln lambda of the clamped eigenvalues.
+    w = _clamp(w)
     return float(np.sum(w * np.log(w)))
 
 
 def _clamped_log(mat: np.ndarray) -> tuple[np.ndarray, float]:
     w, u = np.linalg.eigh(mat)
-    top = float(w[-1])
-    w = np.maximum(w, CLAMP_REL * max(top, 0.0)) if top > 0 else np.maximum(w, 1e-300)
-    return (u * np.log(w)) @ u.conj().T, float(np.sum(w * np.log(w)))
+    w = _clamp(w)
+    log_w = np.log(w)
+    return (u * log_w) @ u.conj().T, float(np.sum(w * log_w))
 
 
-def _validate(rho: np.ndarray, maps: PostprocessingMaps) -> np.ndarray:
-    if rho.shape != (maps.dim_ab, maps.dim_ab):
-        raise ValueError(f"state shape {rho.shape} does not match A(x)B dimension {maps.dim_ab}")
-    return check_hermitian(rho, psd_tol=1e-7)
+def objective_with_gradient(rho: np.ndarray, maps: PostprocessingMaps) -> tuple[float, np.ndarray]:
+    """Objective in bits and its gradient G+[log2 G(rho)] - G+[log2 Z(G(rho))].
 
-
-def objective(rho: np.ndarray, maps: PostprocessingMaps) -> float:
-    """Relative entropy between G(rho) and its pinching, in bits."""
-    rho = _perturb(_validate(np.asarray(rho, dtype=complex), maps))
-    w = maps.w_coords
-    term1 = _entropy_sum(np.linalg.eigvalsh(w @ rho @ w.conj().T))
-    term2 = 0.0
-    for blk in maps.blocks:
-        term2 += _entropy_sum(np.linalg.eigvalsh(blk @ rho @ blk.conj().T))
-    return (term1 - term2) / LN2
-
-
-def objective_with_gradient(
-    rho: np.ndarray, maps: PostprocessingMaps, validate: bool = True
-) -> tuple[float, np.ndarray]:
-    """Objective in bits and its gradient G+[log2 G(rho)] - G+[log2 Z(G(rho))]."""
-    rho = np.asarray(rho, dtype=complex)
-    if validate:
-        rho = _validate(rho, maps)
-    rho = _perturb(rho)
+    rho is a Hermitian state on A (x) B; the caller guarantees it."""
+    rho = _perturb(np.asarray(rho, dtype=complex))
     w = maps.w_coords
     log_sigma, term1 = _clamped_log(w @ rho @ w.conj().T)
     grad = w.conj().T @ log_sigma @ w
@@ -80,24 +66,20 @@ def objective_with_gradient(
     return (term1 - term2) / LN2, hermitize(grad) / LN2
 
 
-def line_objective(
-    rho: np.ndarray, delta: np.ndarray, maps: PostprocessingMaps
-) -> "_LineObjective":
+def line_objective(rho: np.ndarray, delta: np.ndarray, maps: PostprocessingMaps):
     """Callable t -> objective(rho + t delta) with the transformed endpoint
     matrices precomputed, for cheap exact line searches."""
-    return _LineObjective(rho, delta, maps)
+    w = maps.w_coords
+    rho = _perturb(rho)
+    sig0 = w @ rho @ w.conj().T
+    sigd = (1.0 - PERTURBATION) * (w @ delta @ w.conj().T)
+    tau0 = [blk @ rho @ blk.conj().T for blk in maps.blocks]
+    taud = [(1.0 - PERTURBATION) * (blk @ delta @ blk.conj().T) for blk in maps.blocks]
 
-
-class _LineObjective:
-    def __init__(self, rho: np.ndarray, delta: np.ndarray, maps: PostprocessingMaps):
-        w = maps.w_coords
-        self._sig0 = w @ _perturb(rho) @ w.conj().T
-        self._sigd = (1.0 - PERTURBATION) * (w @ delta @ w.conj().T)
-        self._tau0 = [blk @ _perturb(rho) @ blk.conj().T for blk in maps.blocks]
-        self._taud = [(1.0 - PERTURBATION) * (blk @ delta @ blk.conj().T) for blk in maps.blocks]
-
-    def __call__(self, t: float) -> float:
-        val = _entropy_sum(np.linalg.eigvalsh(self._sig0 + t * self._sigd))
-        for tau0, taud in zip(self._tau0, self._taud):
-            val -= _entropy_sum(np.linalg.eigvalsh(tau0 + t * taud))
+    def phi(t: float) -> float:
+        val = _entropy_sum(np.linalg.eigvalsh(sig0 + t * sigd))
+        for a, b in zip(tau0, taud):
+            val -= _entropy_sum(np.linalg.eigvalsh(a + t * b))
         return val / LN2
+
+    return phi

@@ -34,20 +34,16 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def check_hermitian(m: np.ndarray, psd_tol: float | None = None) -> np.ndarray:
+def check_hermitian(m: np.ndarray) -> np.ndarray:
     """The exactly Hermitian part of a square matrix whose asymmetry is at
-    most 1e-8 relative to its largest entry (or 1); if ``psd_tol`` is given,
-    its eigenvalues must also be >= -psd_tol.  Else ValueError."""
+    most 1e-8 relative to its largest entry (or 1).  Else ValueError."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     asym = float(np.max(np.abs(m - m.conj().T)))
     if asym > 1e-8 * max(1.0, float(np.max(np.abs(m)))):
         raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3e})")
-    h = hermitize(m)
-    if psd_tol is not None and np.linalg.eigvalsh(h).min() < -psd_tol:
-        raise ValueError("matrix is not positive semidefinite within tolerance")
-    return h
+    return hermitize(m)
 
 
 def laguerre(k: int, j: int, x: float) -> float:

@@ -9,6 +9,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
+from .constraints import DIM_A
 from .fock import hermitian_sqrt
 
 __all__ = ["PostprocessingMaps", "build_postprocessing_maps"]
@@ -23,13 +24,11 @@ class PostprocessingMaps:
     read-only, since cached maps are shared."""
 
     sqrt_regions: InitVar[tuple[np.ndarray, ...]]
-    dim_a: int
-    dim_b: int
     blocks: tuple[np.ndarray, ...] = field(init=False, repr=False)
     w_coords: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, sqrt_regions):
-        blocks = tuple(np.kron(np.eye(self.dim_a, dtype=complex), s) for s in sqrt_regions)
+        blocks = tuple(np.kron(np.eye(DIM_A, dtype=complex), s) for s in sqrt_regions)
         w_coords = np.linalg.qr(np.vstack(blocks), mode="r")
         for m in (*blocks, w_coords):
             m.setflags(write=False)
@@ -38,9 +37,9 @@ class PostprocessingMaps:
 
     @property
     def dim_ab(self) -> int:
-        return self.dim_a * self.dim_b
+        return self.w_coords.shape[1]
 
 
-def build_postprocessing_maps(regions: tuple[np.ndarray, ...], dim_a: int = 4) -> PostprocessingMaps:
+def build_postprocessing_maps(regions: tuple[np.ndarray, ...]) -> PostprocessingMaps:
     roots = tuple(hermitian_sqrt(R) for R in regions)
-    return PostprocessingMaps(roots, dim_a, regions[0].shape[0])
+    return PostprocessingMaps(roots)

@@ -3,14 +3,15 @@ assemble constraints, solve, and fold in the error-correction cost."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 
 from .channel import ChannelModel, ProtocolParams, discretization_distribution, ec_cost, simulate_statistics
-from .constraints import build_constraints
+from .constraints import build_constraints, check_mode
 from .detector import DetectorModel
 from .maps import PostprocessingMaps, build_postprocessing_maps
 from .observables import ObservableSet, observable_set
-from .solver import KeyRateResult, SolverOptions, key_rate
+from .solver import KeyRateResult, key_rate
 
 __all__ = ["evaluate_point", "cutoff_stability", "point_artifacts"]
 
@@ -24,6 +25,7 @@ def _cached_artifacts(det: DetectorModel, delta_a: float, cutoff: int) -> tuple[
 def point_artifacts(det: DetectorModel, pp: ProtocolParams, mode: str):
     """Observables and postprocessing maps for one grid point; the untrusted
     scenario measures with an ideal detector and ideal region operators."""
+    check_mode(mode)
     eff_det = det if mode == "trusted" else DetectorModel.ideal()
     return _cached_artifacts(eff_det, pp.delta_a, pp.cutoff)
 
@@ -33,7 +35,6 @@ def evaluate_point(
     det: DetectorModel,
     pp: ProtocolParams,
     mode: str = "trusted",
-    opts: SolverOptions | None = None,
 ) -> KeyRateResult:
     """Certified key rate of one (channel, detector, protocol) point."""
     stats = simulate_statistics(ch, det, pp)
@@ -41,7 +42,7 @@ def evaluate_point(
     cs = build_constraints(stats, obs, pp, mode)
     dd = discretization_distribution(ch, det, pp)
     delta_ec, p_pass, _, _ = ec_cost(dd, pp.beta)
-    return key_rate(cs, maps, (delta_ec, p_pass), opts)
+    return key_rate(cs, maps, (delta_ec, p_pass))
 
 
 def cutoff_stability(
@@ -49,12 +50,8 @@ def cutoff_stability(
     det: DetectorModel,
     pp: ProtocolParams,
     mode: str = "trusted",
-    opts: SolverOptions | None = None,
-    cutoff_step: int = 2,
 ) -> tuple[KeyRateResult, KeyRateResult, float]:
-    """Re-solve at an enlarged cutoff and report the rate shift."""
-    from dataclasses import replace
-
-    base = evaluate_point(ch, det, pp, mode, opts)
-    bumped = evaluate_point(ch, det, replace(pp, cutoff=pp.cutoff + cutoff_step), mode, opts)
+    """Re-solve at the cutoff raised by 2 and report the rate shift."""
+    base = evaluate_point(ch, det, pp, mode)
+    bumped = evaluate_point(ch, det, replace(pp, cutoff=pp.cutoff + 2), mode)
     return base, bumped, abs(base.rate - bumped.rate)

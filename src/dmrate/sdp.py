@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve, solve_triangular
+from scipy.linalg import cho_solve, lu_factor, lu_solve, solve_triangular
 
 from .fock import hermitize
 
@@ -145,13 +145,12 @@ def solve_sdp(
         # The endgame on thin feasible sets can leave the cone; in that case
         # the best-so-far iterate is still a perfectly usable near-solution.
         try:
-            s_cho = cho_factor(s, lower=True)
             x_chol = np.linalg.cholesky(x)
             s_chol = np.linalg.cholesky(s)
         except np.linalg.LinAlgError:
             status = "stalled"
             break
-        s_inv = hermitize(cho_solve(s_cho, np.eye(n, dtype=complex)))
+        s_inv = hermitize(cho_solve((s_chol, True), np.eye(n, dtype=complex)))
 
         # Schur complement M[i,j] = Re Tr(A_i X A_j S^-1), via batched matmul.
         t_ops = np.matmul(np.matmul(x[None, :, :], ops), s_inv[None, :, :])

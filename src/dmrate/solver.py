@@ -22,33 +22,25 @@ from .fock import hermitize
 from .maps import PostprocessingMaps
 from .sdp import SdpError, independent_rows, solve_sdp
 
-__all__ = ["SolverOptions", "KeyRateResult", "InfeasibleError", "solve", "key_rate"]
+__all__ = ["KeyRateResult", "InfeasibleError", "solve", "key_rate"]
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+GAP_TOL = 1e-6  # bits
+MAX_ITERS = 300
+LINE_SEARCH_POINTS = 20
+IPM_TOL = 1e-9
+IPM_MAX_ITERS = 100
+# Stop once the certified bound has improved by less than this (bits) over
+# the trailing window; the bound is the reported quantity, so extra
+# iterations past its plateau only polish the primal.
+BOUND_PLATEAU_TOL = 2.5e-7
+BOUND_PLATEAU_WINDOW = 15
 
 
 class InfeasibleError(RuntimeError):
     def __init__(self, message: str, max_residual: float):
         super().__init__(f"{message} (max constraint residual {max_residual:.3e})")
         self.max_residual = max_residual
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    gap_tol: float = 1e-6  # bits
-    max_iters: int = 300
-    line_search_points: int = 20
-    ipm_tol: float = 1e-9
-    ipm_max_iters: int = 100
-    # Stop once the certified bound has improved by less than this (bits)
-    # over the trailing window; the bound is the reported quantity, so extra
-    # iterations past its plateau only polish the primal.
-    bound_plateau_tol: float = 2.5e-7
-    bound_plateau_window: int = 15
-
-    def __post_init__(self):
-        if self.gap_tol <= 0 or self.max_iters < 1 or self.line_search_points < 5:
-            raise ValueError("invalid solver options")
 
 
 @dataclass(frozen=True)
@@ -83,12 +75,12 @@ def _golden(phi, lo: float, hi: float, points: int) -> tuple[float, float]:
     return (f1, t1) if f1 <= f2 else (f2, t2)
 
 
-def _line_search(phi, points: int, f0: float) -> tuple[float, float]:
+def _line_search(phi, f0: float) -> tuple[float, float]:
     # Exact minimization of the convex phi over t in (0, 1].  If the minimum
     # sits below the golden-section resolution (strongly curved objective),
     # a geometric backtracking pass locates a bracket and a second golden
     # pass refines inside it.
-    best_f, best_t = _golden(phi, 0.0, 1.0, points)
+    best_f, best_t = _golden(phi, 0.0, 1.0, LINE_SEARCH_POINTS)
     f_end = phi(1.0)
     if f_end < best_f:
         best_f, best_t = f_end, 1.0
@@ -145,12 +137,7 @@ def _repaired_dual_bound(grad: np.ndarray, ops: np.ndarray, b: np.ndarray, y: np
     return float(b @ y)
 
 
-def solve(
-    cs: ConstraintSet,
-    maps: PostprocessingMaps,
-    opts: SolverOptions | None = None,
-    ec_floor: float | None = None,
-) -> KeyRateResult:
+def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = None) -> KeyRateResult:
     """Minimize the pinched relative entropy over the constrained state set.
 
     Returns the primal value at the last iterate and a certified lower bound
@@ -158,12 +145,9 @@ def solve(
     below it the final key rate is provably zero, since the primal only
     decreases and always dominates the minimum.
     """
-    opts = opts or SolverOptions()
-    ops_full = cs.operators()
-    b_full = cs.values()
-    kept = independent_rows(ops_full)
-    ops = ops_full[kept]
-    b = b_full[kept]
+    kept = independent_rows(cs.operators)
+    ops = cs.operators[kept]
+    b = cs.values[kept]
     if 0 not in kept:  # trace row is first and never a combination of nothing
         raise RuntimeError("trace constraint unexpectedly dropped")
     trace_pos = kept.index(0)
@@ -173,7 +157,7 @@ def solve(
     dim = cs.dim
     c0 = np.diag(np.linspace(0.0, 1.0, dim)).astype(complex)
     try:
-        pre = solve_sdp(c0, ops, b, tol=opts.ipm_tol, max_iters=max(200, opts.ipm_max_iters))
+        pre = solve_sdp(c0, ops, b, tol=IPM_TOL, max_iters=200)
     except SdpError as exc:
         raise InfeasibleError(f"feasibility pre-solve failed: {exc}", np.inf) from exc
     rho = _feasible_start(hermitize(pre.x), ops, b)
@@ -186,7 +170,7 @@ def solve(
     # permits since dual feasibility does not involve the right-hand side.
     b_sub = np.einsum("iab,ba->i", ops, rho).real
 
-    f, grad = objective_with_gradient(rho, maps, validate=False)
+    f, grad = objective_with_gradient(rho, maps)
     history = [f]
     lower_history: list[float] = []
     best_lower = -np.inf
@@ -195,9 +179,9 @@ def solve(
     certified = True
     iterations = 0
 
-    for iterations in range(1, opts.max_iters + 1):
+    for iterations in range(1, MAX_ITERS + 1):
         try:
-            sub = solve_sdp(grad, ops, b_sub, tol=opts.ipm_tol, max_iters=opts.ipm_max_iters)
+            sub = solve_sdp(grad, ops, b_sub, tol=IPM_TOL, max_iters=IPM_MAX_ITERS)
         except SdpError:
             sub = None
         # A slightly loose subproblem is still usable: the direction only
@@ -236,23 +220,23 @@ def solve(
         if ec_floor is not None and f < ec_floor:
             status = "rate_zero"
             break
-        if gap < opts.gap_tol:
+        if gap < GAP_TOL:
             status = "converged"
             break
-        w = opts.bound_plateau_window
-        if len(lower_history) > 2 * w and best_lower - lower_history[-w] < opts.bound_plateau_tol:
+        w = BOUND_PLATEAU_WINDOW
+        if len(lower_history) > 2 * w and best_lower - lower_history[-w] < BOUND_PLATEAU_TOL:
             status = "converged_bound"
             break
 
         delta = sigma - rho
         phi = line_objective(rho, delta, maps)
-        t_step, f_step = _line_search(phi, opts.line_search_points, f)
+        t_step, f_step = _line_search(phi, f)
         if f_step >= f - 1e-14:
-            status = "converged_approx" if gap < 1e3 * opts.gap_tol else "stalled"
+            status = "converged_approx" if gap < 1e3 * GAP_TOL else "stalled"
             certified = certified and status == "converged_approx"
             break
         rho = hermitize(rho + t_step * delta)
-        f, grad = objective_with_gradient(rho, maps, validate=False)
+        f, grad = objective_with_gradient(rho, maps)
         history.append(f)
 
     residual = float(np.max(np.abs(cs.residuals(rho))))
@@ -273,14 +257,9 @@ def solve(
     )
 
 
-def key_rate(
-    cs: ConstraintSet,
-    maps: PostprocessingMaps,
-    ec: tuple[float, float],
-    opts: SolverOptions | None = None,
-) -> KeyRateResult:
+def key_rate(cs: ConstraintSet, maps: PostprocessingMaps, ec: tuple[float, float]) -> KeyRateResult:
     """Certified key rate max(0, lower_bound - p_pass * delta_EC)."""
     delta_ec, p_pass = ec
-    res = solve(cs, maps, opts, ec_floor=p_pass * delta_ec)
+    res = solve(cs, maps, ec_floor=p_pass * delta_ec)
     rate = max(0.0, res.lower_bound - p_pass * delta_ec) if np.isfinite(res.lower_bound) else 0.0
     return replace(res, delta_ec=delta_ec, p_pass=p_pass, rate=rate)

@@ -38,7 +38,9 @@ def z_projector(maps: PostprocessingMaps, j: int) -> np.ndarray:
 
 def apply_G(rho: np.ndarray, maps: PostprocessingMaps) -> np.ndarray:
     """K rho K+ on register (x) A (x) B; trace equals the kept mass of rho."""
-    rho = check_hermitian(rho, psd_tol=1e-7)
+    rho = check_hermitian(rho)
+    if np.linalg.eigvalsh(rho).min() < -1e-7:
+        raise ValueError("state is not positive semidefinite within 1e-7")
     k = kraus(maps)
     return hermitize(k @ rho @ k.conj().T)
 

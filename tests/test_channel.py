@@ -8,14 +8,13 @@ from dmrate.channel import (
     ProtocolParams,
     discretization_distribution,
     ec_cost,
-    effective_excess_noise,
-    pdf_outcome,
     simulate_statistics,
     simulated_conditional_state,
     untrusted_statistics,
 )
 from dmrate.detector import DetectorModel
 from dmrate.observables import moment_observables
+from support.channel import pdf_outcome
 
 DET = DetectorModel.simple(0.719, 0.01)
 
@@ -262,6 +261,19 @@ class TestEcCost:
 
 
 class TestEffectiveNoise:
-    def test_reference_value(self):
-        ch = ChannelModel.from_distance(20.0, 0.01)
-        assert effective_excess_noise(ch, DET) == pytest.approx(0.045, abs=0.001)
+    @pytest.mark.parametrize("distance_km", [0.0, 5.0, 20.0, 50.0])
+    def test_ideal_detector_on_effective_channel(self, distance_km):
+        # An untrusted detector is an ideal one behind the channel with
+        # transmittance eta_d eta_t and excess noise xi + 2 nu_el/(eta_d eta_t):
+        # both give outcome noise 1 + eta_d eta_t xi/2 + nu_el.
+        ch = ChannelModel.from_distance(distance_km, 0.01)
+        eta = DET.eta_d * ch.eta_t
+        eff = ChannelModel(eta_t=eta, xi=ch.xi + 2 * DET.nu_el / eta)
+        ideal = DetectorModel.ideal()
+        pp = ProtocolParams(alpha=0.75, delta_a=0.5)
+        got, want = simulate_statistics(eff, ideal, pp), simulate_statistics(ch, DET, pp)
+        for field in ("fq", "fp", "sq", "sp"):
+            assert np.max(np.abs(np.subtract(getattr(got, field), getattr(want, field)))) <= 1e-12
+        got_cond = discretization_distribution(eff, ideal, pp).conditional
+        want_cond = discretization_distribution(ch, DET, pp).conditional
+        assert np.max(np.abs(got_cond - want_cond)) <= 1e-12

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dmrate.channel import ChannelModel, ProtocolParams, simulate_statistics, simulated_conditional_state
-from dmrate.constraints import alice_gram, build_constraints
+from dmrate.constraints import ConstraintSet, alice_gram, build_constraints
 from dmrate.detector import DetectorModel
 from dmrate.observables import observable_set
 
@@ -38,7 +38,7 @@ class TestAliceGram:
 class TestBuildConstraints:
     def test_counts_and_labels(self):
         cs, _, _ = make_cs()
-        labels = [c.label for c in cs.constraints]
+        labels = cs.labels
         assert labels[0] == "trace"
         assert sum(1 for s in labels if s.startswith("ptrace")) == 16
         assert sum(1 for s in labels if s.startswith("moment")) == 16
@@ -47,19 +47,19 @@ class TestBuildConstraints:
     def test_trusted_vs_untrusted_operator_sets(self):
         cs_t, _, _ = make_cs("trusted")
         cs_u, _, _ = make_cs("untrusted")
-        t_names = {c.label.split("-")[1] for c in cs_t.constraints if c.label.startswith("moment")}
-        u_names = {c.label.split("-")[1] for c in cs_u.constraints if c.label.startswith("moment")}
+        t_names = {label.split("-")[1] for label in cs_t.labels if label.startswith("moment")}
+        u_names = {label.split("-")[1] for label in cs_u.labels if label.startswith("moment")}
         assert t_names == {"FQ", "FP", "SQ", "SP"}
         assert u_names == {"q", "p", "n", "d"}
 
     def test_all_operators_hermitian(self):
         cs, _, _ = make_cs()
-        for c in cs.constraints:
-            assert np.max(np.abs(c.operator - c.operator.conj().T)) < 1e-12
+        for op in cs.operators:
+            assert np.max(np.abs(op - op.conj().T)) < 1e-12
 
     def test_moment_values(self):
         cs, pp, stats = make_cs()
-        vals = {c.label: c.value for c in cs.constraints}
+        vals = dict(zip(cs.labels, cs.values))
         assert vals["moment-FQ-x0"] == pytest.approx(0.25 * stats.fq[0])
         assert vals["moment-SP-x3"] == pytest.approx(0.25 * stats.sp[3])
 
@@ -88,14 +88,21 @@ class TestBuildConstraints:
                 x * (cutoff + 1) : (x + 1) * (cutoff + 1), x * (cutoff + 1) : (x + 1) * (cutoff + 1)
             ] = 0.25 * sigma
         res = cs.residuals(rho)
-        for c, r in zip(cs.constraints, res):
-            if c.label.startswith("moment") or c.label == "trace":
-                assert abs(r) < 1e-6, c.label
+        for label, r in zip(cs.labels, res):
+            if label.startswith("moment") or label == "trace":
+                assert abs(r) < 1e-6, label
 
-    def test_drop_moments(self):
+    def test_arrays_read_only(self):
         cs, _, _ = make_cs()
-        cs12 = cs.drop_moments(12)
-        assert len(cs12.constraints) == 17 + 12
-        assert [c.label for c in cs12.constraints[:17]] == [
-            c.label for c in cs.constraints if not c.label.startswith("moment")
-        ]
+        assert cs.operators.shape == (33, cs.dim, cs.dim) and cs.values.shape == (33,)
+        with pytest.raises(ValueError):
+            cs.operators[0, 0, 0] = 2.0
+        with pytest.raises(ValueError):
+            cs.values[0] = 2.0
+
+    def test_shape_mismatch_rejected(self):
+        cs, _, _ = make_cs()
+        with pytest.raises(ValueError):
+            ConstraintSet(cs.operators, cs.values[:-1], cs.labels)
+        with pytest.raises(ValueError):
+            ConstraintSet(cs.operators[:, :-1], cs.values, cs.labels)

@@ -23,3 +23,9 @@ def test_all_matches_public_definitions(name):
         if not n.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == name
     }
     assert sorted(defined - exported) == [], "public definitions missing from __all__"
+
+
+def test_top_level_api():
+    assert sorted(dmrate.__all__) == sorted(
+        ["evaluate_point", "ChannelModel", "DetectorModel", "ProtocolParams", "KeyRateResult", "__version__"]
+    )

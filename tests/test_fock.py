@@ -218,12 +218,6 @@ class TestFockOperator:
         with pytest.raises(ValueError):
             check_hermitian(np.zeros((2, 3)))
 
-    def test_psd_tolerance(self):
-        m = np.diag([1.0, -1e-9])
-        assert np.array_equal(check_hermitian(m, psd_tol=1e-7), m)
-        with pytest.raises(ValueError):
-            check_hermitian(np.diag([1.0, -1e-6]), psd_tol=1e-7)
-
 
 class TestDisplacedThermal:
     def test_thermal_diagonal(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dmrate.detector import DetectorModel
-from dmrate.entropy import line_objective, objective, objective_with_gradient
+from dmrate.entropy import line_objective, objective_with_gradient
 from dmrate.maps import PostprocessingMaps, build_postprocessing_maps
 from dmrate.observables import region_operators
 from support.maps import apply_G, apply_G_adjoint, apply_Z, hermitian_log, kraus_gram, z_projector
@@ -16,6 +16,10 @@ def random_state(rng, d, full_rank=True):
     if full_rank:
         rho += 0.05 * np.eye(d)
     return rho / np.trace(rho).real
+
+
+def objective(rho, maps):
+    return objective_with_gradient(rho, maps)[0]
 
 
 def detector_maps(delta_a=0.0, N=5, det=DET):
@@ -114,7 +118,8 @@ class TestApplyZ:
 class TestObjective:
     def test_zero_for_pinching_fixed_point(self):
         # Orthogonal projector "regions" make G(rho) block diagonal for a
-        # state supported on a single block, so the objective vanishes.
+        # state whose B part is supported on a single block, so the
+        # objective vanishes.
         d = 8
         roots = []
         for z in range(4):
@@ -122,11 +127,12 @@ class TestObjective:
             p[2 * z, 2 * z] = 1.0
             p[2 * z + 1, 2 * z + 1] = 1.0
             roots.append(p)
-        maps = PostprocessingMaps(tuple(roots), 1, d)
-        rho = np.zeros((d, d), dtype=complex)
-        rho[0, 0] = 0.6
-        rho[1, 1] = 0.4
-        rho[0, 1] = rho[1, 0] = 0.2
+        maps = PostprocessingMaps(tuple(roots))
+        rho_b = np.zeros((d, d), dtype=complex)
+        rho_b[0, 0] = 0.6
+        rho_b[1, 1] = 0.4
+        rho_b[0, 1] = rho_b[1, 0] = 0.2
+        rho = np.kron(np.full((4, 4), 0.25), rho_b)
         assert objective(rho, maps) == pytest.approx(0.0, abs=1e-7)
 
     def test_nonnegative_on_random_states(self):
@@ -144,11 +150,6 @@ class TestObjective:
                 rho = random_state(rng, maps.dim_ab)
                 p_pass = np.trace(kraus_gram(maps) @ rho).real
                 assert objective(rho, maps) <= 2.0 * p_pass + 1e-9
-
-    def test_rejects_non_psd(self):
-        maps = detector_maps(0.0)
-        with pytest.raises(ValueError):
-            objective(-np.eye(maps.dim_ab), maps)
 
     def test_matches_direct_register_space_formula(self):
         # Cross-check the reduced-space evaluation against literally forming

@@ -25,3 +25,9 @@ def test_cached_artifacts_are_read_only(det, delta_a, mode):
             m[0, 0] = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         maps.w_coords = np.eye(maps.dim_ab)
+
+
+def test_unknown_mode_rejected():
+    pp = ProtocolParams(alpha=0.75, cutoff=4)
+    with pytest.raises(ValueError, match="mode must be 'trusted' or 'untrusted'"):
+        point_artifacts(DetectorModel.simple(0.719, 0.01), pp, "Trusted")
