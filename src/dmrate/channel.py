@@ -26,13 +26,14 @@ __all__ = [
     "SimulatedStatistics",
     "DiscretizedDistribution",
     "simulate_statistics",
-    "untrusted_statistics",
     "simulated_conditional_state",
     "discretization_distribution",
     "ec_cost",
 ]
 
 ATTENUATION_DB_PER_KM = 0.2
+# Two successive Gauss-Legendre levels of the sector masses agree to this.
+SECTOR_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -138,16 +139,6 @@ def simulate_statistics(ch: ChannelModel, det: DetectorModel, pp: ProtocolParams
     return SimulatedStatistics(tuple(fq), tuple(fp), tuple(sq), tuple(sp))
 
 
-def untrusted_statistics(stats: SimulatedStatistics) -> dict[str, tuple[float, float, float, float]]:
-    """Recast the same simulated data as ideal-detector expectation values of
-    q, p, n, d (detector imperfections folded into the effective channel)."""
-    q = stats.fq
-    p = stats.fp
-    n = tuple((stats.sq[x] + stats.sp[x]) / 2.0 - 1.0 for x in range(4))
-    d = tuple(stats.sq[x] - stats.sp[x] for x in range(4))
-    return {"q": q, "p": p, "n": n, "d": d}
-
-
 @dataclass(frozen=True)
 class DiscretizedDistribution:
     """Joint distribution of (signal x, key symbol z) after postselection."""
@@ -186,20 +177,20 @@ def _sector_integrals(c: np.ndarray, s: float, delta_a: float, n: int) -> np.nda
     return np.sum(weights * np.exp(-(amp * amp - mu * mu) / s) * tail, axis=-1)
 
 
-def _sector_mass(c: np.ndarray, s: float, delta_a: float, tol: float = 1e-10) -> np.ndarray:
+def _sector_mass(c: np.ndarray, s: float, delta_a: float) -> np.ndarray:
     # Mass of each sector z at radii >= delta_a under the Gaussian centered at
     # each c[x] with per-component variance s/2 (density
     # exp(-|y-c|^2/s)/(pi s)), shape (len(c), 4).  The radial integral is
     # analytic per angle; the angle takes one Gauss-Legendre rule for all
     # signals and sectors, doubled from 32 to 512 nodes until two levels
-    # agree to tol.
+    # agree to SECTOR_TOL.
     n = 32
     prev = _sector_integrals(c, s, delta_a, n)
     while n < 512:
         n *= 2
         cur = _sector_integrals(c, s, delta_a, n)
         err = float(np.max(np.abs(cur - prev)))
-        if err < tol:
+        if err < SECTOR_TOL:
             return cur / (np.pi * s)
         prev = cur
     raise RuntimeError(f"sector quadrature did not converge (last refinement change {err:.2e})")

@@ -1,5 +1,14 @@
 """Assembly of the convex feasible set: moment constraints on A tensor B,
 the unit-trace constraint, and the partial-trace pin to Alice's Gram matrix.
+
+The two noise scenarios share one builder.  Trusted noise constrains the
+noisy detector's F_Q, F_P, S_Q, S_P.  Untrusted noise hands the detector
+noise to Eve, so the same data are read as the output of an ideal heterodyne
+detector: the builder is given the ideal detector's observables q, p,
+n + d/2 + 1 and n - d/2 + 1 (`observables.moment_observables`) and the same
+simulated values.  Since each ``ptrace-d*`` row already pins
+Tr[(|x><x| (x) 1) rho] = p_x, these rows span the same set as constraints on
+q, p, n and d with the data recast to (s_Q + s_P)/2 - 1 and s_Q - s_P.
 """
 
 from __future__ import annotations
@@ -8,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ProtocolParams, SimulatedStatistics, untrusted_statistics
-from .fock import coherent_overlap, quadrature_operators
+from .channel import ProtocolParams, SimulatedStatistics
+from .fock import coherent_overlap
 from .observables import ObservableSet
 
 __all__ = ["ConstraintSet", "alice_gram", "build_constraints", "check_mode"]
@@ -70,12 +79,16 @@ def build_constraints(
 ) -> ConstraintSet:
     """Constraint set of the key-rate minimization.
 
-    Trusted mode constrains the noisy-detector observables F_Q, F_P, S_Q, S_P;
-    untrusted mode constrains q, p, n, d of an ideal detector, with the same
-    simulated data recast accordingly.  Both add the unit-trace constraint and
-    the 16 real functionals pinning Tr_B(rho) to Alice's Gram matrix.
+    The 16 moment rows constrain obs.fq, obs.fp, obs.sq, obs.sp to the
+    simulated stats, one row per signal; the unit-trace row and the 16 real
+    functionals pinning Tr_B(rho) to Alice's Gram matrix complete the set.
+    ``mode`` names the scenario: "untrusted" needs the ideal detector's
+    observables (obs.method == "ideal"), since Eve holds the detector noise,
+    and raises ValueError for any other set.
     """
     check_mode(mode)
+    if mode == "untrusted" and obs.method != "ideal":
+        raise ValueError(f"untrusted noise needs the ideal detector's observables, got method {obs.method!r}")
     dim_b = obs.fq.shape[0]
     if dim_b != pp.cutoff + 1:
         raise ValueError(f"observable dimension {dim_b} does not match cutoff {pp.cutoff}")
@@ -99,24 +112,8 @@ def build_constraints(
             im_op[j, i] = -1.0j
             rows.append((_embed(im_op, dim_b), 2 * rho_a[i, j].imag, f"ptrace-im{i}{j}"))
 
-    if mode == "trusted":
-        named_ops = [
-            ("FQ", obs.fq, stats.fq),
-            ("FP", obs.fp, stats.fp),
-            ("SQ", obs.sq, stats.sq),
-            ("SP", obs.sp, stats.sp),
-        ]
-    else:
-        q, p, n_op, d = quadrature_operators(pp.cutoff)
-        eff = untrusted_statistics(stats)
-        named_ops = [
-            ("q", q, eff["q"]),
-            ("p", p, eff["p"]),
-            ("n", n_op, eff["n"]),
-            ("d", d, eff["d"]),
-        ]
-
-    for name, op_b, stat in named_ops:
+    moments = (("FQ", obs.fq, stats.fq), ("FP", obs.fp, stats.fp), ("SQ", obs.sq, stats.sq), ("SP", obs.sp, stats.sp))
+    for name, op_b, stat in moments:
         for x in range(DIM_A):
             proj = np.zeros((DIM_A, DIM_A), dtype=complex)
             proj[x, x] = 1.0

@@ -3,12 +3,14 @@
 The detector is two homodyne detectors behind a 50:50 splitter, each modeled
 as a beam-splitter of transmittance eta_j with a thermal state on the idle
 port.  Each POVM element G_y is a scaled projection onto a displaced
-(squeezed, if the two arms differ) thermal state; its matrix elements have
-closed forms that are built here.  For distinct arms, `povm_weighted_sum`
-builds weighted sums of G_y over many outcomes y at once, which is what the
-quadrature of the region and moment observables needs.  The tests check these
-matrix elements against an independent Wigner-quadrature oracle in
-`tests/support/wigner.py`.
+(squeezed, if the two arms differ) thermal state, with closed-form matrix
+elements.  The package needs G_y only inside integrals over the outcome
+plane, so it has one POVM kernel: `povm_weighted_sum` builds weighted sums
+of G_y over many outcomes y at once, for any pair of arms, and the
+distinct-arm quadrature of the region and moment observables calls it.
+Single elements G_y (the identical-arm closed form and the one-node kernel
+call) live with the tests in `tests/support/detector.py`, which check them
+against an independent Wigner-quadrature oracle in `tests/support/wigner.py`.
 """
 
 from __future__ import annotations
@@ -18,21 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .fock import coherent_state_vector, displaced_thermal_matrix, hermite, hermitize
+from .fock import hermite
 
-__all__ = [
-    "DetectorModel",
-    "GeneralPovmParams",
-    "povm_element",
-    "povm_element_simple",
-    "povm_element_general",
-    "povm_weighted_sum",
-    "IDEAL_NBAR_THRESHOLD",
-]
+__all__ = ["DetectorModel", "povm_weighted_sum", "IDEAL_NBAR_THRESHOLD"]
 
-# Below this effective thermal occupation the coherent-projector branch is
-# used: the Laguerre arguments contain 1/nbar_d and become numerically
-# treacherous, and the ideal limit is exact anyway.
+# Below this effective thermal occupation a detector is ideal and its G_y are
+# coherent projectors: the Laguerre arguments contain 1/nbar_d and become
+# numerically treacherous, and the ideal limit is exact anyway.
 IDEAL_NBAR_THRESHOLD = 1e-12
 
 # lambda_1 == lambda_2 collapses the squeezing of the general POVM; at this
@@ -98,40 +92,6 @@ class DetectorModel:
         )
 
 
-@dataclass(frozen=True)
-class GeneralPovmParams:
-    """Displaced-squeezed-thermal parameters of a general-case POVM element."""
-
-    lambda1: float
-    lambda2: float
-    nbar_het: float
-    xi_het: float
-    alpha_het: complex
-
-    @classmethod
-    def from_detector(cls, det: DetectorModel, y: complex | np.ndarray) -> "GeneralPovmParams":
-        # An array of outcomes y gives the array of their alpha_het.
-        lam1, lam2 = det.lambdas()
-        nbar = (np.sqrt((1 + 2 * lam1) * (1 + 2 * lam2)) - 1) / 2
-        xi = 0.25 * np.log((1 + 2 * lam2) / (1 + 2 * lam1))
-        alpha = y.real / np.sqrt(det.eta1) + 1j * y.imag / np.sqrt(det.eta2)
-        return cls(lam1, lam2, nbar, xi, alpha)
-
-
-def povm_element_simple(y: complex, det: DetectorModel, N: int) -> np.ndarray:
-    """G_y in the photon-number basis for identical detector arms:
-    (1/(eta_d pi)) times a displaced thermal state at y/sqrt(eta_d) with
-    occupation nbar_d.  The near-ideal detector branches to the coherent
-    projector (1/pi)|y><y|."""
-    if N < 1:
-        raise ValueError("cutoff N must be >= 1")
-    if not det.simple_case():
-        raise ValueError("detector arms differ; use povm_element_general")
-    eta = det.eta_d
-    rho = displaced_thermal_matrix(y / np.sqrt(eta), det.nbar_d, N)
-    return hermitize(rho / (eta * np.pi))
-
-
 def _btilde_sqrt(lam1: float, lam2: float) -> complex:
     # Square-root branch of B-tilde = -|lam1-lam2| / (2(lam1+1)(lam2+1)).
     # The branch must pair with the quadrature axes so that the matrix
@@ -158,14 +118,16 @@ def povm_weighted_sum(ys, weights, det: DetectorModel, N: int) -> np.ndarray:
     M = P^T diag(weights q0) conj(P), with P the len(ys) x (N+1) table of
     P_j(y_i): one matmul per row, whatever the number of outcomes.
     Degenerate squeezing (lambda_1 == lambda_2) takes the b -> 0 limit
-    P_j = c_t^j, a scaled displaced thermal state at alpha_het.
+    P_j = c_t^j, a scaled displaced thermal state at alpha_het.  Here
+    alpha_het = Re(y)/sqrt(eta_1) + i Im(y)/sqrt(eta_2) is the outcome
+    rescaled by each arm's efficiency.
     """
     if N < 1:
         raise ValueError("cutoff N must be >= 1")
     ys = np.asarray(ys, dtype=complex)
     weights = np.asarray(weights, dtype=float)
     lam1, lam2 = det.lambdas()
-    alpha = GeneralPovmParams.from_detector(det, ys).alpha_het
+    alpha = ys.real / np.sqrt(det.eta1) + 1j * ys.imag / np.sqrt(det.eta2)  # alpha_het
     a_t = 1.0 - (lam1 + lam2 + 2.0) / (2.0 * (lam1 + 1) * (lam2 + 1))
     # The Re axis of the outcome plane belongs to arm 1 and the Im axis to
     # arm 2, matching the Gaussian Wigner form of G_y.
@@ -191,21 +153,3 @@ def povm_weighted_sum(ys, weights, det: DetectorModel, N: int) -> np.ndarray:
         coef = np.exp(0.5 * log_fact[k:] - log_fact[:size])
         out[:, k:, k:] += (a_t**k * np.exp(-log_fact[k])) * np.outer(coef, coef) * gram[:, :size, :size]
     return out
-
-
-def povm_element_general(y: complex, det: DetectorModel, N: int) -> np.ndarray:
-    """G_y in the photon-number basis for arbitrary (eta_1, nu_1, eta_2, nu_2):
-    the displaced-squeezed-thermal matrix elements, prefactor
-    1/sqrt(eta_1 eta_2); the one-node case of `povm_weighted_sum`."""
-    return hermitize(povm_weighted_sum(np.array([y]), np.ones((1, 1)), det, N)[0])
-
-
-def povm_element(y: complex, det: DetectorModel, N: int) -> np.ndarray:
-    """G_y by whichever closed form applies to the detector."""
-    if det.is_ideal():
-        v = coherent_state_vector(y, N)
-        return hermitize(np.outer(v, v.conj()) / np.pi)
-    if det.simple_case():
-        return povm_element_simple(y, det, N)
-    return povm_element_general(y, det, N)
-

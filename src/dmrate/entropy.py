@@ -25,9 +25,9 @@ LN2 = float(np.log(2.0))
 PERTURBATION = 1e-9
 
 
-def _perturb(rho: np.ndarray, eps: float = PERTURBATION) -> np.ndarray:
+def _perturb(rho: np.ndarray) -> np.ndarray:
     d = rho.shape[0]
-    return (1.0 - eps) * rho + (eps / d) * np.eye(d, dtype=complex)
+    return (1.0 - PERTURBATION) * rho + (PERTURBATION / d) * np.eye(d, dtype=complex)
 
 
 def _clamp(w: np.ndarray) -> np.ndarray:

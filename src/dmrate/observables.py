@@ -34,6 +34,9 @@ __all__ = [
     "observable_set",
 ]
 
+# Two successive levels of the distinct-arm polar quadrature agree to this.
+POLAR_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class ObservableSet:
@@ -168,8 +171,9 @@ def _polar_grid_integral(det: DetectorModel, N: int, weights, r_lo, r_hi, th_lo,
     return povm_weighted_sum(y, np.stack([base * w(y) for w in weights]), det, N)
 
 
-def _polar_integral_refined(det: DetectorModel, N: int, weights, r_lo, r_hi, th_lo, th_hi, tol=1e-8):
-    # Nested Gauss rule: refine the node counts until two levels agree.
+def _polar_integral_refined(det: DetectorModel, N: int, weights, r_lo, r_hi, th_lo, th_hi):
+    # Nested Gauss rule: refine the node counts until two levels agree to
+    # POLAR_TOL.
     n_r, n_th = 48, 24
     prev = _polar_grid_integral(det, N, weights, r_lo, r_hi, th_lo, th_hi, n_r, n_th)
     err = np.inf
@@ -177,7 +181,7 @@ def _polar_integral_refined(det: DetectorModel, N: int, weights, r_lo, r_hi, th_
         n_r, n_th = n_r + 24, n_th + 12
         cur = _polar_grid_integral(det, N, weights, r_lo, r_hi, th_lo, th_hi, n_r, n_th)
         err = max(float(np.max(np.abs(c - p))) for c, p in zip(cur, prev))
-        if err < tol:
+        if err < POLAR_TOL:
             return cur
         prev = cur
     raise RuntimeError(f"polar quadrature did not converge (last refinement change {err:.2e})")
@@ -277,7 +281,8 @@ def moment_observables(det: DetectorModel, N: int) -> ObservableSet:
 
     For identical arms F_Q and F_P live on the first off-diagonals and
     S_Q/S_P on the main and second off-diagonals; an ideal detector gives
-    exactly q, p, n + d/2 + 1 and n - d/2 + 1.
+    exactly q, p, n + d/2 + 1 and n - d/2 + 1, the operators that the
+    untrusted scenario constrains.
     """
     if N < 2:
         raise ValueError("cutoff N must be >= 2 for second-moment observables")

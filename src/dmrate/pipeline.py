@@ -23,8 +23,9 @@ def _cached_artifacts(det: DetectorModel, delta_a: float, cutoff: int) -> tuple[
 
 
 def point_artifacts(det: DetectorModel, pp: ProtocolParams, mode: str):
-    """Observables and postprocessing maps for one grid point; the untrusted
-    scenario measures with an ideal detector and ideal region operators."""
+    """Observables and postprocessing maps for one grid point.  This is where
+    the scenario is decided: untrusted noise reads the data as an ideal
+    detector's, so it takes the ideal detector's observables and regions."""
     check_mode(mode)
     eff_det = det if mode == "trusted" else DetectorModel.ideal()
     return _cached_artifacts(eff_det, pp.delta_a, pp.cutoff)

@@ -21,6 +21,12 @@ from .fock import hermitize
 
 __all__ = ["SdpResult", "SdpError", "solve_sdp", "independent_rows"]
 
+# Relative primal/dual infeasibility and gap at which an IPM solve is optimal.
+TOL = 1e-9
+# A row is independent when its component orthogonal to the earlier kept
+# rows keeps more than this fraction of its norm.
+RANK_TOL = 1e-9
+
 
 class SdpError(RuntimeError):
     pass
@@ -44,7 +50,7 @@ class SdpResult:
         return self.status == "optimal"
 
 
-def independent_rows(ops: np.ndarray, tol: float = 1e-9) -> list[int]:
+def independent_rows(ops: np.ndarray) -> list[int]:
     """Indices of a maximal linearly independent subset of the constraint
     operators, chosen greedily in order (earlier rows win ties)."""
     m = ops.shape[0]
@@ -62,7 +68,7 @@ def independent_rows(ops: np.ndarray, tol: float = 1e-9) -> list[int]:
         # Second pass for numerical orthogonality.
         for b in basis:
             v -= np.dot(b, v) * b
-        if np.linalg.norm(v) > tol * norm0:
+        if np.linalg.norm(v) > RANK_TOL * norm0:
             kept.append(i)
             basis.append(v / np.linalg.norm(v))
     return kept
@@ -87,7 +93,6 @@ def solve_sdp(
     c_mat: np.ndarray,
     ops: np.ndarray,
     b: np.ndarray,
-    tol: float = 1e-9,
     max_iters: int = 100,
 ) -> SdpResult:
     """Solve the standard-form SDP; ops has shape (m, n, n), all Hermitian.
@@ -138,7 +143,7 @@ def solve_sdp(
             best_merit = merit
             best = (x.copy(), y.copy(), s.copy())
 
-        if pinf < tol and dinf < tol and (gap < 10 * tol or mu / (1 + abs(pobj)) < tol):
+        if pinf < TOL and dinf < TOL and (gap < 10 * TOL or mu / (1 + abs(pobj)) < TOL):
             status = "optimal"
             break
 

@@ -28,7 +28,6 @@ GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 GAP_TOL = 1e-6  # bits
 MAX_ITERS = 300
 LINE_SEARCH_POINTS = 20
-IPM_TOL = 1e-9
 IPM_MAX_ITERS = 100
 # Stop once the certified bound has improved by less than this (bits) over
 # the trailing window; the bound is the reported quantity, so extra
@@ -157,7 +156,7 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
     dim = cs.dim
     c0 = np.diag(np.linspace(0.0, 1.0, dim)).astype(complex)
     try:
-        pre = solve_sdp(c0, ops, b, tol=IPM_TOL, max_iters=200)
+        pre = solve_sdp(c0, ops, b, max_iters=200)
     except SdpError as exc:
         raise InfeasibleError(f"feasibility pre-solve failed: {exc}", np.inf) from exc
     rho = _feasible_start(hermitize(pre.x), ops, b)
@@ -181,7 +180,7 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
 
     for iterations in range(1, MAX_ITERS + 1):
         try:
-            sub = solve_sdp(grad, ops, b_sub, tol=IPM_TOL, max_iters=IPM_MAX_ITERS)
+            sub = solve_sdp(grad, ops, b_sub, max_iters=IPM_MAX_ITERS)
         except SdpError:
             sub = None
         # A slightly loose subproblem is still usable: the direction only

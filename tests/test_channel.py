@@ -10,7 +10,6 @@ from dmrate.channel import (
     ec_cost,
     simulate_statistics,
     simulated_conditional_state,
-    untrusted_statistics,
 )
 from dmrate.detector import DetectorModel
 from dmrate.observables import moment_observables
@@ -111,18 +110,6 @@ class TestSimulatedStatistics:
                 t = eta * ch.eta_t
                 assert f[x] == pytest.approx(np.sqrt(2 * t) * amp, abs=1e-8)
                 assert s[x] == pytest.approx(2 * t * amp**2 + 1 + 0.5 * t * ch.xi + nu, abs=1e-8)
-
-    def test_untrusted_inversion(self):
-        ch = ChannelModel.from_distance(15.0, 0.015)
-        pp = ProtocolParams(alpha=0.7)
-        stats = simulate_statistics(ch, DET, pp)
-        eff = untrusted_statistics(stats)
-        eta = 0.719 * ch.eta_t
-        for x in range(4):
-            assert eff["q"][x] == stats.fq[x]
-            assert eff["n"][x] == pytest.approx(eta * 0.49 + 0.5 * eta * 0.015 + 0.01)
-        assert eff["d"][0] == pytest.approx(2 * eta * 0.49)
-        assert eff["d"][1] == pytest.approx(-2 * eta * 0.49)
 
 
 class TestPdfOutcome:

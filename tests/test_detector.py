@@ -3,15 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dmrate.detector import (
-    DetectorModel,
-    GeneralPovmParams,
-    povm_element,
-    povm_element_general,
-    povm_element_simple,
-    povm_weighted_sum,
-)
+from dmrate.detector import DetectorModel, povm_weighted_sum
 from dmrate.fock import displaced_thermal_matrix
+from support.detector import povm_element, povm_element_kernel, povm_element_simple
 from support.wigner import povm_oracle_entry
 
 SIMPLE = DetectorModel.simple(0.719, 0.01)
@@ -40,29 +34,6 @@ class TestDetectorModel:
     def test_ideal_flag(self):
         assert DetectorModel.ideal().is_ideal()
         assert not SIMPLE.is_ideal()
-
-
-class TestGeneralParams:
-    def test_invariants(self):
-        p = GeneralPovmParams.from_detector(GENERAL, 0.3 + 0.2j)
-        assert p.lambda1 >= 0 and p.lambda2 >= 0
-        assert p.nbar_het >= 0
-
-    def test_squeezing_sign(self):
-        # lambda_2 > lambda_1 implies xi_het > 0.
-        det = DetectorModel(0.9, 0.5, 0.0, 0.0)
-        p = GeneralPovmParams.from_detector(det, 0.1)
-        assert p.lambda2 > p.lambda1
-        assert p.xi_het > 0
-
-    def test_no_squeezing_when_arms_match(self):
-        p = GeneralPovmParams.from_detector(SIMPLE, 1.0 + 1.0j)
-        assert p.xi_het == pytest.approx(0.0)
-        assert p.nbar_het == pytest.approx(SIMPLE.nbar_d)
-
-    def test_displacement_scaling(self):
-        p = GeneralPovmParams.from_detector(GENERAL, 0.4 + 0.6j)
-        assert p.alpha_het == pytest.approx(0.4 / np.sqrt(0.719) + 0.6j / np.sqrt(0.6))
 
 
 class TestSimplePovm:
@@ -101,26 +72,26 @@ class TestGeneralPovm:
     def test_reduces_to_simple(self):
         y = 0.35 - 0.55j
         gs = povm_element_simple(y, SIMPLE, 9)
-        gg = povm_element_general(y, SIMPLE, 9)
+        gg = povm_element_kernel(y, SIMPLE, 9)
         assert np.max(np.abs(gs - gg)) < 1e-8
 
     def test_near_degenerate_continuity(self):
         y = 0.2 + 0.4j
         det_eps = DetectorModel(0.719, 0.719, 0.01, 0.01 + 1e-6)
-        gg = povm_element_general(y, det_eps, 8)
+        gg = povm_element_kernel(y, det_eps, 8)
         gs = povm_element_simple(y, SIMPLE, 8)
         assert np.max(np.abs(gg - gs)) < 1e-4
 
     def test_matches_oracle(self):
         y = 0.4 + 0.25j
         for det in (GENERAL, GENERAL_SWAPPED):
-            g = povm_element_general(y, det, 7)
+            g = povm_element_kernel(y, det, 7)
             for (m, n) in [(0, 0), (0, 1), (1, 2), (2, 2), (0, 3), (3, 5)]:
                 ref = povm_oracle_entry(m, n, y, det)
                 assert g[m, n] == pytest.approx(ref, abs=1e-7)
 
     def test_hermitian(self):
-        g = povm_element_general(0.3 - 0.2j, GENERAL, 8)
+        g = povm_element_kernel(0.3 - 0.2j, GENERAL, 8)
         assert np.max(np.abs(g - g.conj().T)) == 0.0
 
 
@@ -141,7 +112,7 @@ class TestWeightedSum:
     def test_weighted_sum_of_single_elements(self):
         c = np.array([[0.3, -1.2, 2.0], [1.0, 0.0, 0.5]])
         got = povm_weighted_sum(self.YS, c, GENERAL, 8)
-        singles = np.array([povm_element_general(y, GENERAL, 8) for y in self.YS])
+        singles = np.array([povm_element_kernel(y, GENERAL, 8) for y in self.YS])
         expect = np.einsum("ri,imn->rmn", c, singles)
         assert np.max(np.abs(got - expect)) < 1e-13
 
@@ -151,9 +122,12 @@ class TestWeightedSum:
         assert lam1 == lam2
         g = povm_weighted_sum(self.YS, np.eye(len(self.YS)), DEGENERATE, 8)
         scale = np.sqrt(DEGENERATE.eta1 * DEGENERATE.eta2) * np.pi
+        # Equal lambdas leave no squeezing: a displaced thermal state at
+        # alpha_het with occupation nbar_het = (sqrt((1+2 lam1)(1+2 lam2)) - 1)/2.
+        nbar_het = (np.sqrt((1 + 2 * lam1) * (1 + 2 * lam2)) - 1) / 2
         for i, y in enumerate(self.YS):
-            p = GeneralPovmParams.from_detector(DEGENERATE, y)
-            expect = displaced_thermal_matrix(p.alpha_het, p.nbar_het, 8) / scale
+            alpha_het = y.real / np.sqrt(DEGENERATE.eta1) + 1j * y.imag / np.sqrt(DEGENERATE.eta2)
+            expect = displaced_thermal_matrix(alpha_het, nbar_het, 8) / scale
             assert np.max(np.abs(g[i] - expect)) < 1e-13
         y = self.YS[1]
         assert g[1, 1, 2] == pytest.approx(povm_oracle_entry(1, 2, y, DEGENERATE), abs=1e-7)

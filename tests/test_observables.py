@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from dmrate.detector import DetectorModel, povm_element
+from dmrate.detector import DetectorModel
 from dmrate.fock import displaced_thermal_matrix, laguerre, quadrature_operators
 from dmrate.observables import (
     _disk_head,
@@ -13,6 +13,7 @@ from dmrate.observables import (
     region_complement,
     region_operators,
 )
+from support.detector import povm_element
 
 SIMPLE = DetectorModel.simple(0.719, 0.01)
 NOISY = DetectorModel.simple(0.60, 0.30)
