@@ -43,6 +43,10 @@ class ChannelModel:
     distance_km: float | None = None
 
     def __post_init__(self):
+        for name in ("eta_t", "xi", "distance_km"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 < self.eta_t <= 1.0:
             raise ValueError(f"transmittance must be in (0, 1], got {self.eta_t}")
         if self.xi < 0.0:
@@ -69,6 +73,11 @@ class ProtocolParams:
     PRIORS = (0.25, 0.25, 0.25, 0.25)
 
     def __post_init__(self):
+        for name in ("alpha", "delta_a", "beta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not isinstance(self.cutoff, (int, np.integer)):
+            raise ValueError(f"cutoff must be an integer, got {self.cutoff!r}")
         if self.alpha <= 0:
             raise ValueError(f"amplitude must be > 0, got {self.alpha}")
         if self.delta_a < 0:
@@ -112,8 +121,8 @@ def simulate_statistics(ch: ChannelModel, det: DetectorModel, pp: ProtocolParams
     """Expectation values of F_Q, F_P, S_Q, S_P for each signal.
 
     Identical detector arms have closed forms; distinct arms take traces of
-    the numerically integrated observables against the conditional states,
-    both truncated at the protocol cutoff.
+    the per-arm closed-form observables against the conditional states, both
+    truncated at the protocol cutoff.
     """
     if det.simple_case():
         eta = det.eta_d * ch.eta_t
@@ -128,14 +137,14 @@ def simulate_statistics(ch: ChannelModel, det: DetectorModel, pp: ProtocolParams
         return SimulatedStatistics(tuple(fq), tuple(fp), tuple(sq), tuple(sp))
 
     N = pp.cutoff
-    obs = moment_observables(det, N)
+    fq_op, fp_op, sq_op, sp_op = moment_observables(det, N)
     fq, fp, sq, sp = [], [], [], []
     for x in range(4):
         sigma = simulated_conditional_state(ch, x, pp, N)
-        fq.append(float(np.trace(sigma @ obs.fq).real))
-        fp.append(float(np.trace(sigma @ obs.fp).real))
-        sq.append(float(np.trace(sigma @ obs.sq).real))
-        sp.append(float(np.trace(sigma @ obs.sp).real))
+        fq.append(float(np.trace(sigma @ fq_op).real))
+        fp.append(float(np.trace(sigma @ fp_op).real))
+        sq.append(float(np.trace(sigma @ sq_op).real))
+        sp.append(float(np.trace(sigma @ sp_op).real))
     return SimulatedStatistics(tuple(fq), tuple(fp), tuple(sq), tuple(sp))
 
 

@@ -5,9 +5,9 @@ as a beam-splitter of transmittance eta_j with a thermal state on the idle
 port.  Each POVM element G_y is a scaled projection onto a displaced
 (squeezed, if the two arms differ) thermal state, with closed-form matrix
 elements.  The package needs G_y only inside integrals over the outcome
-plane, so it has one POVM kernel: `povm_weighted_sum` builds weighted sums
+plane, so it has one POVM kernel: `povm_weighted_sum` builds a weighted sum
 of G_y over many outcomes y at once, for any pair of arms, and the
-distinct-arm quadrature of the region and moment observables calls it.
+distinct-arm quadrature of the region operators calls it.
 Single elements G_y (the identical-arm closed form and the one-node kernel
 call) live with the tests in `tests/support/detector.py`, which check them
 against an independent Wigner-quadrature oracle in `tests/support/wigner.py`.
@@ -45,6 +45,9 @@ class DetectorModel:
     nu2: float
 
     def __post_init__(self):
+        for name in ("eta1", "eta2", "nu1", "nu2"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for eta in (self.eta1, self.eta2):
             if not 0.0 < eta <= 1.0:
                 raise ValueError(f"detector efficiency must be in (0, 1], got {eta}")
@@ -104,19 +107,18 @@ def _btilde_sqrt(lam1: float, lam2: float) -> complex:
 
 
 def povm_weighted_sum(ys, weights, det: DetectorModel, N: int) -> np.ndarray:
-    """sum_i weights[r, i] G_{ys[i]} for every row r of ``weights``, for
-    arbitrary (eta_1, nu_1, eta_2, nu_2).  ``ys`` is a 1-D array of outcomes
-    and ``weights`` a real (rows, len(ys)) array; the result has shape
-    (rows, N+1, N+1).
+    """sum_i weights[i] G_{ys[i]} for arbitrary (eta_1, nu_1, eta_2, nu_2).
+    ``ys`` is a 1-D array of outcomes and ``weights`` a real array of the
+    same length; the result is one (N+1) x (N+1) matrix.
 
     Each G_y is a short sum of rank-1 terms,
         G_y = q0(y)/sqrt(eta_1 eta_2) sum_k (a_t^k/k!) w_k w_k^H,
         w_k[m] = sqrt(m!)/(m-k)! P_{m-k}(y) for m >= k (0 otherwise),
     with P_j = (b/sqrt2)^j H_j(c_t/(sqrt2 b)) and b the B-tilde square root.
     Since w_k is P shifted down by k and rescaled entrywise, every term of
-    every weighted sum is a block of the (N+1) x (N+1) Gram matrix
+    the weighted sum is a block of the (N+1) x (N+1) Gram matrix
     M = P^T diag(weights q0) conj(P), with P the len(ys) x (N+1) table of
-    P_j(y_i): one matmul per row, whatever the number of outcomes.
+    P_j(y_i): one matmul, whatever the number of outcomes.
     Degenerate squeezing (lambda_1 == lambda_2) takes the b -> 0 limit
     P_j = c_t^j, a scaled displaced thermal state at alpha_het.  Here
     alpha_het = Re(y)/sqrt(eta_1) + i Im(y)/sqrt(eta_2) is the outcome
@@ -145,11 +147,11 @@ def povm_weighted_sum(ys, weights, det: DetectorModel, N: int) -> np.ndarray:
         herm_arg = c_t / (np.sqrt(2.0) * b_sqrt)
         P = np.stack([hermite(j, herm_arg) for j in degree], axis=1) * (b_sqrt / np.sqrt(2.0)) ** degree
     d = weights * (q0 / np.sqrt(det.eta1 * det.eta2))
-    gram = P.T @ (d[:, :, None] * P.conj())
+    gram = P.T @ (d[:, None] * P.conj())
     log_fact = gammaln(degree + 1.0)
     out = np.zeros_like(gram)
     for k in degree:
         size = N + 1 - k
         coef = np.exp(0.5 * log_fact[k:] - log_fact[:size])
-        out[:, k:, k:] += (a_t**k * np.exp(-log_fact[k])) * np.outer(coef, coef) * gram[:, :size, :size]
+        out[k:, k:] += (a_t**k * np.exp(-log_fact[k])) * np.outer(coef, coef) * gram[:size, :size]
     return out

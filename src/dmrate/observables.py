@@ -3,16 +3,17 @@
 Region operator R_j integrates the POVM over the angular sector
 [(2j-1)pi/4, (2j+1)pi/4) outside a central disk of radius delta_a; the
 first/second-moment observables integrate the POVM against
-sqrt(2)Re(y), sqrt(2)Im(y) and their squares.  Identical detector arms get
-closed forms (angular integrals are elementary, radial integrals reduce to a
-gamma function times a Taylor coefficient, and the central-disk integrals of
-postselection to finite sums of incomplete gamma functions); the ideal
-detector reduces to quadrature operators and incomplete-gamma radial masses.
-Distinct arms integrate the POVM numerically over a tensor Gauss-Legendre
-grid in polar coordinates (radius times angle), refined until two levels
-agree.  Each grid is one call of the batched kernel
-`detector.povm_weighted_sum`, which sums all nodes and all weights of the
-grid with one matmul per weight.
+sqrt(2)Re(y), sqrt(2)Im(y) and their squares.  Each moment reads one
+homodyne arm, so every detector's moments are one per-arm closed form in the
+quadrature operators (`moment_observables`).  The regions of identical arms
+are closed forms too (angular integrals are elementary, radial integrals
+reduce to a gamma function times a Taylor coefficient, and the central-disk
+integrals of postselection to finite sums of incomplete gamma functions);
+the ideal detector reduces to incomplete-gamma radial masses.  Only the
+regions of distinct arms are numeric: they integrate the POVM over a tensor
+Gauss-Legendre grid in polar coordinates (radius times angle), refined until
+two levels agree.  Each grid is one call of the batched kernel
+`detector.povm_weighted_sum`, one matmul whatever the number of nodes.
 """
 
 from __future__ import annotations
@@ -41,18 +42,18 @@ POLAR_TOL = 1e-8
 @dataclass(frozen=True)
 class ObservableSet:
     """First/second-moment observables and region operators for one detector,
-    all read-only (cached sets are shared).  ``method`` names the branch both
-    took: "ideal", "closed-form" or "numeric"."""
+    all read-only (cached sets are shared).  ``method`` names the path that
+    built the regions: "ideal", "closed-form" or "numeric"."""
 
     fq: np.ndarray
     fp: np.ndarray
     sq: np.ndarray
     sp: np.ndarray
-    regions: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
-    method: str = "closed-form"
+    regions: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    method: str
 
     def __post_init__(self):
-        for m in (self.fq, self.fp, self.sq, self.sp, *(self.regions or ())):
+        for m in (self.fq, self.fp, self.sq, self.sp, *self.regions):
             m.setflags(write=False)
 
 
@@ -156,10 +157,8 @@ def _simple_regions(det: DetectorModel, delta_a: float, N: int) -> tuple[np.ndar
     return tuple(ops)
 
 
-def _polar_grid_integral(det: DetectorModel, N: int, weights, r_lo, r_hi, th_lo, th_hi, n_r, n_th):
-    # Tensor Gauss-Legendre integral of weight(y) G_y over the polar patch,
-    # for all weights at once; each weight maps the array of nodes y to its
-    # values there.
+def _polar_grid_integral(det: DetectorModel, N: int, r_lo, r_hi, th_lo, th_hi, n_r, n_th):
+    # Tensor Gauss-Legendre integral of G_y over the polar patch.
     xr, wr = np.polynomial.legendre.leggauss(n_r)
     xt, wt = np.polynomial.legendre.leggauss(n_th)
     r = 0.5 * (r_hi - r_lo) * (xr + 1.0) + r_lo
@@ -167,38 +166,46 @@ def _polar_grid_integral(det: DetectorModel, N: int, weights, r_lo, r_hi, th_lo,
     th = 0.5 * (th_hi - th_lo) * (xt + 1.0) + th_lo
     wt = wt * 0.5 * (th_hi - th_lo)
     y = (r[:, None] * np.exp(1j * th)).ravel()
-    base = np.outer(wr * r, wt).ravel()
-    return povm_weighted_sum(y, np.stack([base * w(y) for w in weights]), det, N)
+    return povm_weighted_sum(y, np.outer(wr * r, wt).ravel(), det, N)
 
 
-def _polar_integral_refined(det: DetectorModel, N: int, weights, r_lo, r_hi, th_lo, th_hi):
+def _polar_integral_refined(det: DetectorModel, N: int, r_lo, r_hi, th_lo, th_hi):
     # Nested Gauss rule: refine the node counts until two levels agree to
     # POLAR_TOL.
     n_r, n_th = 48, 24
-    prev = _polar_grid_integral(det, N, weights, r_lo, r_hi, th_lo, th_hi, n_r, n_th)
+    prev = _polar_grid_integral(det, N, r_lo, r_hi, th_lo, th_hi, n_r, n_th)
     err = np.inf
     for _ in range(3):
         n_r, n_th = n_r + 24, n_th + 12
-        cur = _polar_grid_integral(det, N, weights, r_lo, r_hi, th_lo, th_hi, n_r, n_th)
-        err = max(float(np.max(np.abs(c - p))) for c, p in zip(cur, prev))
+        cur = _polar_grid_integral(det, N, r_lo, r_hi, th_lo, th_hi, n_r, n_th)
+        err = float(np.max(np.abs(cur - prev)))
         if err < POLAR_TOL:
             return cur
         prev = cur
     raise RuntimeError(f"polar quadrature did not converge (last refinement change {err:.2e})")
 
 
-def _numeric_box(det: DetectorModel) -> float:
-    return 6.0 * np.sqrt(1.0 + max(det.nu1, det.nu2)) + 4.0
-
-
 def _general_regions(det: DetectorModel, delta_a: float, N: int) -> tuple[np.ndarray, ...]:
-    r_hi = _numeric_box(det)
+    r_hi = 6.0 * np.sqrt(1.0 + max(det.nu1, det.nu2)) + 4.0
     ops = []
     for j in range(4):
         th_lo, th_hi = (2 * j - 1) * np.pi / 4, (2 * j + 1) * np.pi / 4
-        (R,) = _polar_integral_refined(det, N, [lambda y: 1.0], delta_a, r_hi, th_lo, th_hi)
-        ops.append(hermitize(R))
+        ops.append(hermitize(_polar_integral_refined(det, N, delta_a, r_hi, th_lo, th_hi)))
     return tuple(ops)
+
+
+def _regions(det: DetectorModel, delta_a: float, N: int) -> tuple[str, tuple[np.ndarray, ...]]:
+    # The one branch on the detector: the name of the region path and the
+    # four operators it builds.
+    if delta_a < 0:
+        raise ValueError(f"postselection radius must be >= 0, got {delta_a}")
+    if N < 1:
+        raise ValueError("cutoff N must be >= 1")
+    if det.is_ideal():
+        return "ideal", _ideal_regions(delta_a, N)
+    if det.simple_case():
+        return "closed-form", _simple_regions(det, delta_a, N)
+    return "numeric", _general_regions(det, delta_a, N)
 
 
 def region_operators(det: DetectorModel, delta_a: float, N: int) -> tuple[np.ndarray, ...]:
@@ -207,15 +214,7 @@ def region_operators(det: DetectorModel, delta_a: float, N: int) -> tuple[np.nda
     With delta_a = 0 the four operators resolve the identity exactly at every
     truncation (diagonals are 1/4 each; off-diagonal sector phases telescope).
     """
-    if delta_a < 0:
-        raise ValueError(f"postselection radius must be >= 0, got {delta_a}")
-    if N < 1:
-        raise ValueError("cutoff N must be >= 1")
-    if det.is_ideal():
-        return _ideal_regions(delta_a, N)
-    if det.simple_case():
-        return _simple_regions(det, delta_a, N)
-    return _general_regions(det, delta_a, N)
+    return _regions(det, delta_a, N)[1]
 
 
 def region_complement(det: DetectorModel, delta_a: float, N: int) -> np.ndarray:
@@ -232,72 +231,34 @@ def region_complement(det: DetectorModel, delta_a: float, N: int) -> np.ndarray:
     return np.diag(diag).astype(complex)
 
 
-def _ideal_moments(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    q, p, n_op, d = quadrature_operators(N)
-    eye = np.eye(N + 1)
-    return q, p, n_op + d / 2 + eye, n_op - d / 2 + eye
-
-
-def _simple_moments(det: DetectorModel, N: int):
-    eta, nbar = det.eta_d, det.nbar_d
-    A = eta * (1.0 + nbar)
-    fq = np.zeros((N + 1, N + 1), dtype=complex)
-    fp = np.zeros((N + 1, N + 1), dtype=complex)
-    sq = np.zeros((N + 1, N + 1), dtype=complex)
-    sp = np.zeros((N + 1, N + 1), dtype=complex)
-    for m in range(N + 1):
-        diag = np.pi * np.exp(_log_cmn(m, m, eta, nbar)) * A**2 * taylor_f(m, nbar, 0.0, 1.0)
-        sq[m, m] = diag
-        sp[m, m] = diag
-        if m + 1 <= N:
-            first = (np.pi / np.sqrt(2)) * np.exp(_log_cmn(m, m + 1, eta, nbar)) * A**2 * taylor_f(m, nbar, 1.0, 1.0)
-            fq[m, m + 1] = first
-            fq[m + 1, m] = first
-            fp[m, m + 1] = -1j * first
-            fp[m + 1, m] = 1j * first
-        if m + 2 <= N:
-            second = np.pi * np.exp(_log_cmn(m, m + 2, eta, nbar)) * A**3 * taylor_f(m, nbar, 2.0, 2.0)
-            sq[m, m + 2] = second
-            sq[m + 2, m] = second
-            sp[m, m + 2] = -second
-            sp[m + 2, m] = -second
-    return fq, fp, sq, sp
-
-
-def _general_moments(det: DetectorModel, N: int):
-    r_hi = _numeric_box(det)
-    weights = [
-        lambda y: np.sqrt(2.0) * y.real,
-        lambda y: np.sqrt(2.0) * y.imag,
-        lambda y: 2.0 * y.real**2,
-        lambda y: 2.0 * y.imag**2,
-    ]
-    mats = _polar_integral_refined(det, N, weights, 0.0, r_hi, 0.0, 2 * np.pi)
-    return tuple(hermitize(M) for M in mats)
-
-
-def moment_observables(det: DetectorModel, N: int) -> ObservableSet:
+def moment_observables(det: DetectorModel, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """First-moment (F_Q, F_P) and second-moment (S_Q, S_P) observables.
 
-    For identical arms F_Q and F_P live on the first off-diagonals and
-    S_Q/S_P on the main and second off-diagonals; an ideal detector gives
-    exactly q, p, n + d/2 + 1 and n - d/2 + 1, the operators that the
-    untrusted scenario constrains.
+    F_Q and S_Q integrate the POVM against sqrt(2) Re(y) and 2 Re(y)^2, so
+    they read arm 1 alone; F_P and S_P read arm 2 alone.  Integrating out the
+    other arm leaves one homodyne arm: a beam splitter of transmittance eta_j
+    that mixes in vacuum, then electronic noise nu_j.  Each moment is thus the
+    ideal detector's (q, p, n + d/2 + 1, n - d/2 + 1) scaled by sqrt(eta_j)
+    or eta_j, and each second moment gains the added noise 1 - eta_j + nu_j:
+        F_Q = sqrt(eta_1) q,  S_Q = eta_1 (n + d/2) + (1 + nu_1),
+        F_P = sqrt(eta_2) p,  S_P = eta_2 (n - d/2) + (1 + nu_2),
+    for any pair of arms.  The ideal detector gives exactly the operators that
+    the untrusted scenario constrains.
     """
     if N < 2:
         raise ValueError("cutoff N must be >= 2 for second-moment observables")
-    if det.is_ideal():
-        fq, fp, sq, sp = _ideal_moments(N)
-        return ObservableSet(fq, fp, sq, sp, method="ideal")
-    if det.simple_case():
-        fq, fp, sq, sp = _simple_moments(det, N)
-        return ObservableSet(fq, fp, sq, sp, method="closed-form")
-    fq, fp, sq, sp = _general_moments(det, N)
-    return ObservableSet(fq, fp, sq, sp, method="numeric")
+    q, p, n_op, d = quadrature_operators(N)
+    eye = np.eye(N + 1)
+    return (
+        np.sqrt(det.eta1) * q,
+        np.sqrt(det.eta2) * p,
+        det.eta1 * (n_op + d / 2) + (1 + det.nu1) * eye,
+        det.eta2 * (n_op - d / 2) + (1 + det.nu2) * eye,
+    )
 
 
 def observable_set(det: DetectorModel, delta_a: float, N: int) -> ObservableSet:
     """Moment observables plus region operators for one detector and radius."""
-    base = moment_observables(det, N)
-    regions = region_operators(det, delta_a, N)
-    return ObservableSet(base.fq, base.fp, base.sq, base.sp, regions, base.method)
+    moments = moment_observables(det, N)
+    method, regions = _regions(det, delta_a, N)
+    return ObservableSet(*moments, regions, method)

@@ -26,7 +26,7 @@ def povm_element_simple(y: complex, det: DetectorModel, N: int) -> np.ndarray:
 
 def povm_element_kernel(y: complex, det: DetectorModel, N: int) -> np.ndarray:
     """G_y from one node of the batched kernel, for any pair of arms."""
-    return hermitize(povm_weighted_sum(np.array([y]), np.ones((1, 1)), det, N)[0])
+    return hermitize(povm_weighted_sum(np.array([y]), np.ones(1), det, N))
 
 
 def povm_element(y: complex, det: DetectorModel, N: int) -> np.ndarray:

@@ -49,6 +49,35 @@ class TestProtocolParams:
             ProtocolParams(alpha=0.5, delta_a=-1.0)
 
 
+VALID = {
+    ChannelModel: {"eta_t": 0.5, "xi": 0.01},
+    DetectorModel: {"eta1": 0.7, "eta2": 0.7, "nu1": 0.01, "nu2": 0.01},
+    ProtocolParams: {"alpha": 0.75, "cutoff": 3},
+}
+
+
+@pytest.mark.parametrize(
+    "cls, field, value",
+    [
+        (ChannelModel, "xi", np.nan),
+        (ChannelModel, "xi", np.inf),
+        (ChannelModel, "distance_km", np.nan),
+        (DetectorModel, "nu1", np.nan),
+        (DetectorModel, "nu2", np.inf),
+        (ProtocolParams, "alpha", np.nan),
+        (ProtocolParams, "alpha", np.inf),
+        (ProtocolParams, "delta_a", np.nan),
+        (ProtocolParams, "delta_a", np.inf),
+        (ProtocolParams, "cutoff", 3.5),
+    ],
+)
+def test_inputs_checked_at_construction(cls, field, value):
+    # Non-finite floats and a fractional cutoff fail where they enter, not
+    # deep inside the quadrature or the solve.
+    with pytest.raises(ValueError, match=field):
+        cls(**{**VALID[cls], field: value})
+
+
 class TestSimulatedStatistics:
     def test_noiseless_limit(self):
         ch = ChannelModel(eta_t=1.0, xi=0.0)
@@ -74,13 +103,13 @@ class TestSimulatedStatistics:
         ch = ChannelModel.from_distance(10.0, 0.01)
         pp = ProtocolParams(alpha=0.75, cutoff=20)
         stats = simulate_statistics(ch, DET, pp)
-        obs = moment_observables(DET, 20)
+        fq, fp, sq, sp = moment_observables(DET, 20)
         for x in range(4):
             sigma = simulated_conditional_state(ch, x, pp, 20)
-            assert np.trace(sigma @ obs.fq).real == pytest.approx(stats.fq[x], abs=1e-6)
-            assert np.trace(sigma @ obs.fp).real == pytest.approx(stats.fp[x], abs=1e-6)
-            assert np.trace(sigma @ obs.sq).real == pytest.approx(stats.sq[x], abs=1e-6)
-            assert np.trace(sigma @ obs.sp).real == pytest.approx(stats.sp[x], abs=1e-6)
+            assert np.trace(sigma @ fq).real == pytest.approx(stats.fq[x], abs=1e-6)
+            assert np.trace(sigma @ fp).real == pytest.approx(stats.fp[x], abs=1e-6)
+            assert np.trace(sigma @ sq).real == pytest.approx(stats.sq[x], abs=1e-6)
+            assert np.trace(sigma @ sp).real == pytest.approx(stats.sp[x], abs=1e-6)
 
     def test_general_detector_path(self):
         det = DetectorModel(0.7, 0.7 - 1e-9, 0.02, 0.02)

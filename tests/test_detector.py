@@ -102,25 +102,25 @@ class TestWeightedSum:
     ENTRIES = ([(0, 0), (1, 2)], [(0, 3), (2, 2)], [(3, 5), (1, 4)])
 
     def test_batched_call_matches_oracle(self):
-        # Identity weights: row i of one batched call is G_{y_i}.
+        # One-hot weights over all the nodes pick out G_{y_i}.
         for det in (GENERAL, GENERAL_SWAPPED):
-            g = povm_weighted_sum(self.YS, np.eye(len(self.YS)), det, 6)
-            for i, y in enumerate(self.YS):
+            for i, (y, w) in enumerate(zip(self.YS, np.eye(len(self.YS)))):
+                g = povm_weighted_sum(self.YS, w, det, 6)
                 for m, n in self.ENTRIES[i]:
-                    assert g[i, m, n] == pytest.approx(povm_oracle_entry(m, n, y, det), abs=1e-7)
+                    assert g[m, n] == pytest.approx(povm_oracle_entry(m, n, y, det), abs=1e-7)
 
     def test_weighted_sum_of_single_elements(self):
         c = np.array([[0.3, -1.2, 2.0], [1.0, 0.0, 0.5]])
-        got = povm_weighted_sum(self.YS, c, GENERAL, 8)
         singles = np.array([povm_element_kernel(y, GENERAL, 8) for y in self.YS])
-        expect = np.einsum("ri,imn->rmn", c, singles)
-        assert np.max(np.abs(got - expect)) < 1e-13
+        for w in c:
+            expect = np.einsum("i,imn->mn", w, singles)
+            assert np.max(np.abs(povm_weighted_sum(self.YS, w, GENERAL, 8) - expect)) < 1e-13
 
     def test_degenerate_branch(self):
         assert not DEGENERATE.simple_case()
         lam1, lam2 = DEGENERATE.lambdas()
         assert lam1 == lam2
-        g = povm_weighted_sum(self.YS, np.eye(len(self.YS)), DEGENERATE, 8)
+        g = [povm_weighted_sum(self.YS, w, DEGENERATE, 8) for w in np.eye(len(self.YS))]
         scale = np.sqrt(DEGENERATE.eta1 * DEGENERATE.eta2) * np.pi
         # Equal lambdas leave no squeezing: a displaced thermal state at
         # alpha_het with occupation nbar_het = (sqrt((1+2 lam1)(1+2 lam2)) - 1)/2.
@@ -130,7 +130,7 @@ class TestWeightedSum:
             expect = displaced_thermal_matrix(alpha_het, nbar_het, 8) / scale
             assert np.max(np.abs(g[i] - expect)) < 1e-13
         y = self.YS[1]
-        assert g[1, 1, 2] == pytest.approx(povm_oracle_entry(1, 2, y, DEGENERATE), abs=1e-7)
+        assert g[1][1, 2] == pytest.approx(povm_oracle_entry(1, 2, y, DEGENERATE), abs=1e-7)
 
 
 class TestOracle:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from dmrate.detector import DetectorModel
+from dmrate.detector import DetectorModel, povm_weighted_sum
 from dmrate.fock import displaced_thermal_matrix, laguerre, quadrature_operators
 from dmrate.observables import (
     _disk_head,
@@ -138,51 +138,60 @@ class TestDiskIntegral:
                     assert _disk_head(m, k, A, B, delta_a) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
+def polar_moment_quadrature(det, N, n_r=120, n_th=60, r_hi=12.0):
+    """Oracle: sqrt(2)Re y, sqrt(2)Im y, 2(Re y)^2 and 2(Im y)^2 integrated
+    against G_y on a tensor Gauss-Legendre polar grid over the disk
+    |y| <= r_hi, one kernel call per weight."""
+    xr, wr = np.polynomial.legendre.leggauss(n_r)
+    xt, wt = np.polynomial.legendre.leggauss(n_th)
+    r = 0.5 * r_hi * (xr + 1.0)
+    th = np.pi * (xt + 1.0)
+    y = (r[:, None] * np.exp(1j * th)).ravel()
+    base = np.outer(0.5 * r_hi * wr * r, np.pi * wt).ravel()
+    weights = (np.sqrt(2.0) * y.real, np.sqrt(2.0) * y.imag, 2.0 * y.real**2, 2.0 * y.imag**2)
+    return tuple(povm_weighted_sum(y, base * w, det, N) for w in weights)
+
+
 class TestMomentObservables:
     def test_ideal_reductions(self):
         q, p, n_op, d = quadrature_operators(10)
         eye = np.eye(11)
-        obs = moment_observables(IDEAL, 10)
-        assert np.max(np.abs(obs.fq - q)) < 1e-10
-        assert np.max(np.abs(obs.fp - p)) < 1e-10
-        assert np.max(np.abs(obs.sq - (n_op + d / 2 + eye))) < 1e-10
-        assert np.max(np.abs(obs.sp - (n_op - d / 2 + eye))) < 1e-10
+        fq, fp, sq, sp = moment_observables(IDEAL, 10)
+        assert np.array_equal(fq, q)
+        assert np.array_equal(fp, p)
+        assert np.array_equal(sq, n_op + d / 2 + eye)
+        assert np.array_equal(sp, n_op - d / 2 + eye)
 
     def test_continuity_toward_ideal(self):
         q, p, *_ = quadrature_operators(8)
-        obs = moment_observables(DetectorModel.simple(1 - 1e-7, 1e-9), 8)
-        assert np.max(np.abs(obs.fq - q)) < 1e-5
-        assert np.max(np.abs(obs.fp - p)) < 1e-5
+        fq, fp, _, _ = moment_observables(DetectorModel.simple(1 - 1e-7, 1e-9), 8)
+        assert np.max(np.abs(fq - q)) < 1e-5
+        assert np.max(np.abs(fp - p)) < 1e-5
 
     def test_vacuum_second_moment(self):
-        obs = moment_observables(SIMPLE, 6)
-        assert obs.sq[0, 0].real == pytest.approx(1.01, abs=1e-12)
-        assert obs.sp[0, 0].real == pytest.approx(1.01, abs=1e-12)
+        _, _, sq, sp = moment_observables(SIMPLE, 6)
+        assert sq[0, 0].real == pytest.approx(1.01, abs=1e-12)
+        assert sp[0, 0].real == pytest.approx(1.01, abs=1e-12)
 
     def test_diagonal_closed_form(self):
         # <m|S_Q|m> = eta_d (m + 1 + nbar_d)
-        obs = moment_observables(SIMPLE, 9)
+        _, _, sq, _ = moment_observables(SIMPLE, 9)
         eta, nbar = SIMPLE.eta_d, SIMPLE.nbar_d
         for m in range(10):
-            assert obs.sq[m, m].real == pytest.approx(eta * (m + 1 + nbar), rel=1e-12)
+            assert sq[m, m].real == pytest.approx(eta * (m + 1 + nbar), rel=1e-12)
 
     def test_entries_against_quadrature(self):
-        det, N = DetectorModel.simple(0.62, 0.04), 6
-        obs = moment_observables(det, N)
-
-        def weighted(fn, m, n):
-            def integrand(r, th):
-                y = r * np.exp(1j * th)
-                g = povm_element(y, det, N)
-                return (fn(y) * g[m, n]).real * r
-
-            val, _ = integrate.dblquad(integrand, 0, 2 * np.pi, 0, 9.0, epsabs=1e-10)
-            return val
-
-        assert obs.fq[2, 3].real == pytest.approx(weighted(lambda y: np.sqrt(2) * y.real, 2, 3), abs=1e-8)
-        assert obs.sq[1, 1].real == pytest.approx(weighted(lambda y: 2 * y.real**2, 1, 1), abs=1e-8)
-        assert obs.sq[1, 3].real == pytest.approx(weighted(lambda y: 2 * y.real**2, 1, 3), abs=1e-8)
-        assert obs.sp[0, 2].real == pytest.approx(weighted(lambda y: 2 * y.imag**2, 0, 2), abs=1e-8)
+        # Every entry of the per-arm closed form against an independent
+        # integration of the POVM kernel over the outcome plane, for
+        # identical arms and both orderings of distinct arms.
+        N = 6
+        for det in (
+            DetectorModel.simple(0.62, 0.04),
+            DetectorModel(0.70, 0.74, 0.01, 0.02),
+            DetectorModel(0.74, 0.70, 0.02, 0.01),
+        ):
+            for got, ref in zip(moment_observables(det, N), polar_moment_quadrature(det, N)):
+                assert np.max(np.abs(got - ref)) < 1e-12
 
     def test_minimum_cutoff(self):
         with pytest.raises(ValueError):
@@ -214,11 +223,13 @@ class TestGeneralNumericPath:
         assert np.max(np.abs(total - np.eye(4))) < 1e-6
 
     def test_numeric_vacuum_moments(self):
-        obs = moment_observables(self.GENERAL, 2)
+        # Numeric regions, closed-form moments: the vacuum reads each arm's
+        # shot noise plus its electronic noise.
+        obs = observable_set(self.GENERAL, 0.0, 2)
         assert obs.method == "numeric"
-        assert obs.sq[0, 0].real == pytest.approx(1 + self.GENERAL.nu1, abs=1e-6)
-        assert obs.sp[0, 0].real == pytest.approx(1 + self.GENERAL.nu2, abs=1e-6)
-        assert abs(obs.fq[0, 0]) < 1e-8
+        assert obs.sq[0, 0] == 1 + self.GENERAL.nu1
+        assert obs.sp[0, 0] == 1 + self.GENERAL.nu2
+        assert obs.fq[0, 0] == 0.0
 
 
 class TestObservableSet:
