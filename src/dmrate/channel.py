@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erfc
 
 from .detector import DetectorModel
-from .fock import displaced_thermal_matrix
+from .fock import displaced_thermal_matrix, erfc
 from .observables import moment_observables
 
 __all__ = [

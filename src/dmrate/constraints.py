@@ -30,7 +30,7 @@ DIM_A = 4
 class ConstraintSet:
     """Equality constraints Tr(rho Gamma_i) = c_i: the Gamma_i stacked as a
     read-only (m, n, n) array, the c_i as a read-only (m,) array, and one
-    label per row."""
+    label per row.  Every entry must be finite (else ValueError)."""
 
     operators: np.ndarray
     values: np.ndarray
@@ -42,6 +42,8 @@ class ConstraintSet:
         m = len(self.labels)
         if ops.shape[:1] != (m,) or ops.ndim != 3 or ops.shape[1] != ops.shape[2] or values.shape != (m,):
             raise ValueError(f"{m} labels, operators of shape {ops.shape}, values of shape {values.shape}")
+        if not (np.isfinite(ops).all() and np.isfinite(values).all()):
+            raise ValueError("constraint operators and values must be finite")
         for arr in (ops, values):
             arr.setflags(write=False)
         object.__setattr__(self, "operators", ops)

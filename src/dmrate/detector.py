@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .fock import hermite
+from .fock import gammaln, hermite
 
 __all__ = ["DetectorModel", "povm_weighted_sum", "IDEAL_NBAR_THRESHOLD"]
 

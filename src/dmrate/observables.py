@@ -22,10 +22,9 @@ from dataclasses import dataclass
 from math import gamma as gamma_fn
 
 import numpy as np
-from scipy.special import gammaincc, gammainc, gammaln
 
 from .detector import DetectorModel, povm_weighted_sum
-from .fock import hermitize, quadrature_operators, taylor_f
+from .fock import gammaln, hermitize, quadrature_operators, regularized_gamma, taylor_f
 
 __all__ = [
     "ObservableSet",
@@ -90,7 +89,7 @@ def _disk_head(m: int, k: int, A: float, B: float, delta_a: float) -> float:
         + s * np.log(A)
         + gammaln(s)
     )
-    return 0.5 * float(np.sum(np.exp(log_coef) * gammainc(s, delta_a * delta_a / A)))
+    return 0.5 * float(np.sum(np.exp(log_coef) * regularized_gamma(s, delta_a * delta_a / A)[0]))
 
 
 def _radial_tail(m: int, n: int, eta: float, nbar: float, delta_a: float) -> float:
@@ -111,10 +110,10 @@ def _ideal_regions(delta_a: float, N: int) -> tuple[np.ndarray, ...]:
     for j in range(4):
         R = np.zeros((N + 1, N + 1), dtype=complex)
         for m in range(N + 1):
-            R[m, m] = 0.25 * gammaincc(m + 1, x)
+            R[m, m] = 0.25 * regularized_gamma(m + 1, x)[1]
             for n in range(m + 1, N + 1):
                 s = (m + n) / 2 + 1
-                radial = 0.5 * gamma_fn(s) * gammaincc(s, x)
+                radial = 0.5 * gamma_fn(s) * regularized_gamma(s, x)[1]
                 val = (
                     _sector_phase(m - n, j)
                     * radial
@@ -223,7 +222,7 @@ def region_complement(det: DetectorModel, delta_a: float, N: int) -> np.ndarray:
     if delta_a < 0:
         raise ValueError(f"postselection radius must be >= 0, got {delta_a}")
     if det.is_ideal():
-        diag = gammainc(np.arange(N + 1) + 1, delta_a * delta_a)
+        diag = regularized_gamma(np.arange(N + 1) + 1, delta_a * delta_a)[0]
         return np.diag(diag).astype(complex)
     if not det.simple_case():
         raise ValueError("disk complement implemented for identical arms only")

@@ -15,21 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, lu_factor, lu_solve, solve_triangular
 
 from .fock import hermitize
 
-__all__ = ["SdpResult", "SdpError", "solve_sdp", "independent_rows"]
+__all__ = ["SdpResult", "solve_sdp", "independent_rows"]
 
 # Relative primal/dual infeasibility and gap at which an IPM solve is optimal.
 TOL = 1e-9
 # A row is independent when its component orthogonal to the earlier kept
 # rows keeps more than this fraction of its norm.
 RANK_TOL = 1e-9
-
-
-class SdpError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -79,10 +74,10 @@ def _trace_prod(a: np.ndarray, b: np.ndarray) -> float:
     return float((a.ravel() @ b.T.ravel()).real)
 
 
-def _max_step(chol_lower: np.ndarray, direction: np.ndarray) -> float:
-    # Largest alpha with M + alpha * D >= 0, via the whitened direction.
-    w = solve_triangular(chol_lower, direction, lower=True)
-    w = solve_triangular(chol_lower, w.conj().T, lower=True)
+def _max_step(chol_inv: np.ndarray, direction: np.ndarray) -> float:
+    # Largest alpha with M + alpha * D >= 0, via the whitened direction
+    # L^-1 D L^-H, where M = L L^H and chol_inv = L^-1.
+    w = chol_inv @ direction @ chol_inv.conj().T
     lam_min = float(np.linalg.eigvalsh(hermitize(w)).min())
     if lam_min >= -1e-14:
         return np.inf
@@ -117,6 +112,46 @@ def solve_sdp(
     def amat(vec: np.ndarray) -> np.ndarray:
         return (vec @ ops_flat).reshape(n, n)
 
+    def newton_step(x, y, s, r_p, r_d, mu, pinf, pobj):
+        # One predictor-corrector step.  Each Cholesky factor is inverted
+        # once; L^-1 whitens the step-length tests and gives S^-1 = L^-H L^-1.
+        x_chol_inv = np.linalg.inv(np.linalg.cholesky(x))
+        s_chol_inv = np.linalg.inv(np.linalg.cholesky(s))
+        s_inv = hermitize(s_chol_inv.conj().T @ s_chol_inv)
+
+        # Schur complement M[i,j] = Re Tr(A_i X A_j S^-1), via batched matmul.
+        t_ops = np.matmul(np.matmul(x[None, :, :], ops), s_inv[None, :, :])
+        schur = (ops_flat_t @ t_ops.reshape(m, n * n).T).real
+        schur += (1e-13 * max(1.0, np.trace(schur).real / m)) * np.eye(m)
+
+        x_rd_sinv = x @ r_d @ s_inv
+        base_rhs = r_p + aop(x_rd_sinv) + aop(x)
+
+        def direction(comp_target: np.ndarray):
+            # Solves the HKM system with complementarity target comp_target.
+            rhs = base_rhs - aop(comp_target @ s_inv)
+            dy = np.linalg.solve(schur, rhs)
+            ds = r_d - amat(dy)
+            dx = hermitize(comp_target @ s_inv - x - x @ ds @ s_inv)
+            return dx, dy, ds
+
+        # Predictor, with one synchronized step length for both cones: letting
+        # the dual race ahead collapses mu while the primal is still
+        # infeasible, which is exactly the stall this avoids.
+        dx_a, dy_a, ds_a = direction(np.zeros((n, n), dtype=complex))
+        a_aff = min(1.0, _max_step(x_chol_inv, dx_a), _max_step(s_chol_inv, ds_a))
+        mu_aff = _trace_prod(x + a_aff * dx_a, s + a_aff * ds_a) / n
+        sigma = min(1.0, max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-8))
+        if pinf > 10 * mu / (1 + abs(pobj)):
+            sigma = max(sigma, 0.5)
+
+        # Corrector.
+        comp = sigma * mu * np.eye(n, dtype=complex) - dx_a @ ds_a
+        dx, dy, ds = direction(comp)
+        tau = 0.9 if mu > 1e-4 else 0.98
+        alpha = min(1.0, tau * _max_step(x_chol_inv, dx), tau * _max_step(s_chol_inv, ds))
+        return hermitize(x + alpha * dx), y + alpha * dy, hermitize(s + alpha * ds)
+
     x = max(1.0, float(np.max(np.abs(b))) * np.sqrt(n)) * np.eye(n, dtype=complex)
     s = max(1.0, float(np.linalg.norm(c_mat, "fro")) / np.sqrt(n)) * np.eye(n, dtype=complex)
     y = np.zeros(m)
@@ -147,56 +182,14 @@ def solve_sdp(
             status = "optimal"
             break
 
-        # The endgame on thin feasible sets can leave the cone; in that case
-        # the best-so-far iterate is still a perfectly usable near-solution.
+        # The endgame on thin feasible sets can leave the cone, or make the
+        # Schur complement singular; in that case the best-so-far iterate is
+        # still a perfectly usable near-solution.
         try:
-            x_chol = np.linalg.cholesky(x)
-            s_chol = np.linalg.cholesky(s)
+            x, y, s = newton_step(x, y, s, r_p, r_d, mu, pinf, pobj)
         except np.linalg.LinAlgError:
             status = "stalled"
             break
-        s_inv = hermitize(cho_solve((s_chol, True), np.eye(n, dtype=complex)))
-
-        # Schur complement M[i,j] = Re Tr(A_i X A_j S^-1), via batched matmul.
-        t_ops = np.matmul(np.matmul(x[None, :, :], ops), s_inv[None, :, :])
-        schur = (ops_flat_t @ t_ops.reshape(m, n * n).T).real
-        schur += (1e-13 * max(1.0, np.trace(schur).real / m)) * np.eye(m)
-        try:
-            schur_lu = lu_factor(schur)
-        except ValueError:
-            status = "stalled"
-            break
-
-        x_rd_sinv = x @ r_d @ s_inv
-        base_rhs = r_p + aop(x_rd_sinv) + aop(x)
-
-        def direction(comp_target: np.ndarray):
-            # Solves the HKM system with complementarity target comp_target.
-            rhs = base_rhs - aop(comp_target @ s_inv)
-            dy = lu_solve(schur_lu, rhs)
-            ds = r_d - amat(dy)
-            dx = hermitize(comp_target @ s_inv - x - x @ ds @ s_inv)
-            return dx, dy, ds
-
-        # Predictor, with one synchronized step length for both cones: letting
-        # the dual race ahead collapses mu while the primal is still
-        # infeasible, which is exactly the stall this avoids.
-        dx_a, dy_a, ds_a = direction(np.zeros((n, n), dtype=complex))
-        a_aff = min(1.0, _max_step(x_chol, dx_a), _max_step(s_chol, ds_a))
-        mu_aff = _trace_prod(x + a_aff * dx_a, s + a_aff * ds_a) / n
-        sigma = min(1.0, max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-8))
-        if pinf > 10 * mu / (1 + abs(pobj)):
-            sigma = max(sigma, 0.5)
-
-        # Corrector.
-        comp = sigma * mu * np.eye(n, dtype=complex) - dx_a @ ds_a
-        dx, dy, ds = direction(comp)
-        tau = 0.9 if mu > 1e-4 else 0.98
-        alpha = min(1.0, tau * _max_step(x_chol, dx), tau * _max_step(s_chol, ds))
-
-        x = hermitize(x + alpha * dx)
-        y = y + alpha * dy
-        s = hermitize(s + alpha * ds)
 
     if status != "optimal" and best is not None:
         x, y, s = best

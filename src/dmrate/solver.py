@@ -20,7 +20,7 @@ from .constraints import ConstraintSet
 from .entropy import line_objective, objective_with_gradient
 from .fock import hermitize
 from .maps import PostprocessingMaps
-from .sdp import SdpError, independent_rows, solve_sdp
+from .sdp import independent_rows, solve_sdp
 
 __all__ = ["KeyRateResult", "InfeasibleError", "solve", "key_rate"]
 
@@ -155,10 +155,7 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
     # solution, polished by projection, is the starting state.
     dim = cs.dim
     c0 = np.diag(np.linspace(0.0, 1.0, dim)).astype(complex)
-    try:
-        pre = solve_sdp(c0, ops, b, max_iters=200)
-    except SdpError as exc:
-        raise InfeasibleError(f"feasibility pre-solve failed: {exc}", np.inf) from exc
+    pre = solve_sdp(c0, ops, b, max_iters=200)
     rho = _feasible_start(hermitize(pre.x), ops, b)
     full_res = float(np.max(np.abs(cs.residuals(rho))))
     if full_res > 5e-8 or np.linalg.eigvalsh(rho).min() < -1e-9:
@@ -179,16 +176,10 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
     iterations = 0
 
     for iterations in range(1, MAX_ITERS + 1):
-        try:
-            sub = solve_sdp(grad, ops, b_sub, max_iters=IPM_MAX_ITERS)
-        except SdpError:
-            sub = None
+        sub = solve_sdp(grad, ops, b_sub, max_iters=IPM_MAX_ITERS)
         # A slightly loose subproblem is still usable: the direction only
         # needs near-feasibility, and the dual repair keeps the bound valid.
-        usable = sub is not None and (
-            sub.converged or (sub.primal_residual < 1e-6 and sub.dual_residual < 1e-6)
-        )
-        if not usable:
+        if not (sub.converged or (sub.primal_residual < 1e-6 and sub.dual_residual < 1e-6)):
             status = "subproblem_failure"
             certified = False
             break

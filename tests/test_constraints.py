@@ -162,6 +162,21 @@ class TestBuildConstraints:
             ConstraintSet(cs.operators[:, :-1], cs.values, cs.labels)
 
 
+@pytest.mark.parametrize("where", ["value", "operator"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_rejected(where, bad):
+    # Caught at construction, before the solver can fail on it deep inside
+    # the interior-point method.
+    cs, _, _ = make_cs(cutoff=3)
+    ops, values = cs.operators.copy(), cs.values.copy()
+    if where == "value":
+        values[20] = bad
+    else:
+        ops[20, 1, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ConstraintSet(ops, values, cs.labels)
+
+
 class TestUntrustedIsIdealDetector:
     """The untrusted constraints (ideal-detector F_Q, F_P, S_Q, S_P) describe
     the same feasible set as q, p, n, d with the recast data, since each

@@ -1,0 +1,33 @@
+"""`[project] dependencies` in pyproject.toml names exactly the third-party
+packages that the package's modules import: a stray import fails here, and
+so does a declaration nothing uses."""
+
+import ast
+import re
+import sys
+import tomllib
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "dmrate"
+
+
+def declared_dependencies() -> set[str]:
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    return {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower().replace("-", "_") for req in project["dependencies"]}
+
+
+def imported_third_party() -> set[str]:
+    names = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {PACKAGE.name}
+
+
+def test_declared_dependencies_match_imports():
+    assert imported_third_party() == {"numpy"}
+    assert declared_dependencies() == imported_third_party()

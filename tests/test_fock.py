@@ -2,16 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from dmrate.fock import (
     check_hermitian,
     coherent_overlap,
     coherent_state_vector,
     displaced_thermal_matrix,
+    erfc,
+    gammaln,
     hermite,
     hermitian_sqrt,
     laguerre,
     quadrature_operators,
+    regularized_gamma,
     taylor_f,
 )
 from support.maps import hermitian_log
@@ -122,6 +126,43 @@ class TestTaylorF:
             taylor_f(2, 0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             taylor_f(2, -1.0, 1.0, 1.0)
+
+
+class TestSpecialFunctions:
+    """The package's special functions against scipy.special."""
+
+    def test_regularized_gamma_against_scipy(self):
+        # Every a the package uses up to cutoff ~14, and x on both sides of
+        # the series / continued-fraction switch at x = a + 1.
+        for a in np.arange(1.0, 22.5, 0.5):
+            switch = a + 1.0
+            x = np.concatenate([np.geomspace(1e-8, 60.0, 300), switch + np.array([-1e-9, 0.0, 1e-9, -0.25, 0.25])])
+            assert (x < switch).any() and (x >= switch).any()
+            p, q = regularized_gamma(a, x)
+            np.testing.assert_allclose(p, special.gammainc(a, x), rtol=1e-13, atol=0, err_msg=f"P, a={a}")
+            np.testing.assert_allclose(q, special.gammaincc(a, x), rtol=1e-13, atol=0, err_msg=f"Q, a={a}")
+
+    def test_regularized_gamma_shapes_and_edges(self):
+        p, q = regularized_gamma(np.arange(1, 5)[:, None], np.array([0.0, 0.5, 7.0]))
+        assert p.shape == q.shape == (4, 3)
+        np.testing.assert_allclose(p + q, 1.0, rtol=0, atol=1e-15)
+        assert (p[:, 0] == 0.0).all() and (q[:, 0] == 1.0).all()
+        p, q = regularized_gamma(2, 1.5)
+        assert np.ndim(p) == np.ndim(q) == 0
+        # Q(1, x) = e^{-x}, on both sides of the switch at x = 2.
+        for x in (1.5, 3.0):
+            assert regularized_gamma(1, x)[1] == pytest.approx(np.exp(-x), rel=1e-14)
+
+    def test_erfc_against_scipy(self):
+        x = np.linspace(-10.0, 10.0, 2001)
+        np.testing.assert_allclose(erfc(x), special.erfc(x), rtol=1e-13, atol=0)
+        assert np.ndim(erfc(0.3)) == 0
+
+    def test_gammaln_against_scipy(self):
+        x = np.arange(0.5, 60.5, 0.5)
+        np.testing.assert_allclose(gammaln(x), special.gammaln(x), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(gammaln(np.arange(1, 40)), special.gammaln(np.arange(1, 40)), rtol=1e-13, atol=0)
+        assert np.ndim(gammaln(3)) == 0
 
 
 class TestQuadratureOperators:

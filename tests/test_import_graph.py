@@ -1,33 +1,32 @@
-"""The package loads only the scipy subpackages it uses.
+"""The package imports no scipy module at all.
 
-Importing `scipy.integrate` alone pulls in `scipy.optimize`, `scipy.sparse`,
-`scipy.spatial` and `scipy.fft`, and roughly doubles the import time of
-`dmrate.pipeline`, which every key-rate computation pays first.  Adaptive
-quadrature belongs to the test oracles, not to the package.
+`scipy.special` and `scipy.linalg` alone cost about 0.3 s and 29 MiB on a
+fresh import, more than the package and numpy together, for a handful of
+functions: log-gamma, erfc, the regularized incomplete gamma pair (in
+`dmrate.fock`) and dense solves (numpy's).  scipy is a test-only dependency;
+the tests keep it as an oracle.
 """
 
 import json
 import os
-import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
-import scipy
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-ALLOWED = {"linalg", "special"}
 
 _PROBE = """
 import json, sys
-import dmrate.pipeline
-print(json.dumps(sorted({name.split(".")[1] for name in sys.modules if name.startswith("scipy.")})))
+import {module}
+print(json.dumps(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))))
 """
 
 
-def test_pipeline_imports_only_linalg_and_special():
-    public = {info.name for info in pkgutil.iter_modules(scipy.__path__) if info.ispkg and not info.name.startswith("_")}
+@pytest.mark.parametrize("module", ["dmrate", "dmrate.pipeline"])
+def test_import_loads_no_scipy(module):
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", _PROBE], env=env, capture_output=True, text=True, check=True)
-    loaded = set(json.loads(out.stdout)) & public
-    assert loaded <= ALLOWED, f"dmrate.pipeline loads scipy.{sorted(loaded - ALLOWED)}"
+    probe = _PROBE.format(module=module)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == [], f"import {module} loads scipy"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dmrate.sdp import SdpError, independent_rows, solve_sdp
+from dmrate.sdp import independent_rows, solve_sdp
 
 
 def random_hermitian(rng, n):
