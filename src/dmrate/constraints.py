@@ -84,13 +84,13 @@ def build_constraints(
     The 16 moment rows constrain obs.fq, obs.fp, obs.sq, obs.sp to the
     simulated stats, one row per signal; the unit-trace row and the 16 real
     functionals pinning Tr_B(rho) to Alice's Gram matrix complete the set.
-    ``mode`` names the scenario: "untrusted" needs the ideal detector's
-    observables (obs.method == "ideal"), since Eve holds the detector noise,
-    and raises ValueError for any other set.
+    ``mode`` names the scenario: "untrusted" needs observables built for the
+    ideal detector (obs.detector.is_ideal()), since Eve holds the detector
+    noise, and raises ValueError for any other set.
     """
     check_mode(mode)
-    if mode == "untrusted" and obs.method != "ideal":
-        raise ValueError(f"untrusted noise needs the ideal detector's observables, got method {obs.method!r}")
+    if mode == "untrusted" and not obs.detector.is_ideal():
+        raise ValueError(f"untrusted noise needs the ideal detector's observables, got {obs.detector}")
     dim_b = obs.fq.shape[0]
     if dim_b != pp.cutoff + 1:
         raise ValueError(f"observable dimension {dim_b} does not match cutoff {pp.cutoff}")

@@ -23,7 +23,6 @@ __all__ = [
     "check_hermitian",
     "laguerre",
     "hermite",
-    "taylor_f",
     "quadrature_operators",
     "coherent_overlap",
     "coherent_state_vector",
@@ -156,29 +155,6 @@ def hermite(ell: int, z):
     for i in range(1, ell):
         prev, cur = cur, 2.0 * z * cur - 2.0 * i * prev
     return cur[()]
-
-
-def _binomial_series(s: float, n: int) -> np.ndarray:
-    # Coefficients of (1-t)^(-s) up to t^n: c_m = C(s+m-1, m), by recurrence.
-    c = np.empty(n + 1)
-    c[0] = 1.0
-    for m in range(1, n + 1):
-        c[m] = c[m - 1] * (s + m - 1) / m
-    return c
-
-
-def taylor_f(n: int, a: float, alpha: float, k: float) -> float:
-    """Coefficient of t^n in (1-t)^(-alpha+k) * (1-(1+1/a)t)^(-(k+1)).
-
-    Computed as the Cauchy product of the two binomial series.
-    """
-    if n < 0:
-        raise ValueError(f"taylor_f needs n >= 0, got {n}")
-    if a <= 0:
-        raise ValueError(f"taylor_f needs a > 0, got {a}")
-    c1 = _binomial_series(alpha - k, n)
-    c2 = _binomial_series(k + 1.0, n) * (1.0 + 1.0 / a) ** np.arange(n + 1)
-    return float(np.dot(c1, c2[::-1]))
 
 
 def quadrature_operators(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

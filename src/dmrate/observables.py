@@ -5,11 +5,12 @@ Region operator R_j integrates the POVM over the angular sector
 first/second-moment observables integrate the POVM against
 sqrt(2)Re(y), sqrt(2)Im(y) and their squares.  Each moment reads one
 homodyne arm, so every detector's moments are one per-arm closed form in the
-quadrature operators (`moment_observables`).  The regions of identical arms
-are closed forms too (angular integrals are elementary, radial integrals
-reduce to a gamma function times a Taylor coefficient, and the central-disk
-integrals of postselection to finite sums of incomplete gamma functions);
-the ideal detector reduces to incomplete-gamma radial masses.  Only the
+quadrature operators (`moment_observables`).  The regions of identical arms,
+the ideal detector included, and their central-disk complement are one
+closed form: the angular integrals are elementary, and each radial integral
+is a finite sum of positive terms, a gamma function times a regularized
+incomplete gamma function Q (outside the disk) or P (inside it).  The ideal
+detector is thermal occupation 0 of that sum, not a separate path.  Only the
 regions of distinct arms are numeric: they integrate the POVM over a tensor
 Gauss-Legendre grid in polar coordinates (radius times angle), refined until
 two levels agree.  Each grid is one call of the batched kernel
@@ -19,12 +20,11 @@ two levels agree.  Each grid is one call of the batched kernel
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gamma as gamma_fn
 
 import numpy as np
 
 from .detector import DetectorModel, povm_weighted_sum
-from .fock import gammaln, hermitize, quadrature_operators, regularized_gamma, taylor_f
+from .fock import gammaln, hermitize, quadrature_operators, regularized_gamma
 
 __all__ = [
     "ObservableSet",
@@ -40,16 +40,17 @@ POLAR_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ObservableSet:
-    """First/second-moment observables and region operators for one detector,
-    all read-only (cached sets are shared).  ``method`` names the path that
-    built the regions: "ideal", "closed-form" or "numeric"."""
+    """First/second-moment observables and region operators for ``detector``,
+    all read-only (cached sets are shared).  The regions are the closed form
+    for identical arms, the ideal detector included, and the polar quadrature
+    for distinct arms."""
 
     fq: np.ndarray
     fp: np.ndarray
     sq: np.ndarray
     sp: np.ndarray
     regions: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    method: str
+    detector: DetectorModel
 
     def __post_init__(self):
         for m in (self.fq, self.fp, self.sq, self.sp, *self.regions):
@@ -61,99 +62,51 @@ def _sector_phase(k: int, j: int) -> complex:
     return 1j * (np.exp(1j * k * (2 * j - 1) * np.pi / 4) - np.exp(1j * k * (2 * j + 1) * np.pi / 4)) / k
 
 
-def _log_cmn(m: int, n: int, eta: float, nbar: float) -> float:
-    # C_{m,n} = (1/(pi eta^{(n-m)/2+1})) sqrt(m!/n!) nbar^m/(1+nbar)^{n+1}
-    return (
-        -np.log(np.pi)
-        - ((n - m) / 2 + 1) * np.log(eta)
-        + 0.5 * (gammaln(m + 1) - gammaln(n + 1))
-        + m * np.log(nbar)
-        - (n + 1) * np.log1p(nbar)
+def _identical_arm_operators(det: DetectorModel, delta_a: float, N: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Region operators and disk-complement diagonal of identical arms.
+
+    G_y projects onto a thermal state of occupation nbar = nbar_d displaced
+    to y/sqrt(eta_d).  With x = delta_a^2/(eta_d(1+nbar)), t = nbar/(1+nbar)
+    and h = 2i + n - m, the radial integrals over |y| > delta_a (F = Q) and
+    |y| < delta_a (F = P) are, for m <= n,
+        W_F[m, n] = sum_{i=0}^{m} sqrt(m!/n!) C(n, m-i) t^{m-i}
+                    (1+nbar)^{-h/2} Gamma(h/2+1)/i! F(h/2+1, x),
+    with P, Q the regularized incomplete gamma pair and 0^0 = 1, so nbar = 0
+    is the ideal detector.  Every term is positive, and writing nbar^{m-i}
+    as t^{m-i} (1+nbar)^{m-i} keeps every factor below overflow.  R_j[m, n]
+    is W_Q[m, n] times the sector phase over 2 pi for m < n, and
+    1/4 - W_P[m, m]/4 on the diagonal, exactly 1/4 at delta_a = 0.  The
+    disk complement is the diagonal W_P[m, m].
+    """
+    nbar = det.nbar_d
+    s = np.arange(2 * N + 1) / 2 + 1
+    P, Q = regularized_gamma(s, delta_a * delta_a / (det.eta_d * (1 + nbar)))
+    log_fact = gammaln(np.arange(N + 1) + 1.0)
+    m, n, i = np.indices((N + 1,) * 3).reshape(3, -1)
+    keep = (i <= m) & (m <= n)
+    m, n, i = m[keep], n[keep], i[keep]
+    h = 2 * i + n - m
+    terms = (nbar / (1 + nbar)) ** (m - i) * np.exp(
+        0.5 * (log_fact[m] + log_fact[n])
+        - log_fact[m - i]
+        - log_fact[n - m + i]
+        - log_fact[i]
+        + gammaln(s)[h]
+        - h / 2 * np.log1p(nbar)
     )
 
+    def radial(F):
+        return np.bincount(m * (N + 1) + n, weights=terms * F[h], minlength=(N + 1) ** 2).reshape(N + 1, N + 1)
 
-def _disk_head(m: int, k: int, A: float, B: float, delta_a: float) -> float:
-    """integral_0^{delta_a} exp(-r^2/A) L_m^{(k)}(-r^2/B) r^{k+1} dr in closed form:
-    (1/2) sum_{j=0}^m C(m+k, m-j)/j! B^{-j} A^{s_j} Gamma(s_j) P(s_j, delta_a^2/A)
-    with s_j = j + k/2 + 1 and P the regularized lower incomplete gamma.
-    Every term is positive, so the sum does not cancel; the coefficients go
-    through log-gamma."""
-    j = np.arange(m + 1)
-    s = j + k / 2 + 1
-    log_coef = (
-        gammaln(m + k + 1.0)
-        - gammaln(m - j + 1.0)
-        - gammaln(k + j + 1.0)
-        - gammaln(j + 1.0)
-        - j * np.log(B)
-        + s * np.log(A)
-        + gammaln(s)
-    )
-    return 0.5 * float(np.sum(np.exp(log_coef) * regularized_gamma(s, delta_a * delta_a / A)[0]))
-
-
-def _radial_tail(m: int, n: int, eta: float, nbar: float, delta_a: float) -> float:
-    """integral_{delta_a}^inf exp(-r^2/A) L_m^{(n-m)}(-r^2/B) r^{n-m+1} dr
-    with A = eta(1+nbar), B = eta nbar (1+nbar), for m <= n."""
-    A = eta * (1.0 + nbar)
-    B = eta * nbar * (1.0 + nbar)
-    k = n - m
-    full = 0.5 * A ** (k / 2 + 1) * gamma_fn(k / 2 + 1) * taylor_f(m, nbar, k, k / 2)
-    if delta_a == 0.0:
-        return full
-    return full - _disk_head(m, k, A, B, delta_a)
-
-
-def _ideal_regions(delta_a: float, N: int) -> tuple[np.ndarray, ...]:
-    ops = []
-    x = delta_a * delta_a
-    for j in range(4):
-        R = np.zeros((N + 1, N + 1), dtype=complex)
-        for m in range(N + 1):
-            R[m, m] = 0.25 * regularized_gamma(m + 1, x)[1]
-            for n in range(m + 1, N + 1):
-                s = (m + n) / 2 + 1
-                radial = 0.5 * gamma_fn(s) * regularized_gamma(s, x)[1]
-                val = (
-                    _sector_phase(m - n, j)
-                    * radial
-                    * np.exp(-np.log(np.pi) - 0.5 * (gammaln(m + 1) + gammaln(n + 1)))
-                )
-                R[m, n] = val
-                R[n, m] = np.conj(val)
-        ops.append(R)
-    return tuple(ops)
-
-
-def _simple_disk_diagonal(eta: float, nbar: float, delta_a: float, N: int) -> np.ndarray:
-    # Diagonal of the identical-arm disk operator |y| < delta_a.
-    A, B = eta * (1 + nbar), eta * nbar * (1 + nbar)
-    diag = np.zeros(N + 1)
-    for m in range(N + 1):
-        head = _disk_head(m, 0, A, B, delta_a)
-        diag[m] = np.exp(m * np.log(nbar) - (m + 1) * np.log1p(nbar)) * head * 2 / eta
-    return diag
-
-
-def _simple_regions(det: DetectorModel, delta_a: float, N: int) -> tuple[np.ndarray, ...]:
-    eta, nbar = det.eta_d, det.nbar_d
-    radial = {}
-    for m in range(N + 1):
-        for n in range(m + 1, N + 1):
-            radial[(m, n)] = _radial_tail(m, n, eta, nbar, delta_a)
-    # Each sector holds a quarter of the disk; dividing by 4 is exact.
-    diag_corr = _simple_disk_diagonal(eta, nbar, delta_a, N) / 4 if delta_a > 0.0 else np.zeros(N + 1)
+    w_q, disk = radial(Q), np.diag(radial(P))
+    upper = np.triu_indices(N + 1, 1)
     ops = []
     for j in range(4):
-        R = np.zeros((N + 1, N + 1), dtype=complex)
-        for m in range(N + 1):
-            R[m, m] = 0.25 - diag_corr[m]
-            for n in range(m + 1, N + 1):
-                val = np.exp(_log_cmn(m, n, eta, nbar)) * _sector_phase(m - n, j) * radial[(m, n)]
-                R[m, n] = val
-                R[n, m] = np.conj(val)
+        R = np.diag(0.25 - disk / 4).astype(complex)
+        R[upper] = _sector_phase(upper[0] - upper[1], j) / (2 * np.pi) * w_q[upper]
+        R[upper[::-1]] = np.conj(R[upper])
         ops.append(R)
-    return tuple(ops)
+    return tuple(ops), disk
 
 
 def _polar_grid_integral(det: DetectorModel, N: int, r_lo, r_hi, th_lo, th_hi, n_r, n_th):
@@ -193,27 +146,20 @@ def _general_regions(det: DetectorModel, delta_a: float, N: int) -> tuple[np.nda
     return tuple(ops)
 
 
-def _regions(det: DetectorModel, delta_a: float, N: int) -> tuple[str, tuple[np.ndarray, ...]]:
-    # The one branch on the detector: the name of the region path and the
-    # four operators it builds.
-    if delta_a < 0:
-        raise ValueError(f"postselection radius must be >= 0, got {delta_a}")
-    if N < 1:
-        raise ValueError("cutoff N must be >= 1")
-    if det.is_ideal():
-        return "ideal", _ideal_regions(delta_a, N)
-    if det.simple_case():
-        return "closed-form", _simple_regions(det, delta_a, N)
-    return "numeric", _general_regions(det, delta_a, N)
-
-
 def region_operators(det: DetectorModel, delta_a: float, N: int) -> tuple[np.ndarray, ...]:
-    """Key-map region operators R_0..R_3 in the truncated photon-number basis.
+    """Key-map region operators R_0..R_3 in the truncated photon-number basis:
+    the closed form for identical arms, the polar quadrature for distinct arms.
 
     With delta_a = 0 the four operators resolve the identity exactly at every
     truncation (diagonals are 1/4 each; off-diagonal sector phases telescope).
     """
-    return _regions(det, delta_a, N)[1]
+    if delta_a < 0:
+        raise ValueError(f"postselection radius must be >= 0, got {delta_a}")
+    if N < 1:
+        raise ValueError("cutoff N must be >= 1")
+    if det.simple_case():
+        return _identical_arm_operators(det, delta_a, N)[0]
+    return _general_regions(det, delta_a, N)
 
 
 def region_complement(det: DetectorModel, delta_a: float, N: int) -> np.ndarray:
@@ -221,13 +167,9 @@ def region_complement(det: DetectorModel, delta_a: float, N: int) -> np.ndarray:
     the full-circle angular integral kills every off-diagonal entry."""
     if delta_a < 0:
         raise ValueError(f"postselection radius must be >= 0, got {delta_a}")
-    if det.is_ideal():
-        diag = regularized_gamma(np.arange(N + 1) + 1, delta_a * delta_a)[0]
-        return np.diag(diag).astype(complex)
     if not det.simple_case():
         raise ValueError("disk complement implemented for identical arms only")
-    diag = _simple_disk_diagonal(det.eta_d, det.nbar_d, delta_a, N)
-    return np.diag(diag).astype(complex)
+    return np.diag(_identical_arm_operators(det, delta_a, N)[1]).astype(complex)
 
 
 def moment_observables(det: DetectorModel, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -258,6 +200,4 @@ def moment_observables(det: DetectorModel, N: int) -> tuple[np.ndarray, np.ndarr
 
 def observable_set(det: DetectorModel, delta_a: float, N: int) -> ObservableSet:
     """Moment observables plus region operators for one detector and radius."""
-    moments = moment_observables(det, N)
-    method, regions = _regions(det, delta_a, N)
-    return ObservableSet(*moments, regions, method)
+    return ObservableSet(*moment_observables(det, N), region_operators(det, delta_a, N), det)

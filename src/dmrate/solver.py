@@ -7,7 +7,9 @@ interior-point solver; the subproblem's dual vector, repaired to exact dual
 feasibility by shifting the trace-constraint coordinate, turns the
 linearization into a valid lower bound on the true minimum (weak duality +
 convexity).  The best bound over all iterations is reported, so even a run
-stopped at the iteration cap is certified.
+stopped at the iteration cap, or by a subproblem that fails its usability
+check ("subproblem_failure") or its atom polish ("polish_failure"), is
+certified.
 """
 
 from __future__ import annotations
@@ -177,11 +179,18 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
 
     for iterations in range(1, MAX_ITERS + 1):
         sub = solve_sdp(grad, ops, b_sub, max_iters=IPM_MAX_ITERS)
+        # Any finite dual vector, once repaired, certifies a bound, since dual
+        # feasibility does not involve the constraint values; so the bound is
+        # taken before the checks below, which only judge the direction.
+        if np.isfinite(sub.y).all():
+            lower_k = f - float(np.einsum("ab,ba->", rho, grad).real) + _repaired_dual_bound(
+                grad, ops, b, sub.y, trace_pos
+            )
+            best_lower = max(best_lower, lower_k)
         # A slightly loose subproblem is still usable: the direction only
         # needs near-feasibility, and the dual repair keeps the bound valid.
         if not (sub.converged or (sub.primal_residual < 1e-6 and sub.dual_residual < 1e-6)):
             status = "subproblem_failure"
-            certified = False
             break
 
         sigma = hermitize(sub.x)
@@ -195,16 +204,10 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
             res_sigma = float(np.max(np.abs(np.einsum("iab,ba->i", ops, sigma).real - b_sub)))
             atom_tol = max(5e-8, min(1.5 * sub.primal_residual, 2e-6))
             if res_sigma > atom_tol or np.linalg.eigvalsh(sigma).min() < -1e-9:
-                status = "subproblem_failure"
-                certified = False
+                status = "polish_failure"
                 break
         gap = float(np.einsum("ab,ba->", rho - sigma, grad).real)
         gap = max(gap, 0.0)
-        lower_k = f - float(np.einsum("ab,ba->", rho, grad).real) + _repaired_dual_bound(
-            grad, ops, b, sub.y, trace_pos
-        )
-        best_lower = max(best_lower, lower_k)
-
         lower_history.append(best_lower)
 
         if ec_floor is not None and f < ec_floor:

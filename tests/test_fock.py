@@ -16,7 +16,6 @@ from dmrate.fock import (
     laguerre,
     quadrature_operators,
     regularized_gamma,
-    taylor_f,
 )
 from support.maps import hermitian_log
 
@@ -79,53 +78,6 @@ class TestHermite:
             expect = [hermite(ell, complex(v)) for v in z.ravel()]
             np.testing.assert_allclose(got.ravel(), expect, rtol=1e-14, atol=0)
         assert np.ndim(hermite(3, 0.2 + 0.1j)) == 0
-
-
-class TestTaylorF:
-    def test_constant_term_is_one(self):
-        for a, alpha, k in [(0.3, 1.0, 0.5), (2.0, 0.0, 1.0), (1.0, 3.0, 1.5)]:
-            assert taylor_f(0, a, alpha, k) == 1.0
-
-    def test_linear_coefficient(self):
-        # t-coefficient = (alpha - k) + (k + 1)(1 + 1/a)
-        assert taylor_f(1, 1.0, 1.0, 1.0) == pytest.approx(4.0)
-
-    def test_against_symbolic_expansion(self):
-        sympy = pytest.importorskip("sympy")
-        t = sympy.symbols("t")
-        cases = [(3, 0.5, 2.0, 1.0), (5, 1.3, 2.0, 1.0), (4, 0.7, 0.0, 1.0), (6, 0.9, 3.0, 1.5)]
-        for n, a, alpha, k in cases:
-            expr = (1 - t) ** (sympy.Rational(-alpha + k)) * (1 - (1 + sympy.Rational(1, 1) / sympy.nsimplify(a)) * t) ** (
-                sympy.Rational(-(k + 1))
-            )
-            ref = float(sympy.series(expr, t, 0, n + 1).coeff(t, n))
-            assert taylor_f(n, a, alpha, k) == pytest.approx(ref, rel=1e-10)
-
-    def test_closed_form_sum(self):
-        # f_n(a, alpha, k) = sum_m C(alpha-k+m-1, m) C(k+n-m, n-m) (1+1/a)^(n-m)
-        def binom(s, m):
-            out = 1.0
-            for i in range(m):
-                out *= (s - i) / (m - i)
-            return out
-
-        rng = np.random.default_rng(4)
-        for _ in range(30):
-            n = int(rng.integers(0, 13))
-            a = float(rng.uniform(0.2, 3.0))
-            alpha = float(rng.integers(0, 5))
-            k = alpha / 2.0
-            ref = sum(
-                binom(alpha - k + m - 1, m) * binom(k + n - m, n - m) * (1 + 1 / a) ** (n - m)
-                for m in range(n + 1)
-            )
-            assert taylor_f(n, a, alpha, k) == pytest.approx(ref, rel=1e-9, abs=1e-12)
-
-    def test_invalid_a_rejected(self):
-        with pytest.raises(ValueError):
-            taylor_f(2, 0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            taylor_f(2, -1.0, 1.0, 1.0)
 
 
 class TestSpecialFunctions:

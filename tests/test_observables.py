@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from scipy import integrate
 from dmrate.detector import DetectorModel, povm_weighted_sum
 from dmrate.fock import displaced_thermal_matrix, laguerre, quadrature_operators
 from dmrate.observables import (
-    _disk_head,
+    _general_regions,
     moment_observables,
     observable_set,
     region_complement,
@@ -80,9 +82,32 @@ class TestRegionOperators:
     def test_completeness_with_disk_property(self, eta, nu, delta_a, N):
         det = DetectorModel.simple(eta, nu)
         disk = region_complement(det, delta_a, N)
-        total = sum(region_operators(det, delta_a, N)) + disk
+        regions = region_operators(det, delta_a, N)
+        total = sum(regions) + disk
         assert np.max(np.abs(total - np.eye(N + 1))) < 1e-12
         assert np.all(np.diag(disk).real >= 0.0) and np.all(np.diag(disk).real <= 1.0 + 1e-12)
+        for R in regions:
+            assert np.linalg.eigvalsh(R).min() >= -1e-12
+
+    @pytest.mark.parametrize("det", [SIMPLE, NOISY], ids=["simple", "noisy"])
+    @pytest.mark.parametrize("delta_a", [0.0, 0.5, 1.5])
+    def test_closed_form_against_polar_quadrature(self, det, delta_a):
+        # The distinct-arm path run on identical arms is an independent
+        # construction of the same operators.
+        got = region_operators(det, delta_a, 12)
+        ref = _general_regions(det, delta_a, 12)
+        for R, R_ref in zip(got, ref):
+            assert np.max(np.abs(R - R_ref)) < 1e-10
+
+    def test_continuous_at_ideal_detector(self):
+        # A detector a hair away from ideal takes the same closed form as the
+        # ideal detector, with nbar_d = 1e-13 in place of 0.
+        near = DetectorModel(1.0, 1.0, 1e-13, 1e-13)
+        for delta_a in (0.0, 0.5, 1.5):
+            for R, R_ideal in zip(region_operators(near, delta_a, 12), region_operators(IDEAL, delta_a, 12)):
+                assert np.max(np.abs(R - R_ideal)) < 1e-12
+            disk = region_complement(near, delta_a, 12)
+            assert np.max(np.abs(disk - region_complement(IDEAL, delta_a, 12))) < 1e-12
 
     def test_thermal_mass_against_quadrature_ideal(self):
         N, delta_a = 12, 0.6
@@ -120,22 +145,53 @@ class TestRegionOperators:
 class TestDiskIntegral:
     @pytest.mark.parametrize("det", [SIMPLE, NOISY], ids=["simple", "noisy"])
     def test_closed_form_against_quadrature(self, det):
-        # integral_0^delta exp(-r^2/A) L_m^(k)(-r^2/B) r^(k+1) dr for every
-        # (m, k) with m + k <= 20, against adaptive quadrature.
+        # G_y = (1/(pi eta)) times the thermal state of occupation nbar
+        # displaced to y/sqrt(eta); in polar coordinates y = r e^{i theta} its
+        # (m, n) entry, m <= n, is
+        #   (eta^{-(n-m)/2}/(pi eta)) sqrt(m!/n!) nbar^m/(1+nbar)^{n+1}
+        #   e^{i(m-n) theta} exp(-r^2/A) L_m^(n-m)(-r^2/B) r^(n-m)
+        # with A = eta(1+nbar), B = eta nbar(1+nbar).  The disk diagonal
+        # integrates it over the disk r < delta_a; R_0 integrates it over
+        # r > delta_a and the sector |theta| < pi/4, whose angular integral
+        # 2 sin(k pi/4)/k (k = m - n) vanishes for k = 0 mod 4.  The radial
+        # integrals are checked against adaptive quadrature for every
+        # m <= n <= 20.
         eta, nbar = det.eta_d, det.nbar_d
         A, B = eta * (1 + nbar), eta * nbar * (1 + nbar)
+        N = 20
+
+        def radial(m, n, lo, hi):
+            ref, _ = integrate.quad(
+                lambda r: np.exp(-r * r / A) * laguerre(m, n - m, -r * r / B) * r ** (n - m + 1),
+                lo,
+                hi,
+                epsabs=0.0,
+                epsrel=1e-13,
+                limit=200,
+            )
+            return ref
+
         for delta_a in DISK_RADII:
-            for m in range(21):
-                for k in range(21 - m):
-                    ref, _ = integrate.quad(
-                        lambda r: np.exp(-r * r / A) * laguerre(m, k, -r * r / B) * r ** (k + 1),
-                        0.0,
-                        delta_a,
-                        epsabs=0.0,
-                        epsrel=1e-13,
-                        limit=200,
+            disk = np.diag(region_complement(det, delta_a, N)).real
+            R0 = region_operators(det, delta_a, N)[0]
+            for m in range(N + 1):
+                scale = 2.0 / eta * nbar**m / (1 + nbar) ** (m + 1)
+                assert disk[m] / scale == pytest.approx(radial(m, m, 0.0, delta_a), rel=1e-12, abs=0.0)
+                for n in range(m + 1, N + 1):
+                    k = m - n
+                    if k % 4 == 0:
+                        continue
+                    scale = (
+                        eta ** (-(n - m) / 2)
+                        / (np.pi * eta)
+                        * math.sqrt(math.factorial(m) / math.factorial(n))
+                        * nbar**m
+                        / (1 + nbar) ** (n + 1)
+                        * 2
+                        * np.sin(k * np.pi / 4)
+                        / k
                     )
-                    assert _disk_head(m, k, A, B, delta_a) == pytest.approx(ref, rel=1e-12, abs=0.0)
+                    assert R0[m, n].real / scale == pytest.approx(radial(m, n, delta_a, np.inf), rel=1e-12, abs=0.0)
 
 
 def polar_moment_quadrature(det, N, n_r=120, n_th=60, r_hi=12.0):
@@ -208,7 +264,7 @@ class TestGeneralNumericPath:
         # nonnegative weights) are positive semidefinite.
         N = 12
         obs = observable_set(self.GENERAL, 0.0, N)
-        assert obs.method == "numeric"
+        assert obs.detector is self.GENERAL
         total = sum(obs.regions)
         assert np.max(np.abs(total - np.eye(N + 1))) < 1e-8
         for M in (obs.fq, obs.fp, obs.sq, obs.sp):
@@ -226,7 +282,7 @@ class TestGeneralNumericPath:
         # Numeric regions, closed-form moments: the vacuum reads each arm's
         # shot noise plus its electronic noise.
         obs = observable_set(self.GENERAL, 0.0, 2)
-        assert obs.method == "numeric"
+        assert obs.detector is self.GENERAL
         assert obs.sq[0, 0] == 1 + self.GENERAL.nu1
         assert obs.sp[0, 0] == 1 + self.GENERAL.nu2
         assert obs.fq[0, 0] == 0.0
@@ -236,5 +292,5 @@ class TestObservableSet:
     def test_assembly(self):
         obs = observable_set(SIMPLE, 0.4, 7)
         assert obs.regions is not None and len(obs.regions) == 4
-        assert obs.method == "closed-form"
+        assert obs.detector is SIMPLE
         assert obs.fq.shape == (8, 8)

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from dmrate import solver
 from dmrate.channel import ChannelModel, ProtocolParams, simulate_statistics
 from dmrate.constraints import ConstraintSet, build_constraints
 from dmrate.detector import DetectorModel
@@ -66,6 +69,41 @@ class TestSolve:
             feas = solve_sdp(c_rand, ops[kept], cs.values[kept])
             slack = float(np.einsum("ab,ba->", feas.x - res.rho, grad).real)
             assert slack >= -max(10 * res.gap, 1e-5)
+
+
+class TestFailedChecks:
+    # A subproblem check that fails ends the run, but the subproblem's dual
+    # vector, once repaired, still certifies a bound.  Each case loosens the
+    # subproblem results; "polish" also spoils the atom polish (the
+    # _feasible_start call with 60 rounds), so the polished atom misses its
+    # tolerance.
+    @pytest.mark.parametrize(
+        "loosen, status",
+        [
+            ({"primal_residual": 1e-7}, "polish_failure"),
+            ({"status": "stalled", "primal_residual": 1e-3}, "subproblem_failure"),
+        ],
+        ids=["polish", "subproblem"],
+    )
+    def test_bound_survives_failed_check(self, monkeypatch, loosen, status):
+        cs, maps = setup_problem(cutoff=5)
+        solve_sdp_exact, feasible_start_exact = solver.solve_sdp, solver._feasible_start
+
+        def loose_solve_sdp(*args, **kwargs):
+            return replace(solve_sdp_exact(*args, **kwargs), **loosen)
+
+        def spoiled_polish(rho, ops, b, rounds=400):
+            out = feasible_start_exact(rho, ops, b, rounds)
+            return 2.0 * out if rounds == 60 else out
+
+        monkeypatch.setattr(solver, "solve_sdp", loose_solve_sdp)
+        monkeypatch.setattr(solver, "_feasible_start", spoiled_polish)
+        res = solve(cs, maps)
+        assert res.status == status
+        assert res.iterations == 1
+        assert np.isfinite(res.lower_bound)
+        assert res.certified
+        assert res.lower_bound <= res.primal_value
 
 
 class TestSanityRuns:
