@@ -3,8 +3,9 @@ protocol with trusted (or untrusted) detector noise.
 
 Pipeline: simulate channel statistics -> build detector observables in the
 truncated Fock basis -> assemble the convex relative-entropy minimization ->
-solve with Frank-Wolfe over a dense interior-point subproblem -> certify a
-lower bound and subtract the error-correction cost.
+solve with Frank-Wolfe over a dense interior-point subproblem, on the state
+reduced by the protocol's symmetry to a few real blocks -> certify a lower
+bound and subtract the error-correction cost.
 """
 
 from .channel import ChannelModel, ProtocolParams

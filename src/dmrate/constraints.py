@@ -30,14 +30,18 @@ DIM_A = 4
 class ConstraintSet:
     """Equality constraints Tr(rho Gamma_i) = c_i: the Gamma_i stacked as a
     read-only (m, n, n) array, the c_i as a read-only (m,) array, and one
-    label per row.  Every entry must be finite (else ValueError)."""
+    label per row.  Every entry must be finite (else ValueError).  The
+    operators are copied, unless they already are a read-only complex array
+    that owns its data, which is kept as it is."""
 
     operators: np.ndarray
     values: np.ndarray
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        ops = np.array(self.operators, dtype=complex)
+        ops = self.operators
+        owned = isinstance(ops, np.ndarray) and ops.dtype == complex and ops.flags.owndata and not ops.flags.writeable
+        ops = ops if owned else np.array(ops, dtype=complex)
         values = np.array(self.values, dtype=float)
         m = len(self.labels)
         if ops.shape[:1] != (m,) or ops.ndim != 3 or ops.shape[1] != ops.shape[2] or values.shape != (m,):
@@ -72,10 +76,6 @@ def check_mode(mode: str) -> None:
         raise ValueError(f"mode must be 'trusted' or 'untrusted', got {mode!r}")
 
 
-def _embed(op_a: np.ndarray, dim_b: int) -> np.ndarray:
-    return np.kron(op_a, np.eye(dim_b, dtype=complex))
-
-
 def build_constraints(
     stats: SimulatedStatistics, obs: ObservableSet, pp: ProtocolParams, mode: str = "trusted"
 ) -> ConstraintSet:
@@ -94,32 +94,37 @@ def build_constraints(
     dim_b = obs.fq.shape[0]
     if dim_b != pp.cutoff + 1:
         raise ValueError(f"observable dimension {dim_b} does not match cutoff {pp.cutoff}")
-    dim = DIM_A * dim_b
     rho_a = alice_gram(pp)
+    moments = (("FQ", obs.fq, stats.fq), ("FP", obs.fp, stats.fp), ("SQ", obs.sq, stats.sq), ("SP", obs.sp, stats.sp))
 
-    # The trace comes first: the solver's dual repair shifts row 0.
-    rows: list[tuple[np.ndarray, float, str]] = [(np.eye(dim, dtype=complex), 1.0, "trace")]
+    # One array, filled in place through its (A, B, A, B) view.  The trace
+    # comes first: the solver's dual repair shifts row 0.
+    m = 1 + DIM_A * DIM_A + len(moments) * DIM_A
+    ops = np.zeros((m, DIM_A * dim_b, DIM_A * dim_b), dtype=complex)
+    blocks = ops.reshape(m, DIM_A, dim_b, DIM_A, dim_b)
+    eye_b = np.eye(dim_b)
+    values = np.empty(m)
+    labels = ["trace"]
+    values[0] = 1.0
+    for x in range(DIM_A):
+        blocks[0, x, :, x, :] = eye_b
+
+    def row(label: str, value: float) -> int:
+        labels.append(label)
+        values[len(labels) - 1] = value
+        return len(labels) - 1
 
     for i in range(DIM_A):
-        e_ii = np.zeros((DIM_A, DIM_A), dtype=complex)
-        e_ii[i, i] = 1.0
-        rows.append((_embed(e_ii, dim_b), rho_a[i, i].real, f"ptrace-d{i}"))
+        blocks[row(f"ptrace-d{i}", rho_a[i, i].real), i, :, i, :] = eye_b
     for i in range(DIM_A):
         for j in range(i + 1, DIM_A):
-            re_op = np.zeros((DIM_A, DIM_A), dtype=complex)
-            re_op[i, j] = re_op[j, i] = 1.0
-            rows.append((_embed(re_op, dim_b), 2 * rho_a[i, j].real, f"ptrace-re{i}{j}"))
-            im_op = np.zeros((DIM_A, DIM_A), dtype=complex)
-            im_op[i, j] = 1.0j
-            im_op[j, i] = -1.0j
-            rows.append((_embed(im_op, dim_b), 2 * rho_a[i, j].imag, f"ptrace-im{i}{j}"))
-
-    moments = (("FQ", obs.fq, stats.fq), ("FP", obs.fp, stats.fp), ("SQ", obs.sq, stats.sq), ("SP", obs.sp, stats.sp))
+            r = row(f"ptrace-re{i}{j}", 2 * rho_a[i, j].real)
+            blocks[r, i, :, j, :] = blocks[r, j, :, i, :] = eye_b
+            r = row(f"ptrace-im{i}{j}", 2 * rho_a[i, j].imag)
+            blocks[r, i, :, j, :] = 1j * eye_b
+            blocks[r, j, :, i, :] = -1j * eye_b
     for name, op_b, stat in moments:
         for x in range(DIM_A):
-            proj = np.zeros((DIM_A, DIM_A), dtype=complex)
-            proj[x, x] = 1.0
-            rows.append((np.kron(proj, op_b), pp.PRIORS[x] * stat[x], f"moment-{name}-x{x}"))
-
-    ops, values, labels = zip(*rows)
-    return ConstraintSet(np.stack(ops), np.array(values), labels)
+            blocks[row(f"moment-{name}-x{x}", pp.PRIORS[x] * stat[x]), x, :, x, :] = op_b
+    ops.setflags(write=False)
+    return ConstraintSet(ops, values, tuple(labels))

@@ -1,19 +1,25 @@
-"""Objective D(G(rho) || Z(G(rho))) and its gradient, in bits.
+"""Objective D(G(rho) || Z(G(rho))) and its gradient, in bits, on the
+symmetry-reduced state.
 
-Everything is computed on the column space of the Kraus operator: with
-W+W = K+K, the spectrum of G(rho) equals the spectrum of W rho W+, and the
-register-diagonal blocks of G(rho) are E_z rho E_z+ with
-E_z = 1_A (x) sqrt(R_z).  No operator on the full register space is ever
-formed.  At cutoff 12, on one BLAS thread of a 2-core x86-64 Xeon, one
-value-and-gradient evaluation takes about 3.5 ms and one line evaluation
-1.1-1.6 ms.
+rho is a stack of K real blocks B_j (see `maps`).  With W_j^T W_j the j-th
+block of K+K, the spectrum of G(rho) is the union of the spectra of
+W_j B_j W_j^T.  The register-diagonal blocks E_z rho E_z+ of G(rho) are
+unitarily equivalent within each orbit of key values, so one orbit
+representative F_r, weighted by its orbit size, stands for them:
+E_r rho E_r+ ~ sum_j F_r[j] B_j F_r[j]^T.  The gradient at an invariant state
+is invariant, so it is a stack of real blocks too.  No operator on the full
+register space is ever formed.  At cutoff 12, on one BLAS thread of a 2-core
+x86-64 machine, one value-and-gradient evaluation takes about 0.8 ms and one
+line evaluation about 0.26 ms with identical detector arms (4 blocks, one
+pinched block), and 1.6 ms and 0.5 ms with distinct arms (2 blocks, two
+pinched blocks).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fock import CLAMP_REL, hermitize
+from .fock import CLAMP_REL
 from .maps import PostprocessingMaps
 
 __all__ = ["objective_with_gradient", "line_objective", "PERTURBATION"]
@@ -26,14 +32,15 @@ PERTURBATION = 1e-9
 
 
 def _perturb(rho: np.ndarray) -> np.ndarray:
-    d = rho.shape[0]
-    return (1.0 - PERTURBATION) * rho + (PERTURBATION / d) * np.eye(d, dtype=complex)
+    # dim is the dimension of A (x) B, the sum of the block sizes.
+    n_blocks, d = rho.shape[:2]
+    return (1.0 - PERTURBATION) * rho + (PERTURBATION / (n_blocks * d)) * np.eye(d)
 
 
 def _clamp(w: np.ndarray) -> np.ndarray:
-    # Ascending eigenvalues floored at CLAMP_REL * lambda_max (at 1e-300 if
-    # none is positive), so that their logs stay finite.
-    top = float(w[-1])
+    # Eigenvalues floored at CLAMP_REL * their largest (at 1e-300 if none is
+    # positive), so that their logs stay finite.
+    top = float(np.max(w))
     return np.maximum(w, CLAMP_REL * top if top > 0 else 1e-300)
 
 
@@ -44,42 +51,51 @@ def _entropy_sum(w: np.ndarray) -> float:
 
 
 def _clamped_log(mat: np.ndarray) -> tuple[np.ndarray, float]:
+    # log of a symmetric matrix or of a stack of blocks, clamped jointly.
     w, u = np.linalg.eigh(mat)
     w = _clamp(w)
     log_w = np.log(w)
-    return (u * log_w) @ u.conj().T, float(np.sum(w * log_w))
+    return (u * log_w[..., None, :]) @ u.swapaxes(-1, -2), float(np.sum(w * log_w))
+
+
+def _pinched(factor: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    # sum_j F[j] B_j F[j]^T, one representative pinched block of G(rho), as
+    # one product [F_0 B_0, F_1 B_1, ...] [F_0, F_1, ...]^T.
+    n = factor.shape[1]
+    return (factor @ rho).transpose(1, 0, 2).reshape(n, -1) @ factor.transpose(1, 0, 2).reshape(n, -1).T
 
 
 def objective_with_gradient(rho: np.ndarray, maps: PostprocessingMaps) -> tuple[float, np.ndarray]:
-    """Objective in bits and its gradient G+[log2 G(rho)] - G+[log2 Z(G(rho))].
-
-    rho is a Hermitian state on A (x) B; the caller guarantees it."""
-    rho = _perturb(np.asarray(rho, dtype=complex))
-    w = maps.w_coords
-    log_sigma, term1 = _clamped_log(w @ rho @ w.conj().T)
-    grad = w.conj().T @ log_sigma @ w
+    """Objective in bits and its gradient G+[log2 G(rho)] - G+[log2 Z(G(rho))],
+    both on the (K, d, d) stack of real blocks; rho is a symmetric stack of
+    unit total trace, which the caller guarantees."""
+    rho = _perturb(rho)
+    w = maps.kraus_factor
+    log_sigma, term1 = _clamped_log(w @ rho @ w.swapaxes(1, 2))
+    grad = w.swapaxes(1, 2) @ log_sigma @ w
     term2 = 0.0
-    for blk in maps.blocks:
-        log_tau, ent = _clamped_log(blk @ rho @ blk.conj().T)
-        term2 += ent
-        grad -= blk.conj().T @ log_tau @ blk
-    return (term1 - term2) / LN2, hermitize(grad) / LN2
+    for factor, weight in zip(maps.pinch_factors, maps.pinch_weights):
+        log_tau, ent = _clamped_log(_pinched(factor, rho))
+        term2 += weight * ent
+        grad -= weight * (factor.swapaxes(1, 2) @ log_tau @ factor)
+    return (term1 - term2) / LN2, 0.5 * (grad + grad.swapaxes(1, 2)) / LN2
 
 
 def line_objective(rho: np.ndarray, delta: np.ndarray, maps: PostprocessingMaps):
-    """Callable t -> objective(rho + t delta) with the transformed endpoint
-    matrices precomputed, for cheap exact line searches."""
-    w = maps.w_coords
+    """Callable t -> objective(rho + t delta) on the stack, with the
+    transformed endpoint matrices precomputed, for cheap exact line
+    searches."""
+    w = maps.kraus_factor
     rho = _perturb(rho)
-    sig0 = w @ rho @ w.conj().T
-    sigd = (1.0 - PERTURBATION) * (w @ delta @ w.conj().T)
-    tau0 = [blk @ rho @ blk.conj().T for blk in maps.blocks]
-    taud = [(1.0 - PERTURBATION) * (blk @ delta @ blk.conj().T) for blk in maps.blocks]
+    sig0 = w @ rho @ w.swapaxes(1, 2)
+    sigd = (1.0 - PERTURBATION) * (w @ delta @ w.swapaxes(1, 2))
+    tau0 = [_pinched(f, rho) for f in maps.pinch_factors]
+    taud = [(1.0 - PERTURBATION) * _pinched(f, delta) for f in maps.pinch_factors]
 
     def phi(t: float) -> float:
         val = _entropy_sum(np.linalg.eigvalsh(sig0 + t * sigd))
-        for a, b in zip(tau0, taud):
-            val -= _entropy_sum(np.linalg.eigvalsh(a + t * b))
+        for a, b, weight in zip(tau0, taud, maps.pinch_weights):
+            val -= weight * _entropy_sum(np.linalg.eigvalsh(a + t * b))
         return val / LN2
 
     return phi

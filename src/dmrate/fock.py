@@ -107,8 +107,9 @@ def regularized_gamma(a, x):
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """(m + m+)/2: the Hermitian part, exactly Hermitian afterwards."""
-    return 0.5 * (m + m.conj().T)
+    """(m + m+)/2: the Hermitian part, exactly Hermitian afterwards; for a
+    stack of matrices, of every matrix in it."""
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 def check_hermitian(m: np.ndarray) -> np.ndarray:

@@ -19,13 +19,15 @@ __all__ = ["evaluate_point", "cutoff_stability", "point_artifacts"]
 @lru_cache(maxsize=32)
 def _cached_artifacts(det: DetectorModel, delta_a: float, cutoff: int) -> tuple[ObservableSet, PostprocessingMaps]:
     obs = observable_set(det, delta_a, cutoff)
-    return obs, build_postprocessing_maps(obs.regions)
+    return obs, build_postprocessing_maps(obs.regions, det.simple_case())
 
 
 def point_artifacts(det: DetectorModel, pp: ProtocolParams, mode: str):
     """Observables and postprocessing maps for one grid point.  This is where
     the scenario is decided: untrusted noise reads the data as an ideal
-    detector's, so it takes the ideal detector's observables and regions."""
+    detector's, so it takes the ideal detector's observables and regions.
+    The detector also fixes the symmetry group of the solve: the quarter
+    turn for identical arms, the half turn for distinct ones."""
     check_mode(mode)
     eff_det = det if mode == "trusted" else DetectorModel.ideal()
     return _cached_artifacts(eff_det, pp.delta_a, pp.cutoff)

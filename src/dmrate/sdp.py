@@ -1,13 +1,19 @@
-"""Dense primal-dual interior-point solver for small Hermitian SDPs.
+"""Dense primal-dual interior-point solver for small SDPs over a direct sum
+of PSD blocks.
 
-Standard form:  minimize  <C, X>
-                s.t.      <A_i, X> = b_i,  i = 1..m,   X >= 0  (Hermitian PSD)
+Standard form:  minimize  sum_k <C_k, X_k>
+                s.t.      sum_k <A_ik, X_k> = b_i,  i = 1..m,   X_k >= 0
 
-HKM scaling with Mehrotra predictor-corrector and infeasible start.  Problem
-sides here are at most a few hundred, and m a few dozen, so a dense Schur
-complement is the right tool; no external solver is involved.  Weak duality
-makes the returned dual vector usable as a certificate: any y with
-sum_i y_i A_i <= C bounds the optimum below by b.y.
+Every C_k, A_ik and X_k is a d x d real symmetric (or complex Hermitian)
+block, kept in stacked (K, d, d) and (m, K, d, d) arrays: the key-rate
+solver works on the symmetry-reduced state, K real blocks.  A single (n, n)
+matrix with (m, n, n) operators is the case K = 1.  HKM scaling with
+Mehrotra predictor-corrector and infeasible start.  m is a few dozen at
+most, so the Schur complement M_ij = sum_k Re Tr(A_ik X_k A_jk S_k^-1) is
+dense; every factorization is batched over the blocks, and no external
+solver is involved.  Weak duality makes the returned dual vector usable as
+a certificate: any y with sum_i y_i A_ik <= C_k for every k bounds the
+optimum below by b.y.
 """
 
 from __future__ import annotations
@@ -47,10 +53,12 @@ class SdpResult:
 
 def independent_rows(ops: np.ndarray) -> list[int]:
     """Indices of a maximal linearly independent subset of the constraint
-    operators, chosen greedily in order (earlier rows win ties)."""
+    operators (the first axis of ``ops``), chosen greedily in order (earlier
+    rows win ties)."""
     m = ops.shape[0]
     vecs = ops.reshape(m, -1)
-    vecs = np.concatenate([vecs.real, vecs.imag], axis=1)
+    if np.iscomplexobj(vecs):
+        vecs = np.concatenate([vecs.real, vecs.imag], axis=1)
     kept: list[int] = []
     basis: list[np.ndarray] = []
     for i in range(m):
@@ -69,15 +77,21 @@ def independent_rows(ops: np.ndarray) -> list[int]:
     return kept
 
 
+def _adj(a: np.ndarray) -> np.ndarray:
+    # Conjugate transpose of every block.
+    a = a.swapaxes(-1, -2)
+    return a.conj() if np.iscomplexobj(a) else a
+
+
 def _trace_prod(a: np.ndarray, b: np.ndarray) -> float:
-    # Re Tr(ab) without forming the product.
-    return float((a.ravel() @ b.T.ravel()).real)
+    # sum_k Re Tr(a_k b_k) for Hermitian a, without forming the products.
+    return float(np.vdot(a, b).real)
 
 
 def _max_step(chol_inv: np.ndarray, direction: np.ndarray) -> float:
-    # Largest alpha with M + alpha * D >= 0, via the whitened direction
-    # L^-1 D L^-H, where M = L L^H and chol_inv = L^-1.
-    w = chol_inv @ direction @ chol_inv.conj().T
+    # Largest alpha with M + alpha * D >= 0 in every block, via the whitened
+    # direction L^-1 D L^-H, where M = L L^H and chol_inv = L^-1.
+    w = chol_inv @ direction @ _adj(chol_inv)
     lam_min = float(np.linalg.eigvalsh(hermitize(w)).min())
     if lam_min >= -1e-14:
         return np.inf
@@ -90,39 +104,49 @@ def solve_sdp(
     b: np.ndarray,
     max_iters: int = 100,
 ) -> SdpResult:
-    """Solve the standard-form SDP; ops has shape (m, n, n), all Hermitian.
+    """Solve the standard-form SDP: c_mat is a (K, d, d) stack of blocks and
+    ops an (m, K, d, d) stack of constraints, or c_mat one (n, n) matrix and
+    ops (m, n, n).  x and s come back in the shape of c_mat.
 
     Constraints are normalized to unit Frobenius norm internally; the
     returned dual vector refers to the caller's original operators.
     """
-    n = c_mat.shape[0]
+    c_mat, ops = np.asarray(c_mat), np.asarray(ops)
+    single = c_mat.ndim == 2
+    if single:
+        c_mat, ops = c_mat[None], ops[:, None]
+    dtype = np.result_type(c_mat, ops, float)
+    n_blocks, n = c_mat.shape[:2]
+    dim = n_blocks * n
     m = ops.shape[0]
-    c_mat = hermitize(np.asarray(c_mat, dtype=complex))
-    norms = np.array([max(np.linalg.norm(a, "fro"), 1e-300) for a in ops])
-    ops = np.asarray(ops, dtype=complex) / norms[:, None, None]
+    c_mat = hermitize(c_mat.astype(dtype))
+    norms = np.maximum(np.linalg.norm(ops.reshape(m, -1), axis=1), 1e-300)
+    ops = ops.astype(dtype) / norms[:, None, None, None]
     b = np.asarray(b, dtype=float) / norms
 
-    ops_flat = ops.reshape(m, n * n)
-    ops_flat_t = np.ascontiguousarray(ops.transpose(0, 2, 1).reshape(m, n * n))
+    # Tr(A M) = vec(A^T) . vec(M), and A^T = conj(A) for Hermitian A.
+    ops_flat = ops.reshape(m, -1)
+    ops_flat_t = ops_flat.conj() if np.iscomplexobj(ops_flat) else ops_flat
+    eye = np.eye(n, dtype=dtype)
 
     def aop(mat: np.ndarray) -> np.ndarray:
-        # <A_i, mat> for all i; Tr(A_i M) = vec(A_i^T) . vec(M).
+        # sum_k <A_ik, mat_k> for all i.
         return (ops_flat_t @ mat.ravel()).real
 
     def amat(vec: np.ndarray) -> np.ndarray:
-        return (vec @ ops_flat).reshape(n, n)
+        return (vec @ ops_flat).reshape(n_blocks, n, n)
 
     def newton_step(x, y, s, r_p, r_d, mu, pinf, pobj):
         # One predictor-corrector step.  Each Cholesky factor is inverted
         # once; L^-1 whitens the step-length tests and gives S^-1 = L^-H L^-1.
         x_chol_inv = np.linalg.inv(np.linalg.cholesky(x))
         s_chol_inv = np.linalg.inv(np.linalg.cholesky(s))
-        s_inv = hermitize(s_chol_inv.conj().T @ s_chol_inv)
+        s_inv = hermitize(_adj(s_chol_inv) @ s_chol_inv)
 
-        # Schur complement M[i,j] = Re Tr(A_i X A_j S^-1), via batched matmul.
-        t_ops = np.matmul(np.matmul(x[None, :, :], ops), s_inv[None, :, :])
-        schur = (ops_flat_t @ t_ops.reshape(m, n * n).T).real
-        schur += (1e-13 * max(1.0, np.trace(schur).real / m)) * np.eye(m)
+        # Schur complement M[i,j] = sum_k Re Tr(A_ik X_k A_jk S_k^-1).
+        t_ops = x @ ops @ s_inv
+        schur = (ops_flat_t @ t_ops.reshape(m, -1).T).real
+        schur += (1e-13 * max(1.0, np.trace(schur) / m)) * np.eye(m)
 
         x_rd_sinv = x @ r_d @ s_inv
         base_rhs = r_p + aop(x_rd_sinv) + aop(x)
@@ -138,26 +162,26 @@ def solve_sdp(
         # Predictor, with one synchronized step length for both cones: letting
         # the dual race ahead collapses mu while the primal is still
         # infeasible, which is exactly the stall this avoids.
-        dx_a, dy_a, ds_a = direction(np.zeros((n, n), dtype=complex))
+        dx_a, dy_a, ds_a = direction(np.zeros_like(x))
         a_aff = min(1.0, _max_step(x_chol_inv, dx_a), _max_step(s_chol_inv, ds_a))
-        mu_aff = _trace_prod(x + a_aff * dx_a, s + a_aff * ds_a) / n
+        mu_aff = _trace_prod(x + a_aff * dx_a, s + a_aff * ds_a) / dim
         sigma = min(1.0, max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-8))
         if pinf > 10 * mu / (1 + abs(pobj)):
             sigma = max(sigma, 0.5)
 
         # Corrector.
-        comp = sigma * mu * np.eye(n, dtype=complex) - dx_a @ ds_a
+        comp = sigma * mu * eye - dx_a @ ds_a
         dx, dy, ds = direction(comp)
         tau = 0.9 if mu > 1e-4 else 0.98
         alpha = min(1.0, tau * _max_step(x_chol_inv, dx), tau * _max_step(s_chol_inv, ds))
         return hermitize(x + alpha * dx), y + alpha * dy, hermitize(s + alpha * ds)
 
-    x = max(1.0, float(np.max(np.abs(b))) * np.sqrt(n)) * np.eye(n, dtype=complex)
-    s = max(1.0, float(np.linalg.norm(c_mat, "fro")) / np.sqrt(n)) * np.eye(n, dtype=complex)
+    x = max(1.0, float(np.max(np.abs(b))) * np.sqrt(dim)) * np.broadcast_to(eye, c_mat.shape)
+    s = max(1.0, float(np.linalg.norm(c_mat)) / np.sqrt(dim)) * np.broadcast_to(eye, c_mat.shape)
     y = np.zeros(m)
 
     b_norm = 1.0 + np.linalg.norm(b)
-    c_norm = 1.0 + np.linalg.norm(c_mat, "fro")
+    c_norm = 1.0 + np.linalg.norm(c_mat)
 
     status = "max_iters"
     it = 0
@@ -166,17 +190,17 @@ def solve_sdp(
     for it in range(1, max_iters + 1):
         r_p = b - aop(x)
         r_d = c_mat - amat(y) - s
-        mu = _trace_prod(x, s) / n
+        mu = _trace_prod(x, s) / dim
         pobj = _trace_prod(c_mat, x)
         dobj = float(b @ y)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         pinf = np.linalg.norm(r_p) / b_norm
-        dinf = np.linalg.norm(r_d, "fro") / c_norm
+        dinf = np.linalg.norm(r_d) / c_norm
 
         merit = pinf + dinf + mu / (1.0 + abs(pobj))
         if merit < best_merit:
             best_merit = merit
-            best = (x.copy(), y.copy(), s.copy())
+            best = (x, y, s)
 
         if pinf < TOL and dinf < TOL and (gap < 10 * TOL or mu / (1 + abs(pobj)) < TOL):
             status = "optimal"
@@ -198,14 +222,14 @@ def solve_sdp(
     pobj = _trace_prod(c_mat, x)
     dobj = float(b @ y)
     return SdpResult(
-        x=x,
+        x=x[0] if single else x,
         y=y / norms,
-        s=s,
+        s=s[0] if single else s,
         status=status,
         iterations=it,
         primal_obj=pobj,
         dual_obj=dobj,
         gap=abs(pobj - dobj),
         primal_residual=float(np.linalg.norm(r_p * norms, np.inf)),
-        dual_residual=float(np.linalg.norm(r_d, "fro")),
+        dual_residual=float(np.linalg.norm(r_d)),
     )

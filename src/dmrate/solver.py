@@ -1,5 +1,13 @@
 """Frank-Wolfe minimization of the relative-entropy objective with a
-certified lower bound.
+certified lower bound, on the symmetry-reduced state.
+
+The state is the stack of real blocks of `maps`.  Once per solve every
+constraint row Gamma_i is reduced to its blocks (those of its group average
+T(Gamma_i)), and the rows are checked to be closed under the group: every
+T(Gamma_i) must lie in the span of the rows, and every relation among the
+reduced rows must hold for the values.  Then the twirl of any feasible state
+is feasible, the objective is convex and invariant, and the minimum over
+invariant states is the minimum over all states; otherwise ValueError.
 
 Each iteration linearizes the objective at the current feasible state and
 solves min <sigma, grad> over the constrained PSD set with the dense
@@ -9,7 +17,11 @@ linearization into a valid lower bound on the true minimum (weak duality +
 convexity).  The best bound over all iterations is reported, so even a run
 stopped at the iteration cap, or by a subproblem that fails its usability
 check ("subproblem_failure") or its atom polish ("polish_failure"), is
-certified.
+certified.  Every atom, and the last iterate, is corrected onto the rows in
+its own metric where that is possible, so the primal value is taken at a
+state that meets the rows exactly and stays above the bound.
+The returned state is lifted back to A (x) B, and its residual is taken
+against the original rows.
 """
 
 from __future__ import annotations
@@ -29,6 +41,10 @@ __all__ = ["KeyRateResult", "InfeasibleError", "solve", "key_rate"]
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 GAP_TOL = 1e-6  # bits
 MAX_ITERS = 300
+# Rounds of alternating projection for the start point and for an atom's
+# first polish.
+FEASIBLE_ROUNDS = 400
+POLISH_ROUNDS = 60
 LINE_SEARCH_POINTS = 20
 IPM_MAX_ITERS = 100
 # Stop once the certified bound has improved by less than this (bits) over
@@ -36,6 +52,14 @@ IPM_MAX_ITERS = 100
 # iterations past its plateau only polish the primal.
 BOUND_PLATEAU_TOL = 2.5e-7
 BOUND_PLATEAU_WINDOW = 15
+# Closure of the rows under the symmetry group: the largest component of a
+# normalized row's group average outside the row span, and the largest
+# mismatch of a normalized value, that the solver accepts.
+CLOSURE_TOL = 1e-9
+# Eigenvalues of the rows' normalized Gram matrix below this fraction of the
+# largest belong to exact dependencies (the trace is the sum of the
+# ptrace-d rows).
+RANK_CUT = 1e-12
 
 
 class InfeasibleError(RuntimeError):
@@ -101,32 +125,118 @@ def _line_search(phi, f0: float) -> tuple[float, float]:
     return best_t, best_f
 
 
-def _affine_project(rho: np.ndarray, ops: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Minimum-Frobenius-norm correction onto the affine subspace A(rho) = b.
+def _reduced_rows(cs: ConstraintSet, maps: PostprocessingMaps) -> tuple[np.ndarray, list[int]]:
+    """The real blocks of every row (filled row by row into one array) and
+    the indices of an independent subset; ValueError unless the rows and
+    values are closed under the symmetry group of the maps."""
+    m = len(cs.labels)
+    flat = cs.operators.reshape(m, -1)
+    red = np.empty((m, *maps.kraus_factor.shape))
+    gram = np.empty((m, m))  # <Gamma_i, Gamma_j>
+    for i, op in enumerate(cs.operators):
+        red[i] = maps.reduce(op)
+        gram[i] = (flat @ flat[i].conj()).real
+    scale = np.sqrt(np.diag(gram))
+    scale[scale == 0.0] = 1.0
+    red_flat = red.reshape(m, -1)
+    # Rows whose group average vanishes constrain no invariant state.
+    red_flat[np.linalg.norm(red_flat, axis=1) <= CLOSURE_TOL * scale] = 0.0
+    unit = np.outer(scale, scale)
+    gram, gram_red = gram / unit, (red_flat @ red_flat.T) / unit
+
+    # T(Gamma_i) in the span of the rows: its component outside the span,
+    # |T Gamma_i|^2 - h_i G^+ h_i with h_ij = <Gamma_j, T Gamma_i>
+    # = <T Gamma_j, T Gamma_i>, vanishes.
+    w, v = np.linalg.eigh(gram)
+    v = v[:, w > RANK_CUT * w[-1]] / np.sqrt(w[w > RANK_CUT * w[-1]])
+    outside = np.diag(gram_red) - np.sum((v.T @ gram_red) ** 2, axis=0)
+    if np.max(outside) > CLOSURE_TOL:
+        i = int(np.argmax(outside))
+        raise ValueError(f"constraint rows are not closed under the symmetry group (row {cs.labels[i]!r})")
+
+    kept = independent_rows(red)
+    # Every reduced row is a combination of the kept ones; its value must be
+    # the same combination of theirs.
+    values = cs.values / scale
+    coef = np.linalg.solve(gram_red[np.ix_(kept, kept)], gram_red[kept])
+    mismatch = np.abs(values - values[kept] @ coef)
+    if np.max(mismatch) > CLOSURE_TOL:
+        i = int(np.argmax(mismatch))
+        raise ValueError(f"constraint values are not invariant under the symmetry group (row {cs.labels[i]!r})")
+    return red, kept
+
+
+def _affine_projector(ops: np.ndarray):
+    """Minimum-Frobenius-norm correction onto the affine subspace
+    A(rho) = b, with the normalized rows and their Gram matrix built once."""
     m = ops.shape[0]
-    norms = np.array([np.linalg.norm(a, "fro") for a in ops])
-    scaled = ops / norms[:, None, None]
-    flat = scaled.reshape(m, -1)
-    gram = (flat.conj() @ flat.T).real
-    resid = (np.einsum("iab,ba->i", ops, rho).real - b) / norms
-    w = np.linalg.solve(gram + 1e-14 * np.eye(m), resid)
-    return rho - np.tensordot(w, scaled, axes=1)
+    scaled = ops.reshape(m, -1)
+    norms = np.linalg.norm(scaled, axis=1)
+    scaled = scaled / norms[:, None]
+    gram_inv = np.linalg.inv(scaled @ scaled.T + 1e-14 * np.eye(m))
+
+    def project(rho: np.ndarray, b: np.ndarray) -> np.ndarray:
+        w = gram_inv @ (scaled @ rho.ravel() - b / norms)
+        return rho - (w @ scaled).reshape(rho.shape)
+
+    return project
 
 
-def _feasible_start(rho: np.ndarray, ops: np.ndarray, b: np.ndarray, rounds: int = 400) -> np.ndarray:
+def _feasible_start(rho: np.ndarray, project, b: np.ndarray, rounds: int = FEASIBLE_ROUNDS) -> np.ndarray:
     # Alternate affine projection with PSD clamping; the interior-point
     # output is close to feasible, so modest linear convergence suffices.
     # Degenerate sets (pure-state corners) converge slowly, hence the budget.
     for _ in range(rounds):
-        rho = _affine_project(rho, ops, b)
+        rho = project(rho, b)
         w, u = np.linalg.eigh(hermitize(rho))
         if w.min() >= -1e-12:
             return hermitize(rho)
-        rho = (u * np.maximum(w, 0.0)) @ u.conj().T
+        rho = (u * np.maximum(w, 0.0)[:, None, :]) @ u.swapaxes(1, 2)
     return hermitize(rho)
 
 
-def _repaired_dual_bound(grad: np.ndarray, ops: np.ndarray, b: np.ndarray, y: np.ndarray, trace_pos: int) -> float:
+def _residual(ops: np.ndarray, rho: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(ops.reshape(len(b), -1) @ rho.ravel() - b)))
+
+
+def _scaled_correction(sigma: np.ndarray, ops: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """sigma corrected onto A(sigma) = b in its own metric, PSD, or None.
+    The step sigma A*(z) sigma = sigma^1/2 (sigma^1/2 A*(z) sigma^1/2) sigma^1/2
+    moves each eigendirection in proportion to its eigenvalue, so a
+    correction small against the state keeps it PSD; a plain projection
+    leaves the cone near a face, and alternating projection crawls back
+    only slowly.  A second step removes what rounding leaves of the first,
+    whose linear system is ill-conditioned near a face."""
+    m = len(b)
+    flat = ops.reshape(m, -1)
+    for _ in range(2):
+        scaled = sigma @ ops @ sigma
+        try:
+            z = np.linalg.solve(scaled.reshape(m, -1) @ flat.T, b - flat @ sigma.ravel())
+        except np.linalg.LinAlgError:
+            return None
+        sigma = hermitize(sigma + np.tensordot(z, scaled, axes=1))
+    if _residual(ops, sigma, b) > 1e-13 or np.linalg.eigvalsh(sigma).min() < -1e-12:
+        return None
+    return sigma
+
+
+def _polish_atom(sigma: np.ndarray, project, ops: np.ndarray, b: np.ndarray, atom_tol: float) -> np.ndarray | None:
+    """sigma moved onto A(sigma) = b within atom_tol and PSD, or None.  The
+    scaled correction nearly always makes it exact; else a short polish by
+    alternating projection, and before giving up, the start point's full
+    budget."""
+    exact = _scaled_correction(sigma, ops, b)
+    if exact is not None:
+        return exact
+    for rounds in (POLISH_ROUNDS, FEASIBLE_ROUNDS):
+        sigma = _feasible_start(sigma, project, b, rounds)
+        if _residual(ops, sigma, b) <= atom_tol and np.linalg.eigvalsh(sigma).min() >= -1e-9:
+            return sigma
+    return None
+
+
+def _repaired_dual(grad: np.ndarray, ops: np.ndarray, y: np.ndarray, trace_pos: int) -> np.ndarray:
     # Shift the trace coordinate until sum_i y_i Gamma_i <= grad holds exactly;
     # any dual-feasible y gives a valid bound b.y on min <sigma, grad>.
     s_mat = grad - np.tensordot(y, ops, axes=1)
@@ -135,7 +245,7 @@ def _repaired_dual_bound(grad: np.ndarray, ops: np.ndarray, b: np.ndarray, y: np
     y = y.copy()
     if lam_min < margin:
         y[trace_pos] += lam_min - margin
-    return float(b @ y)
+    return y
 
 
 def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = None) -> KeyRateResult:
@@ -144,29 +254,32 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
     Returns the primal value at the last iterate and a certified lower bound
     (both in bits).  `ec_floor` enables an early exit: once the primal drops
     below it the final key rate is provably zero, since the primal only
-    decreases and always dominates the minimum.
+    decreases and always dominates the minimum.  Raises ValueError if the
+    rows or values are not closed under the symmetry group of the maps.
     """
-    kept = independent_rows(cs.operators)
-    ops = cs.operators[kept]
+    red, kept = _reduced_rows(cs, maps)
+    ops = red[kept]
     b = cs.values[kept]
+    del red
     if 0 not in kept:  # trace row is first and never a combination of nothing
         raise RuntimeError("trace constraint unexpectedly dropped")
     trace_pos = kept.index(0)
+    project = _affine_projector(ops)
 
-    # Feasibility pre-solve with a deterministic generic objective; its
-    # solution, polished by projection, is the starting state.
-    dim = cs.dim
-    c0 = np.diag(np.linspace(0.0, 1.0, dim)).astype(complex)
+    # Feasibility pre-solve with a deterministic generic objective, the
+    # blocks of diag(0..1) on A (x) B; its solution, polished by projection,
+    # is the starting state.
+    c0 = maps.reduce(np.diag(np.linspace(0.0, 1.0, maps.dim_ab)))
     pre = solve_sdp(c0, ops, b, max_iters=200)
-    rho = _feasible_start(hermitize(pre.x), ops, b)
-    full_res = float(np.max(np.abs(cs.residuals(rho))))
+    rho = _feasible_start(hermitize(pre.x), project, b)
+    full_res = float(np.max(np.abs(cs.residuals(maps.lift(rho)))))
     if full_res > 5e-8 or np.linalg.eigvalsh(rho).min() < -1e-9:
         raise InfeasibleError("no feasible state found", full_res)
     # Subproblems run against the start point's achieved values (identical to
     # b up to truncation slack, and exactly feasible by construction); the
     # certified bound below always uses the stated values, which weak duality
     # permits since dual feasibility does not involve the right-hand side.
-    b_sub = np.einsum("iab,ba->i", ops, rho).real
+    b_sub = ops.reshape(len(b), -1) @ rho.ravel()
 
     f, grad = objective_with_gradient(rho, maps)
     history = [f]
@@ -183,9 +296,7 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
         # feasibility does not involve the constraint values; so the bound is
         # taken before the checks below, which only judge the direction.
         if np.isfinite(sub.y).all():
-            lower_k = f - float(np.einsum("ab,ba->", rho, grad).real) + _repaired_dual_bound(
-                grad, ops, b, sub.y, trace_pos
-            )
+            lower_k = f - float(np.vdot(rho, grad)) + float(b @ _repaired_dual(grad, ops, sub.y, trace_pos))
             best_lower = max(best_lower, lower_k)
         # A slightly loose subproblem is still usable: the direction only
         # needs near-feasibility, and the dual repair keeps the bound valid.
@@ -193,20 +304,22 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
             status = "subproblem_failure"
             break
 
+        # Polish every atom so mixing cannot degrade the iterate's
+        # feasibility beyond what the subproblem geometry allows: the primal
+        # value must stay an upper bound on the minimum, and a residual r
+        # can lower it by about |y| r.  At degenerate corners (empty
+        # interior) a small floor remains, and the certified bound stays
+        # rigorous regardless since dual feasibility does not involve the
+        # constraint values.  An atom that was within 5e-8 already is kept
+        # as it is if the polish cannot do better.
         sigma = hermitize(sub.x)
-        if sub.primal_residual > 5e-8:
-            # Polish the atom so mixing cannot degrade the iterate's
-            # feasibility beyond what the subproblem geometry allows; at
-            # degenerate corners (empty interior) a small floor remains, and
-            # the certified bound stays rigorous regardless since dual
-            # feasibility does not involve the constraint values.
-            sigma = _feasible_start(sigma, ops, b_sub, rounds=60)
-            res_sigma = float(np.max(np.abs(np.einsum("iab,ba->i", ops, sigma).real - b_sub)))
-            atom_tol = max(5e-8, min(1.5 * sub.primal_residual, 2e-6))
-            if res_sigma > atom_tol or np.linalg.eigvalsh(sigma).min() < -1e-9:
-                status = "polish_failure"
-                break
-        gap = float(np.einsum("ab,ba->", rho - sigma, grad).real)
+        polished = _polish_atom(sigma, project, ops, b_sub, max(5e-8, min(1.5 * sub.primal_residual, 2e-6)))
+        if polished is not None:
+            sigma = polished
+        elif sub.primal_residual > 5e-8:
+            status = "polish_failure"
+            break
+        gap = float(np.vdot(rho - sigma, grad))
         gap = max(gap, 0.0)
         lower_history.append(best_lower)
 
@@ -232,6 +345,14 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
         f, grad = objective_with_gradient(rho, maps)
         history.append(f)
 
+    # The iterate meets the rows only as well as its atoms did, to ~1e-9,
+    # and a residual r can take f below the minimum by |y| r.  The scaled
+    # correction makes it exact and keeps it PSD.
+    exact = _scaled_correction(rho, ops, b)
+    if exact is not None:
+        rho = exact
+        f = objective_with_gradient(rho, maps)[0]
+    rho = maps.lift(rho)
     residual = float(np.max(np.abs(cs.residuals(rho))))
     lower = best_lower if best_lower > -np.inf else np.nan
     return KeyRateResult(

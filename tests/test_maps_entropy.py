@@ -3,9 +3,9 @@ import pytest
 
 from dmrate.detector import DetectorModel
 from dmrate.entropy import line_objective, objective_with_gradient
-from dmrate.maps import PostprocessingMaps, build_postprocessing_maps
+from dmrate.maps import build_postprocessing_maps
 from dmrate.observables import region_operators
-from support.maps import apply_G, apply_G_adjoint, apply_Z, hermitian_log, kraus_gram, z_projector
+from support.maps import apply_G, apply_G_adjoint, apply_Z, full_objective, hermitian_log, kraus_gram, z_projector
 
 DET = DetectorModel.simple(0.719, 0.01)
 
@@ -16,6 +16,20 @@ def random_state(rng, d, full_rank=True):
     if full_rank:
         rho += 0.05 * np.eye(d)
     return rho / np.trace(rho).real
+
+
+def random_stack(rng, maps):
+    """The blocks of the group average of a random full-rank state."""
+    return maps.reduce(random_state(rng, maps.dim_ab))
+
+
+def random_direction(rng, maps):
+    """A random traceless symmetric stack of unit Frobenius norm."""
+    delta = rng.normal(size=maps.kraus_factor.shape)
+    delta = delta + delta.swapaxes(1, 2)
+    n_blocks, d = delta.shape[:2]
+    delta -= (np.trace(delta, axis1=1, axis2=2).sum() / (n_blocks * d)) * np.eye(d)
+    return delta / np.linalg.norm(delta)
 
 
 def objective(rho, maps):
@@ -38,9 +52,11 @@ class TestPostprocessingMaps:
         assert w.min() > 0
 
     def test_w_coords_consistency(self):
+        # W_j^T W_j are the blocks of K+K, which commutes with the group.
         maps = detector_maps(0.3)
-        w = maps.w_coords
-        assert np.max(np.abs(w.conj().T @ w - kraus_gram(maps))) < 1e-10
+        w = maps.kraus_factor
+        assert np.max(np.abs(maps.lift(w.transpose(0, 2, 1) @ w) - kraus_gram(maps))) < 1e-10
+        assert np.array_equal(w, np.triu(w))
 
 
 class TestApplyG:
@@ -119,7 +135,8 @@ class TestObjective:
     def test_zero_for_pinching_fixed_point(self):
         # Orthogonal projector "regions" make G(rho) block diagonal for a
         # state whose B part is supported on a single block, so the
-        # objective vanishes.
+        # objective vanishes.  The projectors are not rotation covariant, so
+        # this is the full-space oracle's check of the definition.
         d = 8
         roots = []
         for z in range(4):
@@ -127,36 +144,35 @@ class TestObjective:
             p[2 * z, 2 * z] = 1.0
             p[2 * z + 1, 2 * z + 1] = 1.0
             roots.append(p)
-        maps = PostprocessingMaps(tuple(roots))
         rho_b = np.zeros((d, d), dtype=complex)
         rho_b[0, 0] = 0.6
         rho_b[1, 1] = 0.4
         rho_b[0, 1] = rho_b[1, 0] = 0.2
         rho = np.kron(np.full((4, 4), 0.25), rho_b)
-        assert objective(rho, maps) == pytest.approx(0.0, abs=1e-7)
+        assert full_objective(rho, roots) == pytest.approx(0.0, abs=1e-7)
 
     def test_nonnegative_on_random_states(self):
         rng = np.random.default_rng(5)
         maps = detector_maps(0.0)
         for _ in range(20):
-            rho = random_state(rng, maps.dim_ab)
-            assert objective(rho, maps) >= -1e-9
+            assert objective(random_stack(rng, maps), maps) >= -1e-9
 
     def test_dimension_bound(self):
         rng = np.random.default_rng(6)
         for delta_a in (0.0, 0.5):
             maps = detector_maps(delta_a)
             for _ in range(10):
-                rho = random_state(rng, maps.dim_ab)
-                p_pass = np.trace(kraus_gram(maps) @ rho).real
+                rho = random_stack(rng, maps)
+                p_pass = np.trace(kraus_gram(maps) @ maps.lift(rho)).real
                 assert objective(rho, maps) <= 2.0 * p_pass + 1e-9
 
     def test_matches_direct_register_space_formula(self):
-        # Cross-check the reduced-space evaluation against literally forming
+        # Cross-check the reduced evaluation against literally forming
         # G(rho), Z(G(rho)) and taking clamped logs.
         rng = np.random.default_rng(7)
         maps = detector_maps(0.3, N=4)
-        rho = random_state(rng, maps.dim_ab)
+        stack = random_stack(rng, maps)
+        rho = maps.lift(stack)
         from dmrate.entropy import PERTURBATION
 
         rho_p = (1 - PERTURBATION) * rho + PERTURBATION * np.eye(maps.dim_ab) / maps.dim_ab
@@ -167,15 +183,16 @@ class TestObjective:
         term1 = float(np.sum(w_sig * np.log(w_sig)))
         term2 = float(np.trace(sigma @ hermitian_log(tau)).real)
         ref = (term1 - term2) / np.log(2)
-        assert objective(rho, maps) == pytest.approx(ref, abs=1e-7)
+        assert objective(stack, maps) == pytest.approx(ref, abs=1e-7)
 
 
 class TestGradient:
     def test_hermitian(self):
         rng = np.random.default_rng(8)
         maps = detector_maps(0.2)
-        _, g = objective_with_gradient(random_state(rng, maps.dim_ab), maps)
-        assert np.max(np.abs(g - g.conj().T)) == 0.0
+        _, g = objective_with_gradient(random_stack(rng, maps), maps)
+        assert g.dtype == float
+        assert np.max(np.abs(g - g.transpose(0, 2, 1))) == 0.0
 
     def test_finite_difference(self):
         # Central difference at t = 1e-5: the curvature term, which scales
@@ -185,18 +202,14 @@ class TestGradient:
         # gradient are resampled so the relative check stays meaningful.
         rng = np.random.default_rng(9)
         maps = detector_maps(0.0)
-        d = maps.dim_ab
         t = 1e-5
         checked = 0
         while checked < 10:
-            rho = 0.5 * random_state(rng, d) + 0.5 * np.eye(d) / d
-            delta = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            delta = delta + delta.conj().T
-            delta -= (np.trace(delta).real / d) * np.eye(d)
-            delta /= np.linalg.norm(delta, "fro")
+            rho = 0.5 * random_stack(rng, maps) + 0.5 * maps.reduce(np.eye(maps.dim_ab)) / maps.dim_ab
+            delta = random_direction(rng, maps)
             _, g = objective_with_gradient(rho, maps)
-            overlap = float(np.einsum("ab,ba->", delta, g).real)
-            if abs(overlap) < 0.05 * np.linalg.norm(g, "fro"):
+            overlap = float(np.vdot(delta, g))
+            if abs(overlap) < 0.05 * np.linalg.norm(g):
                 continue
             f_plus = objective(rho + t * delta, maps)
             f_minus = objective(rho - t * delta, maps)
@@ -208,16 +221,12 @@ class TestGradient:
         # by one percent, so it genuinely pins the formula.
         rng = np.random.default_rng(12)
         maps = detector_maps(0.0)
-        d = maps.dim_ab
         t = 1e-5
-        rho = 0.5 * random_state(rng, d) + 0.5 * np.eye(d) / d
-        delta = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        delta = delta + delta.conj().T
-        delta -= (np.trace(delta).real / d) * np.eye(d)
-        delta /= np.linalg.norm(delta, "fro")
+        rho = 0.5 * random_stack(rng, maps) + 0.5 * maps.reduce(np.eye(maps.dim_ab)) / maps.dim_ab
+        delta = random_direction(rng, maps)
         _, g = objective_with_gradient(rho, maps)
-        g_bad = g + 0.01 * np.linalg.norm(g, "fro") * delta
-        overlap_bad = float(np.einsum("ab,ba->", delta, g_bad).real)
+        g_bad = g + 0.01 * np.linalg.norm(g) * delta
+        overlap_bad = float(np.vdot(delta, g_bad))
         f_plus = objective(rho + t * delta, maps)
         f_minus = objective(rho - t * delta, maps)
         rel = abs((f_plus - f_minus) / 2 - t * overlap_bad) / abs(t * overlap_bad)
@@ -226,9 +235,8 @@ class TestGradient:
     def test_line_objective_consistency(self):
         rng = np.random.default_rng(10)
         maps = detector_maps(0.35)
-        d = maps.dim_ab
-        rho = random_state(rng, d)
-        sigma = random_state(rng, d)
+        rho = random_stack(rng, maps)
+        sigma = random_stack(rng, maps)
         phi = line_objective(rho, sigma - rho, maps)
         for t in (0.0, 0.25, 0.7, 1.0):
             direct = objective((1 - t) * rho + t * sigma, maps)

@@ -19,12 +19,13 @@ def test_cached_artifacts_are_read_only(det, delta_a, mode):
     # The artifact cache hands the same objects to every caller, so no
     # caller may change them.
     obs, maps = point_artifacts(det, ProtocolParams(alpha=0.75, delta_a=delta_a, cutoff=4), mode)
-    arrays = [obs.fq, obs.fp, obs.sq, obs.sp, *obs.regions, *maps.blocks, maps.w_coords]
+    arrays = [obs.fq, obs.fp, obs.sq, obs.sp, *obs.regions, *maps.regions]
+    arrays += [maps.columns, maps.kraus_factor[0], maps.pinch_factors[0, 0]]
     for m in arrays:
         with pytest.raises(ValueError):
-            m[0, 0] = 1.0
+            m[0, 0] = 1
     with pytest.raises(dataclasses.FrozenInstanceError):
-        maps.w_coords = np.eye(maps.dim_ab)
+        maps.kraus_factor = np.eye(maps.dim_ab)
 
 
 def test_unknown_mode_rejected():

@@ -1,0 +1,204 @@
+"""The solver works on the symmetry-reduced state.  These tests hold the
+reduction to the full-space definition: the group is applied literally, and
+the objective comes from the full-space oracle in tests/support/maps.py.
+
+V = (x -> x+1 on A) (x) e^{i pi n/2}, and Theta = (x -> -x on A) (x) complex
+conjugation in the Fock basis.  Identical detector arms (the ideal detector,
+and so the untrusted scenario, included) keep V and Theta; distinct arms
+keep V^2 and Theta.
+"""
+
+import numpy as np
+import pytest
+
+from dmrate import solver
+from dmrate.channel import ChannelModel, ProtocolParams, simulate_statistics
+from dmrate.constraints import DIM_A, ConstraintSet, build_constraints
+from dmrate.detector import DetectorModel
+from dmrate.entropy import line_objective, objective_with_gradient
+from dmrate.maps import PostprocessingMaps, build_postprocessing_maps
+from dmrate.observables import observable_set, region_operators
+from dmrate.pipeline import point_artifacts
+from dmrate.sdp import independent_rows, solve_sdp
+from dmrate.solver import solve
+from support.maps import full_objective, full_objective_with_gradient, roots
+
+DET = DetectorModel.simple(0.719, 0.01)
+DISTINCT = DetectorModel(0.70, 0.74, 0.01, 0.02)
+CUTOFF = 5
+CASES = {
+    "identical-d0": (DET, 0.0, "trusted"),
+    "identical-d0.5": (DET, 0.5, "trusted"),
+    "ideal-untrusted": (DET, 0.5, "untrusted"),
+    "distinct": (DISTINCT, 0.5, "trusted"),
+}
+
+
+def problem(case, cutoff=CUTOFF, distance=20.0):
+    det, delta_a, mode = CASES[case]
+    pp = ProtocolParams(alpha=0.75, delta_a=delta_a, cutoff=cutoff)
+    obs, maps = point_artifacts(det, pp, mode)
+    stats = simulate_statistics(ChannelModel.from_distance(distance, 0.01), det, pp)
+    return build_constraints(stats, obs, pp, mode), maps
+
+
+def group(maps):
+    """The group's action on operators of A (x) B, one callable per element."""
+    n_b = maps.dim_ab // DIM_A
+    turn = np.kron(np.roll(np.eye(DIM_A), 1, axis=0), np.diag(1j ** np.arange(n_b)))
+    mirror = np.kron(np.eye(DIM_A)[[(-x) % DIM_A for x in range(DIM_A)]], np.eye(n_b))
+    elements = []
+    for p in range(0, 4, 1 if maps.quarter_turn else 2):
+        v = np.linalg.matrix_power(turn, p)
+        elements.append(lambda op, v=v: v @ op @ v.conj().T)
+        elements.append(lambda op, v=v: mirror @ (v @ op @ v.conj().T).conj() @ mirror.T)
+    return elements
+
+
+def twirl(op, maps):
+    elements = group(maps)
+    return sum(g(op) for g in elements) / len(elements)
+
+
+def random_state(rng, d):
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = m @ m.conj().T + 0.05 * np.eye(d)
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("case", CASES)
+class TestEquivalence:
+    """On twirled random states, the reduced evaluation is the full one."""
+
+    def test_reduce_and_lift_are_the_twirl(self, case):
+        cs, maps = problem(case)
+        rho = random_state(np.random.default_rng(0), maps.dim_ab)
+        assert np.max(np.abs(maps.lift(maps.reduce(rho)) - twirl(rho, maps))) < 1e-14
+        # The group leaves every objective value unchanged.
+        f = full_objective(rho, roots(maps))
+        for g in group(maps):
+            assert abs(full_objective(g(rho), roots(maps)) - f) < 1e-12
+
+    def test_objective_gradient_and_residuals(self, case):
+        cs, maps = problem(case)
+        rng = np.random.default_rng(1)
+        red, _ = solver._reduced_rows(cs, maps)
+        for _ in range(3):
+            rho = twirl(random_state(rng, maps.dim_ab), maps)
+            stack = maps.reduce(rho)
+            f, grad = objective_with_gradient(stack, maps)
+            f_full, grad_full = full_objective_with_gradient(rho, roots(maps))
+            assert abs(f - f_full) < 1e-12
+            assert np.max(np.abs(maps.lift(grad) - grad_full)) < 1e-12
+            residuals = red.reshape(len(cs.labels), -1) @ stack.ravel() - cs.values
+            assert np.max(np.abs(residuals - cs.residuals(rho))) < 1e-12
+
+    def test_line_objective(self, case):
+        _, maps = problem(case)
+        rng = np.random.default_rng(2)
+        rho, sigma = (twirl(random_state(rng, maps.dim_ab), maps) for _ in range(2))
+        phi = line_objective(maps.reduce(rho), maps.reduce(sigma - rho), maps)
+        for t in (0.0, 0.3, 1.0):
+            assert abs(phi(t) - full_objective((1 - t) * rho + t * sigma, roots(maps))) < 1e-12
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_full_space_certificate(case, monkeypatch):
+    # Every Frank-Wolfe certificate, lifted: grad f - sum_i y_i T(Gamma_i),
+    # with T the literal group average of the original rows, is PSD by a
+    # full complex eigvalsh, and the best one, with f from the oracle, is the
+    # reported bound.  The oracle's own gradient agrees with the lifted one
+    # as far as the log's conditioning allows: the iterates are nearly rank
+    # deficient, with eigenvalues down to PERTURBATION / dim.
+    cs, maps = problem(case, cutoff=4)
+    gradient, repaired, rows = solver.objective_with_gradient, solver._repaired_dual, solver.independent_rows
+    last, certificates, kept = [], [], []
+
+    def traced_gradient(rho, maps):
+        out = gradient(rho, maps)
+        last[:] = [rho, out[1]]
+        return out
+
+    def traced_dual(grad, ops, y, trace_pos):
+        y_rep = repaired(grad, ops, y, trace_pos)
+        certificates.append((*last, y_rep))
+        return y_rep
+
+    def traced_rows(ops):
+        kept[:] = rows(ops)
+        return kept
+
+    monkeypatch.setattr(solver, "objective_with_gradient", traced_gradient)
+    monkeypatch.setattr(solver, "_repaired_dual", traced_dual)
+    monkeypatch.setattr(solver, "independent_rows", traced_rows)
+    res = solve(cs, maps)
+    assert res.certified and certificates
+
+    twirled = np.array([twirl(cs.operators[i], maps) for i in kept])
+    bounds = []
+    for stack, grad, y in certificates:
+        rho, grad = maps.lift(stack), maps.lift(grad)
+        f, grad_full = full_objective_with_gradient(rho, roots(maps))
+        assert np.max(np.abs(grad - grad_full)) < 1e-5
+        slack = grad - np.tensordot(y, twirled, axes=1)
+        assert np.linalg.eigvalsh(0.5 * (slack + slack.conj().T)).min() >= -1e-12
+        bounds.append(f - np.vdot(rho, grad).real + cs.values[kept] @ y)
+    assert max(bounds) == pytest.approx(res.lower_bound, abs=1e-10)
+
+
+@pytest.mark.parametrize("case", ["identical-d0", "distinct"])
+def test_weak_duality_at_non_symmetric_states(case):
+    # Feasible states from full-space solves with random objectives are not
+    # symmetric; the objective there is never below the certified bound.
+    cs, maps = problem(case)
+    res = solve(cs, maps)
+    kept = independent_rows(cs.operators)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        c_rand = rng.normal(size=(cs.dim, cs.dim)) + 1j * rng.normal(size=(cs.dim, cs.dim))
+        feas = solve_sdp(c_rand + c_rand.conj().T, cs.operators[kept], cs.values[kept])
+        assert np.max(np.abs(feas.x - twirl(feas.x, maps))) > 1e-3
+        assert np.max(np.abs(cs.residuals(feas.x))) < 1e-7
+        assert full_objective(feas.x, roots(maps)) >= res.lower_bound - 1e-7
+
+
+@pytest.mark.parametrize("case, rows", [("identical-d0", 7), ("identical-d0.5", 7), ("ideal-untrusted", 7), ("distinct", 12)])
+def test_reduced_row_count(case, rows):
+    # The 33 rows (rank 32) have group averages of rank 7 with identical
+    # arms and 12 with distinct arms; their singular values drop from
+    # above 1 to below 1e-14 there.
+    cs, maps = problem(case)
+    red, kept = solver._reduced_rows(cs, maps)
+    assert len(kept) == rows
+    twirled = np.array([twirl(op, maps) for op in cs.operators]).reshape(len(cs.labels), -1)
+    assert np.linalg.matrix_rank(np.hstack([twirled.real, twirled.imag]), tol=1e-9) == rows
+
+
+class TestTypedErrors:
+    def test_nudged_value(self):
+        cs, maps = problem("identical-d0")
+        values = cs.values.copy()
+        values[cs.labels.index("moment-SQ-x1")] += 1e-6
+        with pytest.raises(ValueError, match="values are not invariant"):
+            solve(ConstraintSet(cs.operators, values, cs.labels), maps)
+
+    def test_rows_not_closed(self):
+        # The S_P rows alone are dropped: V maps S_Q rows onto them.
+        cs, maps = problem("identical-d0")
+        keep = [i for i, label in enumerate(cs.labels) if not label.startswith("moment-SP")]
+        fewer = ConstraintSet(cs.operators[keep], cs.values[keep], tuple(cs.labels[i] for i in keep))
+        with pytest.raises(ValueError, match="rows are not closed"):
+            solve(fewer, maps)
+
+    @pytest.mark.parametrize("quarter_turn", [True, False])
+    def test_non_covariant_regions(self, quarter_turn):
+        regions = list(region_operators(DET, 0.5, CUTOFF))
+        bump = np.zeros_like(regions[0])
+        bump[1, 2] = 1e-6j
+        regions[0] = regions[0] + bump + bump.conj().T
+        with pytest.raises(ValueError, match="not covariant"):
+            build_postprocessing_maps(tuple(regions), quarter_turn)
+
+    def test_distinct_arms_break_the_quarter_turn(self):
+        with pytest.raises(ValueError, match="quarter turn"):
+            PostprocessingMaps(observable_set(DISTINCT, 0.5, CUTOFF).regions, quarter_turn=True)
