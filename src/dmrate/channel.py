@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .detector import DetectorModel
-from .fock import displaced_thermal_matrix, erfc
+from .fock import displaced_thermal_matrix, erfc, gauss_legendre
 from .observables import moment_observables
 
 __all__ = [
@@ -166,7 +166,7 @@ def _sector_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     # n-point Gauss-Legendre angles and weights on each of the four key
     # sectors [(2z-1)pi/4, (2z+1)pi/4), shape (4, n); read-only, since the
     # cache hands out the same arrays every time.
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = gauss_legendre(n)
     lo = (2 * np.arange(4)[:, None] - 1) * np.pi / 4
     theta = lo + (x + 1.0) * np.pi / 4
     weights = np.broadcast_to(w * np.pi / 4, theta.shape)

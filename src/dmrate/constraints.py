@@ -9,6 +9,11 @@ n + d/2 + 1 and n - d/2 + 1 (`observables.moment_observables`) and the same
 simulated values.  Since each ``ptrace-d*`` row already pins
 Tr[(|x><x| (x) 1) rho] = p_x, these rows span the same set as constraints on
 q, p, n and d with the data recast to (s_Q + s_P)/2 - 1 and s_Q - s_P.
+
+Every row is a product A_i (x) B_i of an operator on Alice's register and
+one on Bob's mode (the identity or a moment observable), and the set keeps
+the two factors: the (m, 4 (N+1), 4 (N+1)) stack of full-space rows is never
+formed.
 """
 
 from __future__ import annotations
@@ -28,37 +33,51 @@ DIM_A = 4
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Equality constraints Tr(rho Gamma_i) = c_i: the Gamma_i stacked as a
-    read-only (m, n, n) array, the c_i as a read-only (m,) array, and one
-    label per row.  Every entry must be finite (else ValueError).  The
-    operators are copied, unless they already are a read-only complex array
-    that owns its data, which is kept as it is."""
+    """Equality constraints Tr(rho Gamma_i) = c_i on A (x) B, every row a
+    product Gamma_i = A_i (x) B_i kept as its two factors: ``a_parts``, the
+    A_i as an (m, 4, 4) array, ``b_parts``, the B_i as an (m, N+1, N+1)
+    array, ``values``, the c_i as an (m,) array, and one label per row.  The
+    full-space rows are never stacked.  The arrays are copied (factors as
+    complex) and made read-only; every entry must be finite (else
+    ValueError)."""
 
-    operators: np.ndarray
+    a_parts: np.ndarray
+    b_parts: np.ndarray
     values: np.ndarray
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        ops = self.operators
-        owned = isinstance(ops, np.ndarray) and ops.dtype == complex and ops.flags.owndata and not ops.flags.writeable
-        ops = ops if owned else np.array(ops, dtype=complex)
+        a = np.array(self.a_parts, dtype=complex)
+        b = np.array(self.b_parts, dtype=complex)
         values = np.array(self.values, dtype=float)
         m = len(self.labels)
-        if ops.shape[:1] != (m,) or ops.ndim != 3 or ops.shape[1] != ops.shape[2] or values.shape != (m,):
-            raise ValueError(f"{m} labels, operators of shape {ops.shape}, values of shape {values.shape}")
-        if not (np.isfinite(ops).all() and np.isfinite(values).all()):
-            raise ValueError("constraint operators and values must be finite")
-        for arr in (ops, values):
+        square_b = b.ndim == 3 and b.shape[0] == m and b.shape[1] == b.shape[2]
+        if a.shape != (m, DIM_A, DIM_A) or not square_b or values.shape != (m,):
+            raise ValueError(f"{m} labels, factors of shapes {a.shape} and {b.shape}, values of shape {values.shape}")
+        if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(values).all()):
+            raise ValueError("constraint factors and values must be finite")
+        for arr in (a, b, values):
             arr.setflags(write=False)
-        object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "a_parts", a)
+        object.__setattr__(self, "b_parts", b)
         object.__setattr__(self, "values", values)
 
     @property
     def dim(self) -> int:
-        return self.operators.shape[1]
+        return DIM_A * self.b_parts.shape[1]
+
+    def gram(self) -> np.ndarray:
+        """The real Gram matrix <Gamma_i, Gamma_j> = Re(<A_i, A_j><B_i, B_j>)
+        of the rows, from the factors alone."""
+        a = self.a_parts.reshape(len(self.labels), -1)
+        b = self.b_parts.reshape(len(self.labels), -1)
+        return ((a.conj() @ a.T) * (b.conj() @ b.T)).real
 
     def residuals(self, rho: np.ndarray) -> np.ndarray:
-        return np.einsum("iab,ba->i", self.operators, rho).real - self.values
+        """Tr(rho Gamma_i) - c_i for an operator rho on A (x) B."""
+        n_b = self.b_parts.shape[1]
+        blocks = rho.reshape(DIM_A, n_b, DIM_A, n_b)
+        return np.einsum("iyx,imn,xnym->i", self.a_parts, self.b_parts, blocks, optimize=True).real - self.values
 
 
 def alice_gram(pp: ProtocolParams) -> np.ndarray:
@@ -97,17 +116,15 @@ def build_constraints(
     rho_a = alice_gram(pp)
     moments = (("FQ", obs.fq, stats.fq), ("FP", obs.fp, stats.fp), ("SQ", obs.sq, stats.sq), ("SP", obs.sp, stats.sp))
 
-    # One array, filled in place through its (A, B, A, B) view.  The trace
-    # comes first: the solver's dual repair shifts row 0.
+    # The trace comes first: the solver's dual repair shifts row 0.
     m = 1 + DIM_A * DIM_A + len(moments) * DIM_A
-    ops = np.zeros((m, DIM_A * dim_b, DIM_A * dim_b), dtype=complex)
-    blocks = ops.reshape(m, DIM_A, dim_b, DIM_A, dim_b)
-    eye_b = np.eye(dim_b)
+    a_parts = np.zeros((m, DIM_A, DIM_A), dtype=complex)
+    b_parts = np.empty((m, dim_b, dim_b), dtype=complex)
+    b_parts[: 1 + DIM_A * DIM_A] = np.eye(dim_b)
     values = np.empty(m)
     labels = ["trace"]
     values[0] = 1.0
-    for x in range(DIM_A):
-        blocks[0, x, :, x, :] = eye_b
+    a_parts[0] = np.eye(DIM_A)
 
     def row(label: str, value: float) -> int:
         labels.append(label)
@@ -115,16 +132,16 @@ def build_constraints(
         return len(labels) - 1
 
     for i in range(DIM_A):
-        blocks[row(f"ptrace-d{i}", rho_a[i, i].real), i, :, i, :] = eye_b
+        a_parts[row(f"ptrace-d{i}", rho_a[i, i].real), i, i] = 1.0
     for i in range(DIM_A):
         for j in range(i + 1, DIM_A):
             r = row(f"ptrace-re{i}{j}", 2 * rho_a[i, j].real)
-            blocks[r, i, :, j, :] = blocks[r, j, :, i, :] = eye_b
+            a_parts[r, i, j] = a_parts[r, j, i] = 1.0
             r = row(f"ptrace-im{i}{j}", 2 * rho_a[i, j].imag)
-            blocks[r, i, :, j, :] = 1j * eye_b
-            blocks[r, j, :, i, :] = -1j * eye_b
+            a_parts[r, i, j], a_parts[r, j, i] = 1j, -1j
     for name, op_b, stat in moments:
         for x in range(DIM_A):
-            blocks[row(f"moment-{name}-x{x}", pp.PRIORS[x] * stat[x]), x, :, x, :] = op_b
-    ops.setflags(write=False)
-    return ConstraintSet(ops, values, tuple(labels))
+            r = row(f"moment-{name}-x{x}", pp.PRIORS[x] * stat[x])
+            a_parts[r, x, x] = 1.0
+            b_parts[r] = op_b
+    return ConstraintSet(a_parts, b_parts, values, tuple(labels))

@@ -6,12 +6,14 @@ factorial ratios that do appear downstream go through log-gamma.  The
 special functions are log-gamma (`gammaln`) and erfc, elementwise through
 `math`, and the regularized incomplete gamma pair P(a, x), Q(a, x)
 (`regularized_gamma`): the positive series for P below x = a + 1, the
-continued fraction for Q above it.
+continued fraction for Q above it.  Gauss-Legendre rules
+(`gauss_legendre`) come from Newton's method on the Legendre recurrence.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,6 +21,7 @@ __all__ = [
     "gammaln",
     "erfc",
     "regularized_gamma",
+    "gauss_legendre",
     "hermitize",
     "check_hermitian",
     "laguerre",
@@ -41,6 +44,10 @@ _GAMMA_EPS = 1e-16
 _GAMMA_MAX_ITERS = 1000
 # Floor that keeps the modified-Lentz denominators away from zero.
 _LENTZ_TINY = 1e-300
+# Newton steps on the Legendre nodes stop once the largest step is below
+# this; Tricomi's guesses are close enough that a handful suffice.
+_NODE_TOL = 1e-15
+_NODE_MAX_ITERS = 100
 
 _lgamma = np.frompyfunc(math.lgamma, 1, 1)
 _erfc = np.frompyfunc(math.erfc, 1, 1)
@@ -104,6 +111,45 @@ def regularized_gamma(a, x):
     tiny (large x)."""
     p, q = _regularized_gamma_ufunc(a, x)
     return np.asarray(p, dtype=float)[()], np.asarray(q, dtype=float)[()]
+
+
+def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # P_n(x) and P_{n-1}(x) by the three-term recurrence.
+    prev, cur = np.ones_like(x), x
+    for j in range(1, n):
+        prev, cur = cur, ((2 * j + 1) * x * cur - j * prev) / (j + 1)
+    return cur, prev
+
+
+@lru_cache(maxsize=None)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
+    [-1, 1], read-only, since the cache hands out the same arrays every time.
+
+    Newton's method on P_n, evaluated by its recurrence, from Tricomi's
+    guesses; w = 2 (1 - x)(1 + x) / (n P_{n-1}(x))^2.  O(n^2) time and O(n)
+    memory: no companion matrix is formed."""
+    if n < 1:
+        raise ValueError(f"gauss_legendre needs n >= 1, got {n}")
+    k = np.arange(n, 0, -1)
+    x = (1.0 - 1.0 / (8.0 * n**2) + 1.0 / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    for _ in range(_NODE_MAX_ITERS):
+        p, p_prev = _legendre_pair(n, x)
+        # P_n' = n (x P_n - P_{n-1}) / (x^2 - 1)
+        step = p * (x * x - 1.0) / (n * (x * p - p_prev))
+        x = x - step
+        if np.max(np.abs(step)) < _NODE_TOL:
+            break
+    else:
+        raise RuntimeError(f"Gauss-Legendre nodes did not converge at n={n}")
+    p_prev = _legendre_pair(n, x)[1]
+    w = 2.0 * (1.0 - x) * (1.0 + x) / (n * p_prev) ** 2
+    # The rule is symmetric about 0; make it so exactly.
+    x = 0.5 * (x - x[::-1])
+    w = 0.5 * (w + w[::-1])
+    for arr in (x, w):
+        arr.setflags(write=False)
+    return x, w
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import DetectorModel, povm_weighted_sum
-from .fock import gammaln, hermitize, quadrature_operators, regularized_gamma
+from .fock import gammaln, gauss_legendre, hermitize, quadrature_operators, regularized_gamma
 
 __all__ = [
     "ObservableSet",
@@ -111,8 +111,8 @@ def _identical_arm_operators(det: DetectorModel, delta_a: float, N: int) -> tupl
 
 def _polar_grid_integral(det: DetectorModel, N: int, r_lo, r_hi, th_lo, th_hi, n_r, n_th):
     # Tensor Gauss-Legendre integral of G_y over the polar patch.
-    xr, wr = np.polynomial.legendre.leggauss(n_r)
-    xt, wt = np.polynomial.legendre.leggauss(n_th)
+    xr, wr = gauss_legendre(n_r)
+    xt, wt = gauss_legendre(n_th)
     r = 0.5 * (r_hi - r_lo) * (xr + 1.0) + r_lo
     wr = wr * 0.5 * (r_hi - r_lo)
     th = 0.5 * (th_hi - th_lo) * (xt + 1.0) + th_lo

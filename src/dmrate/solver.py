@@ -2,12 +2,13 @@
 certified lower bound, on the symmetry-reduced state.
 
 The state is the stack of real blocks of `maps`.  Once per solve every
-constraint row Gamma_i is reduced to its blocks (those of its group average
-T(Gamma_i)), and the rows are checked to be closed under the group: every
-T(Gamma_i) must lie in the span of the rows, and every relation among the
-reduced rows must hold for the values.  Then the twirl of any feasible state
-is feasible, the objective is convex and invariant, and the minimum over
-invariant states is the minimum over all states; otherwise ValueError.
+constraint row Gamma_i = A_i (x) B_i is formed from its factors and
+reduced to its blocks (those of its group average T(Gamma_i)), and the rows
+are checked to be closed under the group: every T(Gamma_i) must lie in the
+span of the rows, and every relation among the reduced rows must hold for
+the values.  Then the twirl of any feasible state is feasible, the
+objective is convex and invariant, and the minimum over invariant states is
+the minimum over all states; otherwise ValueError.
 
 Each iteration linearizes the objective at the current feasible state and
 solves min <sigma, grad> over the constrained PSD set with the dense
@@ -126,16 +127,16 @@ def _line_search(phi, f0: float) -> tuple[float, float]:
 
 
 def _reduced_rows(cs: ConstraintSet, maps: PostprocessingMaps) -> tuple[np.ndarray, list[int]]:
-    """The real blocks of every row (filled row by row into one array) and
-    the indices of an independent subset; ValueError unless the rows and
-    values are closed under the symmetry group of the maps."""
+    """The real blocks of every row and the indices of an independent subset;
+    ValueError unless the rows and values are closed under the symmetry
+    group of the maps.  Each row is formed from its factors, A_i (x) B_i,
+    one at a time and reduced; the Gram matrix of the rows comes from the
+    factors' Gram matrices."""
     m = len(cs.labels)
-    flat = cs.operators.reshape(m, -1)
     red = np.empty((m, *maps.kraus_factor.shape))
-    gram = np.empty((m, m))  # <Gamma_i, Gamma_j>
-    for i, op in enumerate(cs.operators):
-        red[i] = maps.reduce(op)
-        gram[i] = (flat @ flat[i].conj()).real
+    for i, (a, b) in enumerate(zip(cs.a_parts, cs.b_parts)):
+        red[i] = maps.reduce(np.kron(a, b))
+    gram = cs.gram()  # <Gamma_i, Gamma_j>
     scale = np.sqrt(np.diag(gram))
     scale[scale == 0.0] = 1.0
     red_flat = red.reshape(m, -1)

@@ -8,6 +8,7 @@ from dmrate.fock import quadrature_operators
 from dmrate.maps import build_postprocessing_maps
 from dmrate.observables import observable_set
 from dmrate.solver import solve
+from support.constraints import full_operators
 
 DET = DetectorModel.simple(0.719, 0.01)
 IDEAL = DetectorModel.ideal()
@@ -34,22 +35,24 @@ def recast_moment_set(cs: ConstraintSet, stats, pp: ProtocolParams) -> Constrain
         ("d", d, [sq - sp for sq, sp in zip(stats.sq, stats.sp)]),
     )
     keep = [i for i, label in enumerate(cs.labels) if not label.startswith("moment")]
-    ops, values, labels = list(cs.operators[keep]), list(cs.values[keep]), [cs.labels[i] for i in keep]
+    a_parts, b_parts = list(cs.a_parts[keep]), list(cs.b_parts[keep])
+    values, labels = list(cs.values[keep]), [cs.labels[i] for i in keep]
     for name, op_b, stat in recast:
         for x in range(DIM_A):
             proj = np.zeros((DIM_A, DIM_A))
             proj[x, x] = 1.0
-            ops.append(np.kron(proj, op_b))
+            a_parts.append(proj)
+            b_parts.append(op_b)
             values.append(pp.PRIORS[x] * stat[x])
             labels.append(f"moment-{name}-x{x}")
-    return ConstraintSet(np.stack(ops), np.array(values), tuple(labels))
+    return ConstraintSet(np.stack(a_parts), np.stack(b_parts), np.array(values), tuple(labels))
 
 
 def augmented_rank(*sets: ConstraintSet) -> int:
     # Rank of the stacked real rows [vec Re Gamma_i, vec Im Gamma_i, c_i]:
     # two sets span the same affine constraints exactly when each rank
     # equals the rank of both stacked together.
-    vecs = [cs.operators.reshape(len(cs.labels), -1) for cs in sets]
+    vecs = [full_operators(cs).reshape(len(cs.labels), -1) for cs in sets]
     rows = np.vstack([np.column_stack([v.real, v.imag, cs.values]) for v, cs in zip(vecs, sets)])
     return int(np.linalg.matrix_rank(rows, tol=1e-9 * np.linalg.norm(rows, 2)))
 
@@ -91,7 +94,7 @@ class TestBuildConstraints:
         np.testing.assert_array_equal(cs_t.values, cs_u.values)
         for cs, det in ((cs_t, DET), (cs_u, IDEAL)):
             obs = observable_set(det, 0.0, 6)
-            rows = dict(zip(cs.labels, cs.operators))
+            rows = dict(zip(cs.labels, full_operators(cs)))
             for name, op_b in (("FQ", obs.fq), ("FP", obs.fp), ("SQ", obs.sq), ("SP", obs.sp)):
                 for x in range(DIM_A):
                     proj = np.zeros((DIM_A, DIM_A))
@@ -108,7 +111,7 @@ class TestBuildConstraints:
 
     def test_all_operators_hermitian(self):
         cs, _, _ = make_cs()
-        for op in cs.operators:
+        for op in full_operators(cs):
             assert np.max(np.abs(op - op.conj().T)) < 1e-12
 
     def test_moment_values(self):
@@ -148,33 +151,76 @@ class TestBuildConstraints:
 
     def test_arrays_read_only(self):
         cs, _, _ = make_cs()
-        assert cs.operators.shape == (33, cs.dim, cs.dim) and cs.values.shape == (33,)
-        with pytest.raises(ValueError):
-            cs.operators[0, 0, 0] = 2.0
-        with pytest.raises(ValueError):
-            cs.values[0] = 2.0
+        assert cs.a_parts.shape == (33, DIM_A, DIM_A) and cs.b_parts.shape == (33, 7, 7)
+        assert cs.values.shape == (33,) and cs.dim == DIM_A * 7
+        for arr in (cs.a_parts, cs.b_parts, cs.values):
+            with pytest.raises(ValueError):
+                arr[0] = 2.0
+
+    def test_factors_copied(self):
+        # Always copied, read-only input included: no set shares memory
+        # with its caller's arrays.
+        cs, _, _ = make_cs(cutoff=3)
+        again = ConstraintSet(cs.a_parts, cs.b_parts, cs.values, cs.labels)
+        assert not np.shares_memory(again.a_parts, cs.a_parts)
+        assert not np.shares_memory(again.b_parts, cs.b_parts)
 
     def test_shape_mismatch_rejected(self):
         cs, _, _ = make_cs()
         with pytest.raises(ValueError):
-            ConstraintSet(cs.operators, cs.values[:-1], cs.labels)
+            ConstraintSet(cs.a_parts, cs.b_parts, cs.values[:-1], cs.labels)
         with pytest.raises(ValueError):
-            ConstraintSet(cs.operators[:, :-1], cs.values, cs.labels)
+            ConstraintSet(cs.a_parts[:-1], cs.b_parts, cs.values, cs.labels)
+        with pytest.raises(ValueError):
+            ConstraintSet(cs.a_parts[:, :-1], cs.b_parts, cs.values, cs.labels)
+        with pytest.raises(ValueError):
+            ConstraintSet(cs.a_parts, cs.b_parts[:-1], cs.values, cs.labels)
+        with pytest.raises(ValueError):
+            ConstraintSet(cs.a_parts, cs.b_parts[:, :-1], cs.values, cs.labels)
 
 
 @pytest.mark.parametrize("where", ["value", "operator"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_entries_rejected(where, bad):
     # Caught at construction, before the solver can fail on it deep inside
-    # the interior-point method.
+    # the interior-point method.  An operator entry is bad in either factor.
     cs, _, _ = make_cs(cutoff=3)
-    ops, values = cs.operators.copy(), cs.values.copy()
     if where == "value":
+        values = cs.values.copy()
         values[20] = bad
+        cases = [(cs.a_parts, cs.b_parts, values)]
     else:
-        ops[20, 1, 1] = bad
-    with pytest.raises(ValueError, match="finite"):
-        ConstraintSet(ops, values, cs.labels)
+        a_parts, b_parts = cs.a_parts.copy(), cs.b_parts.copy()
+        a_parts[20, 1, 1] = bad
+        b_parts[20, 1, 1] = bad
+        cases = [(a_parts, cs.b_parts, cs.values), (cs.a_parts, b_parts, cs.values)]
+    for a, b, values in cases:
+        with pytest.raises(ValueError, match="finite"):
+            ConstraintSet(a, b, values, cs.labels)
+
+
+MODES = {
+    "trusted": (DET, 0.0, "trusted"),
+    "untrusted": (DET, 0.5, "untrusted"),
+    "distinct": (DetectorModel(0.70, 0.74, 0.01, 0.02), 0.5, "trusted"),
+}
+
+
+@pytest.mark.parametrize("case", MODES)
+def test_factors_match_explicit_rows(case):
+    # The Gram matrix and the residuals taken from the factors are those of
+    # the rows kron(A_i, B_i) themselves, on a state that is neither
+    # symmetric nor Hermitian.
+    det, delta_a, mode = MODES[case]
+    pp = ProtocolParams(alpha=0.75, delta_a=delta_a, cutoff=4)
+    obs = observable_set(det if mode == "trusted" else IDEAL, delta_a, pp.cutoff)
+    cs = build_constraints(simulate_statistics(CH, det, pp), obs, pp, mode)
+    flat = full_operators(cs).reshape(len(cs.labels), -1)
+    assert np.max(np.abs(cs.gram() - (flat.conj() @ flat.T).real)) < 1e-12
+    rng = np.random.default_rng(0)
+    rho = rng.normal(size=(cs.dim, cs.dim)) + 1j * rng.normal(size=(cs.dim, cs.dim))
+    explicit = np.einsum("iab,ba->i", full_operators(cs), rho).real - cs.values
+    assert np.max(np.abs(cs.residuals(rho) - explicit)) < 1e-12
 
 
 class TestUntrustedIsIdealDetector:

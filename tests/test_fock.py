@@ -11,6 +11,7 @@ from dmrate.fock import (
     displaced_thermal_matrix,
     erfc,
     gammaln,
+    gauss_legendre,
     hermite,
     hermitian_sqrt,
     laguerre,
@@ -81,7 +82,8 @@ class TestHermite:
 
 
 class TestSpecialFunctions:
-    """The package's special functions against scipy.special."""
+    """The package's special functions against scipy.special, and its
+    Gauss-Legendre rules against numpy's."""
 
     def test_regularized_gamma_against_scipy(self):
         # Every a the package uses up to cutoff ~14, and x on both sides of
@@ -115,6 +117,25 @@ class TestSpecialFunctions:
         np.testing.assert_allclose(gammaln(x), special.gammaln(x), rtol=1e-13, atol=0)
         np.testing.assert_allclose(gammaln(np.arange(1, 40)), special.gammaln(np.arange(1, 40)), rtol=1e-13, atol=0)
         assert np.ndim(gammaln(3)) == 0
+
+    # The small rules, and every rule the package uses: the polar patches
+    # take 24..120 nodes, the key sectors 32..512.
+    @pytest.mark.parametrize("n", [1, 2, 3, 24, 32, 36, 48, 60, 64, 72, 96, 120, 128, 256, 512])
+    def test_gauss_legendre_against_numpy(self, n):
+        x, w = gauss_legendre(n)
+        x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+        np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w, w_ref, rtol=0, atol=5e-14)
+
+    def test_gauss_legendre_cached_read_only(self):
+        x, w = gauss_legendre(5)
+        assert gauss_legendre(5)[0] is x
+        assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        with pytest.raises(ValueError):
+            gauss_legendre(0)
 
 
 class TestQuadratureOperators:

@@ -13,6 +13,7 @@ from dmrate.observables import observable_set
 from dmrate.pipeline import cutoff_stability, evaluate_point
 from dmrate.sdp import independent_rows, solve_sdp
 from dmrate.solver import InfeasibleError, KeyRateResult, key_rate, solve
+from support.constraints import full_operators
 from support.maps import full_objective_with_gradient, roots
 
 DET = DetectorModel.simple(0.719, 0.01)
@@ -63,7 +64,7 @@ class TestSolve:
         # states come from full-space solves, so they are not symmetric.
         cs, maps, res = solved
         _, grad = full_objective_with_gradient(res.rho, roots(maps))
-        ops = cs.operators
+        ops = full_operators(cs)
         kept = independent_rows(ops)
         for seed in range(3):
             rng = np.random.default_rng(seed)
@@ -142,7 +143,7 @@ class TestSanityRuns:
         cs, maps = setup_problem(L=5.0, cutoff=5)
         moments = [i for i, label in enumerate(cs.labels) if label.startswith("moment")]
         keep = [i for i in range(len(cs.labels)) if i not in moments[8:]]
-        fewer = ConstraintSet(cs.operators[keep], cs.values[keep], tuple(cs.labels[i] for i in keep))
+        fewer = ConstraintSet(cs.a_parts[keep], cs.b_parts[keep], cs.values[keep], tuple(cs.labels[i] for i in keep))
         full = solve(cs, maps)
         dropped = solve(fewer, maps)
         assert dropped.primal_value <= full.primal_value + 1e-5
@@ -154,7 +155,7 @@ class TestSanityRuns:
         values = cs.values.copy()
         values[17:] *= 99.0
         with pytest.raises(InfeasibleError):
-            solve(ConstraintSet(cs.operators, values, cs.labels), maps)
+            solve(ConstraintSet(cs.a_parts, cs.b_parts, values, cs.labels), maps)
 
 
 class TestKeyRate:
@@ -225,9 +226,26 @@ class TestPolish:
 
 
 class TestRegressionGuards:
+    def test_build_constraints_memory_peak(self):
+        # The rows are kept as their factors: a (33, 4, 4) and a (33, 11, 11)
+        # complex stack, 0.07 MiB, and their copies.  The full-space
+        # (33, 44, 44) complex stack alone would take 1 MiB.
+        pp = ProtocolParams(alpha=0.75, cutoff=10)
+        stats = simulate_statistics(ChannelModel.from_distance(50.0, 0.01), DET, pp)
+        obs = observable_set(DET, 0.0, 10)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            build_constraints(stats, obs, pp, "trusted")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 0.25 * 2**20
+
     def test_solve_memory_peak(self):
-        # The solve holds a few small stacks of real blocks; one more copy of
-        # the (33, 44, 44) complex rows alone would take 1 MiB.
+        # The solve holds a few small stacks of real blocks and forms the
+        # full-space rows one at a time, from their factors, to reduce them;
+        # a stack of the (33, 44, 44) complex rows alone would take 1 MiB.
         cs, maps = setup_problem(L=50.0, cutoff=10)
         tracemalloc.start()
         try:

@@ -21,6 +21,7 @@ from dmrate.observables import observable_set, region_operators
 from dmrate.pipeline import point_artifacts
 from dmrate.sdp import independent_rows, solve_sdp
 from dmrate.solver import solve
+from support.constraints import full_operators
 from support.maps import full_objective, full_objective_with_gradient, roots
 
 DET = DetectorModel.simple(0.719, 0.01)
@@ -134,7 +135,8 @@ def test_full_space_certificate(case, monkeypatch):
     res = solve(cs, maps)
     assert res.certified and certificates
 
-    twirled = np.array([twirl(cs.operators[i], maps) for i in kept])
+    ops = full_operators(cs)
+    twirled = np.array([twirl(ops[i], maps) for i in kept])
     bounds = []
     for stack, grad, y in certificates:
         rho, grad = maps.lift(stack), maps.lift(grad)
@@ -152,11 +154,12 @@ def test_weak_duality_at_non_symmetric_states(case):
     # symmetric; the objective there is never below the certified bound.
     cs, maps = problem(case)
     res = solve(cs, maps)
-    kept = independent_rows(cs.operators)
+    ops = full_operators(cs)
+    kept = independent_rows(ops)
     for seed in range(3):
         rng = np.random.default_rng(seed)
         c_rand = rng.normal(size=(cs.dim, cs.dim)) + 1j * rng.normal(size=(cs.dim, cs.dim))
-        feas = solve_sdp(c_rand + c_rand.conj().T, cs.operators[kept], cs.values[kept])
+        feas = solve_sdp(c_rand + c_rand.conj().T, ops[kept], cs.values[kept])
         assert np.max(np.abs(feas.x - twirl(feas.x, maps))) > 1e-3
         assert np.max(np.abs(cs.residuals(feas.x))) < 1e-7
         assert full_objective(feas.x, roots(maps)) >= res.lower_bound - 1e-7
@@ -170,7 +173,7 @@ def test_reduced_row_count(case, rows):
     cs, maps = problem(case)
     red, kept = solver._reduced_rows(cs, maps)
     assert len(kept) == rows
-    twirled = np.array([twirl(op, maps) for op in cs.operators]).reshape(len(cs.labels), -1)
+    twirled = np.array([twirl(op, maps) for op in full_operators(cs)]).reshape(len(cs.labels), -1)
     assert np.linalg.matrix_rank(np.hstack([twirled.real, twirled.imag]), tol=1e-9) == rows
 
 
@@ -180,13 +183,13 @@ class TestTypedErrors:
         values = cs.values.copy()
         values[cs.labels.index("moment-SQ-x1")] += 1e-6
         with pytest.raises(ValueError, match="values are not invariant"):
-            solve(ConstraintSet(cs.operators, values, cs.labels), maps)
+            solve(ConstraintSet(cs.a_parts, cs.b_parts, values, cs.labels), maps)
 
     def test_rows_not_closed(self):
         # The S_P rows alone are dropped: V maps S_Q rows onto them.
         cs, maps = problem("identical-d0")
         keep = [i for i, label in enumerate(cs.labels) if not label.startswith("moment-SP")]
-        fewer = ConstraintSet(cs.operators[keep], cs.values[keep], tuple(cs.labels[i] for i in keep))
+        fewer = ConstraintSet(cs.a_parts[keep], cs.b_parts[keep], cs.values[keep], tuple(cs.labels[i] for i in keep))
         with pytest.raises(ValueError, match="rows are not closed"):
             solve(fewer, maps)
 
