@@ -13,7 +13,9 @@ q, p, n and d with the data recast to (s_Q + s_P)/2 - 1 and s_Q - s_P.
 Every row is a product A_i (x) B_i of an operator on Alice's register and
 one on Bob's mode (the identity or a moment observable), and the set keeps
 the two factors: the (m, 4 (N+1), 4 (N+1)) stack of full-space rows is never
-formed.
+formed.  The Gram matrix and the residuals are entrywise contractions of the
+factors (einsum without path optimization), so no complex product goes to
+BLAS.
 """
 
 from __future__ import annotations
@@ -68,16 +70,15 @@ class ConstraintSet:
 
     def gram(self) -> np.ndarray:
         """The real Gram matrix <Gamma_i, Gamma_j> = Re(<A_i, A_j><B_i, B_j>)
-        of the rows, from the factors alone."""
-        a = self.a_parts.reshape(len(self.labels), -1)
-        b = self.b_parts.reshape(len(self.labels), -1)
-        return ((a.conj() @ a.T) * (b.conj() @ b.T)).real
+        of the rows, from the factors alone, entrywise."""
+        a, b = self.a_parts.conj(), self.b_parts.conj()
+        return (np.einsum("ixy,jxy->ij", a, self.a_parts) * np.einsum("inm,jnm->ij", b, self.b_parts)).real
 
     def residuals(self, rho: np.ndarray) -> np.ndarray:
-        """Tr(rho Gamma_i) - c_i for an operator rho on A (x) B."""
+        """Tr(rho Gamma_i) - c_i for an operator rho on A (x) B, entrywise."""
         n_b = self.b_parts.shape[1]
         blocks = rho.reshape(DIM_A, n_b, DIM_A, n_b)
-        return np.einsum("iyx,imn,xnym->i", self.a_parts, self.b_parts, blocks, optimize=True).real - self.values
+        return np.einsum("iyx,imn,xnym->i", self.a_parts, self.b_parts, blocks).real - self.values
 
 
 def alice_gram(pp: ProtocolParams) -> np.ndarray:

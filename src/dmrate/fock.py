@@ -160,8 +160,9 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 
 def check_hermitian(m: np.ndarray) -> np.ndarray:
     """The exactly Hermitian part of a square matrix whose asymmetry is at
-    most 1e-8 relative to its largest entry (or 1).  Else ValueError."""
-    m = np.asarray(m, dtype=complex)
+    most 1e-8 relative to its largest entry (or 1).  Else ValueError.  A
+    real matrix stays real (its Hermitian part is its symmetric part)."""
+    m = np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     asym = float(np.max(np.abs(m - m.conj().T)))
@@ -207,18 +208,21 @@ def hermite(ell: int, z):
 def quadrature_operators(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Truncated q, p, photon-number and d = a^2 + a+^2 matrices at cutoff N.
 
-    The annihilation operator has <n-1|a|n> = sqrt(n).  The truncated
-    commutator [q, p] - i*identity is nonzero only in the last row/column.
+    The annihilation operator has <n-1|a|n> = sqrt(n), so q = (a + a+)/sqrt(2)
+    and p = i(a+ - a)/sqrt(2) have sqrt(n/2) on their first off-diagonals,
+    n = diag(0..N), and d has sqrt(n (n-1)) = sqrt(n-1) sqrt(n) on its
+    second off-diagonals.  q, n and d are real; p is imaginary.  The
+    truncated commutator [q, p] - i*identity is nonzero only in the last
+    row/column.
     """
     if N < 1:
         raise ValueError("cutoff N must be >= 1; quadratures degenerate at N = 0")
-    a = np.diag(np.sqrt(np.arange(1, N + 1)).astype(complex), k=1)
-    ad = a.conj().T
-    q = (ad + a) / np.sqrt(2.0)
-    p = 1j * (ad - a) / np.sqrt(2.0)
-    n_op = ad @ a
-    d = a @ a + ad @ ad
-    return hermitize(q), hermitize(p), hermitize(n_op), hermitize(d)
+    root = np.sqrt(np.arange(1, N + 1))
+    a = np.diag(root, k=1)
+    a2 = np.diag(root[:-1] * root[1:], k=2)
+    q = (a + a.T) / np.sqrt(2.0)
+    p = 1j * (a.T - a) / np.sqrt(2.0)
+    return q, p, np.diag(np.arange(N + 1.0)), a2 + a2.T
 
 
 def coherent_overlap(a: complex, b: complex) -> complex:
@@ -270,7 +274,8 @@ def displaced_thermal_matrix(alpha: complex, nbar: float, N: int) -> np.ndarray:
 
 def hermitian_sqrt(M: np.ndarray) -> np.ndarray:
     """PSD square root by eigendecomposition; eigenvalues below the clamp
-    threshold go to zero first."""
+    threshold go to zero first.  A real symmetric M has a real root, taken
+    by a real eigendecomposition."""
     w, U = np.linalg.eigh(check_hermitian(M))
     floor = CLAMP_REL * max(float(w[-1]), 0.0)
     w = np.where(w < floor, 0.0, w)

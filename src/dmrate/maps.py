@@ -16,15 +16,25 @@ k mod 2.  Since the objective is convex and invariant and the feasible set
 is invariant, its minimum over all states equals its minimum over invariant
 ones, so the solver works on the stack alone.
 
-The maps hold, read-only, everything the objective needs on the stack:
+Every operator the solver reads is built entrywise in this basis, in real
+arithmetic wherever the operator is real.  For a product on A (x) B,
+
+    <e_{k,n}| A (x) B |e_{l,m}> = At[(n-k) % 4, (m-l) % 4] B[n, m],
+    At = F+ A F,  F[x, q] = i^{qx}/2,
+
+so the blocks of a constraint row come straight from its two factors.  The
+maps hold, read-only, everything the objective needs on the stack:
 ``kraus_factor``, the upper-triangular W_j with W_j^T W_j the j-th block of
-K+K (which commutes with the group), and ``pinch_factors``, one real
-(K, 4(N+1), d) factor F_r per orbit of key values under the group, with
-E_r rho E_r+ unitarily equivalent to sum_j F_r[j] B_j F_r[j]^T.  The quarter
-turn makes the four pinched entropies equal, so one orbit representative
-with weight 4 replaces them; the half turn leaves two orbits of weight 2.
-G and the register pinching are never formed here (the tests form them, in
-``tests/support/maps.py``).
+K+K = 1_A (x) sum_z R_z (which commutes with the group; the sum is real by
+the reflection, and diagonal for identical arms, whose sectors tile the
+circle), and ``pinch_factors``, one real (K, 4(N+1), d) factor F_r per orbit
+of key values under the group, with E_r rho E_r+ unitarily equivalent to
+sum_j F_r[j] B_j F_r[j]^T.  The quarter turn makes the four pinched
+entropies equal, so one orbit representative with weight 4 replaces them;
+the half turn leaves two orbits of weight 2.  Each F_r takes one real
+eigendecomposition: R_0 is real, and so is S+ R_1 S with S = diag(i^n).
+G, the register pinching and any full-space basis change are never formed
+here (the tests form them, in ``tests/support/maps.py``).
 """
 
 from __future__ import annotations
@@ -43,32 +53,18 @@ __all__ = ["PostprocessingMaps", "build_postprocessing_maps"]
 COVARIANCE_TOL = 1e-10
 
 _POWERS_OF_I = np.array([1.0, 1.0j, -1.0, -1.0j])
+# F[x, q] = i^{qx}/2, the register part of the basis change.
+_F = 0.5 * _POWERS_OF_I[np.outer(np.arange(DIM_A), np.arange(DIM_A)) % 4]
 
 
-def _phases(n_b: int) -> tuple[np.ndarray, np.ndarray]:
-    # U = D (F (x) 1_B): D = diag(i^{nx}) on |x>|n>, F[x, k] = i^{-kx}/2.
-    x = np.arange(DIM_A)
-    d = _POWERS_OF_I[np.outer(x, np.arange(n_b)) % 4]
-    f = 0.5 * _POWERS_OF_I[(-np.outer(x, x)) % 4]
-    return d, f
-
-
-def _to_block_basis(op: np.ndarray, n_b: int) -> np.ndarray:
-    """U+ op U for an operator on A (x) B, in O(dim^2)."""
-    d, f = _phases(n_b)
-    t = op.reshape(DIM_A, n_b, DIM_A, n_b) * (d.conj()[:, :, None, None] * d[None, None, :, :])
-    t = np.tensordot(f.conj(), t, axes=(0, 0))  # (k, n, y, m)
-    t = np.tensordot(t, f, axes=(2, 0))  # (k, n, m, l)
-    return t.transpose(0, 1, 3, 2).reshape(DIM_A * n_b, DIM_A * n_b)
-
-
-def _from_block_basis(m: np.ndarray, n_b: int) -> np.ndarray:
-    """U m U+, the inverse of `_to_block_basis`."""
-    d, f = _phases(n_b)
-    t = np.tensordot(f, m.reshape(DIM_A, n_b, DIM_A, n_b), axes=(1, 0))  # (x, n, l, m)
-    t = np.tensordot(t, f.conj(), axes=(2, 1))  # (x, n, m, y)
-    t = t.transpose(0, 1, 3, 2) * (d[:, :, None, None] * d.conj()[None, None, :, :])
-    return t.reshape(DIM_A * n_b, DIM_A * n_b)
+def _product_entries(a_t: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray, n_b: int) -> np.ndarray:
+    """Entries <e_rows| A (x) B |e_cols> = At[(n-k) % 4, (m-l) % 4] B[n, m]
+    of products, from At = F+ A F and B (stacks allowed in the leading
+    axes), at basis indices k (N+1) + n broadcast from ``rows`` and
+    ``cols``."""
+    k, n = np.divmod(rows, n_b)
+    l, m = np.divmod(cols, n_b)
+    return a_t[..., (n - k) % DIM_A, (m - l) % DIM_A] * b[..., n, m]
 
 
 def _check_covariance(regions: tuple[np.ndarray, ...], turn: int) -> None:
@@ -111,21 +107,25 @@ class PostprocessingMaps:
         columns = np.stack([np.flatnonzero(k % n_blocks == j) for j in range(n_blocks)])
         object.__setattr__(self, "columns", columns)
 
-        roots = [hermitian_sqrt(r) for r in regions]
-        gram = sum(s @ s for s in roots)
-        kraus_factor = np.linalg.cholesky(self.reduce(np.kron(np.eye(DIM_A), gram))).transpose(0, 2, 1)
+        eye_t = np.eye(DIM_A)  # F+ 1 F
+        region_sum = sum(regions).real
+        gram = _product_entries(eye_t, region_sum, columns[:, :, None], columns[:, None, :], n_b)
+        kraus_factor = np.linalg.cholesky(gram).transpose(0, 2, 1)
 
         # E_r is invariant under the antiunitary V^{2r} Theta, which acts as
-        # conjugation after i^{2rk}: so i^{-rk} E_r i^{rk} is real, and moving
-        # i^{rk} onto block j of the state leaves the signs (-1)^{r(k-j)/2} on
-        # it once the phase i^{rj} cancels.
+        # conjugation after i^{2rk}: so i^{-rk} E_r i^{rk} is real.  Its
+        # entries are those of 1 (x) T_r with T_r = sqrt(S^{-r} R_r S^r),
+        # S = diag(i^n), since i^{n-m} = i^{k-l} wherever 1 (x) B has an
+        # entry.  Moving i^{rk} onto block j of the state leaves the signs
+        # (-1)^{r(k-j)/2} on it once the phase i^{rj} cancels.
         reps = (0,) if self.quarter_turn else (0, 1)
         factors = []
         for r in reps:
-            phase = _POWERS_OF_I[(r * k) % 4]
-            e = phase.conj()[:, None] * _to_block_basis(np.kron(np.eye(DIM_A), roots[r]), n_b) * phase[None, :]
+            turn = _POWERS_OF_I[(r * np.arange(n_b)) % 4]
+            root = hermitian_sqrt((turn.conj()[:, None] * regions[r] * turn[None, :]).real)
+            e = _product_entries(eye_t, root, np.arange(DIM_A * n_b)[None, :, None], columns[:, None, :], n_b)
             sign = np.where((k[columns] - np.arange(n_blocks)[:, None]) % 4 == 2, (-1.0) ** r, 1.0)
-            factors.append(e.real[:, columns].transpose(1, 0, 2) * sign[:, None, :])
+            factors.append(e * sign[:, None, :])
         pinch_factors = np.stack(factors)
 
         for arr in (*regions, columns, kraus_factor, pinch_factors):
@@ -139,19 +139,31 @@ class PostprocessingMaps:
     def dim_ab(self) -> int:
         return DIM_A * self.regions[0].shape[0]
 
-    def reduce(self, op: np.ndarray) -> np.ndarray:
-        """The real (K, d, d) blocks Re(U_j+ op U_j) of a Hermitian operator
-        on A (x) B: Tr(rho op) = sum_j Tr(B_j block_j) for every invariant
-        rho, and the blocks are those of the group average of op."""
-        full = _to_block_basis(op, op.shape[0] // DIM_A)
-        return full[self.columns[:, :, None], self.columns[:, None, :]].real
+    def reduce_products(self, a_parts: np.ndarray, b_parts: np.ndarray) -> np.ndarray:
+        """The real (m, K, d, d) blocks of the Hermitian products
+        A_i (x) B_i, from the (m, 4, 4) and (m, N+1, N+1) factors:
+        Tr(rho A_i (x) B_i) = sum_j Tr(B_j block_ij) for every invariant rho,
+        and the blocks are those of the group average of the product.  One
+        row at a time, so the complex entries of only one row are alive."""
+        a_t = np.einsum("xp,ixy,yq->ipq", _F.conj(), a_parts, _F)
+        rows, cols = self.columns[:, :, None], self.columns[:, None, :]
+        out = np.empty((len(a_t), *rows.shape[:2], cols.shape[2]))
+        for i, (a, b) in enumerate(zip(a_t, b_parts)):
+            out[i] = _product_entries(a, b, rows, cols, b.shape[0]).real
+        return out
 
     def lift(self, blocks: np.ndarray) -> np.ndarray:
-        """The operator on A (x) B whose blocks are ``blocks``."""
+        """The operator on A (x) B whose blocks are ``blocks``: with
+        U[(x, n), (k, n)] = i^{(n-k)x}/2 the basis change, entry (x, n, y, m)
+        is i^{nx - my} sum_{k,l} G[x, k] M[k, n, l, m] conj(G[y, l]) with
+        G[x, k] = i^{-kx}/2, taken entrywise."""
         n = self.dim_ab
-        m = np.zeros((n, n), dtype=complex)
+        n_b = n // DIM_A
+        m = np.zeros((n, n))
         m[self.columns[:, :, None], self.columns[:, None, :]] = blocks
-        return _from_block_basis(m, n // DIM_A)
+        d = _POWERS_OF_I[np.outer(np.arange(DIM_A), np.arange(n_b)) % 4]
+        t = np.einsum("xk,knlm,yl->xnym", _F.conj(), m.reshape(DIM_A, n_b, DIM_A, n_b), _F)
+        return (t * (d[:, :, None, None] * d.conj()[None, None, :, :])).reshape(n, n)
 
 
 def build_postprocessing_maps(regions: tuple[np.ndarray, ...], quarter_turn: bool = True) -> PostprocessingMaps:

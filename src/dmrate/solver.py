@@ -2,11 +2,11 @@
 certified lower bound, on the symmetry-reduced state.
 
 The state is the stack of real blocks of `maps`.  Once per solve every
-constraint row Gamma_i = A_i (x) B_i is formed from its factors and
-reduced to its blocks (those of its group average T(Gamma_i)), and the rows
-are checked to be closed under the group: every T(Gamma_i) must lie in the
-span of the rows, and every relation among the reduced rows must hold for
-the values.  Then the twirl of any feasible state is feasible, the
+constraint row Gamma_i = A_i (x) B_i is reduced to its blocks (those of its
+group average T(Gamma_i)) entrywise from its two factors, without forming
+the row on A (x) B, and the rows are checked to be closed under the group:
+every T(Gamma_i) must lie in the span of the rows, and every relation among
+the reduced rows must hold for the values.  Then the twirl of any feasible state is feasible, the
 objective is convex and invariant, and the minimum over invariant states is
 the minimum over all states; otherwise ValueError.
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .constraints import ConstraintSet
+from .constraints import DIM_A, ConstraintSet
 from .entropy import line_objective, objective_with_gradient
 from .fock import hermitize
 from .maps import PostprocessingMaps
@@ -129,13 +129,10 @@ def _line_search(phi, f0: float) -> tuple[float, float]:
 def _reduced_rows(cs: ConstraintSet, maps: PostprocessingMaps) -> tuple[np.ndarray, list[int]]:
     """The real blocks of every row and the indices of an independent subset;
     ValueError unless the rows and values are closed under the symmetry
-    group of the maps.  Each row is formed from its factors, A_i (x) B_i,
-    one at a time and reduced; the Gram matrix of the rows comes from the
-    factors' Gram matrices."""
+    group of the maps.  The blocks and the Gram matrix of the rows both come
+    from the factors A_i and B_i; no row is formed on A (x) B."""
     m = len(cs.labels)
-    red = np.empty((m, *maps.kraus_factor.shape))
-    for i, (a, b) in enumerate(zip(cs.a_parts, cs.b_parts)):
-        red[i] = maps.reduce(np.kron(a, b))
+    red = maps.reduce_products(cs.a_parts, cs.b_parts)
     gram = cs.gram()  # <Gamma_i, Gamma_j>
     scale = np.sqrt(np.diag(gram))
     scale[scale == 0.0] = 1.0
@@ -268,9 +265,13 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
     project = _affine_projector(ops)
 
     # Feasibility pre-solve with a deterministic generic objective, the
-    # blocks of diag(0..1) on A (x) B; its solution, polished by projection,
-    # is the starting state.
-    c0 = maps.reduce(np.diag(np.linspace(0.0, 1.0, maps.dim_ab)))
+    # blocks of diag(0..1) on A (x) B, that is of
+    # (n_b diag(0..3) (x) 1 + 1 (x) diag(0..N)) / (4 n_b - 1); its solution,
+    # polished by projection, is the starting state.
+    n_b = maps.dim_ab // DIM_A
+    a_parts = np.stack([np.diag(np.arange(DIM_A) * float(n_b)), np.eye(DIM_A)])
+    b_parts = np.stack([np.eye(n_b), np.diag(np.arange(float(n_b)))])
+    c0 = maps.reduce_products(a_parts, b_parts).sum(axis=0) / (maps.dim_ab - 1)
     pre = solve_sdp(c0, ops, b, max_iters=200)
     rho = _feasible_start(hermitize(pre.x), project, b)
     full_res = float(np.max(np.abs(cs.residuals(maps.lift(rho)))))

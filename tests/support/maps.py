@@ -1,11 +1,12 @@
-"""Register-space postprocessing maps and the full-space objective, formed
-literally, as test oracles.
+"""Register-space postprocessing maps, the full-space objective and the
+basis change to the symmetry blocks, formed literally, as test oracles.
 
 The package computes the objective on the symmetry-reduced state, a stack of
-real blocks, and never forms G(rho) = K rho K+, its pinching Z or any
-operator on A (x) B beyond the constraint rows; these do, so the tests can
-check the reduced evaluation against the definition, on any state, invariant
-or not.
+real blocks, and never forms G(rho) = K rho K+, its pinching Z, any operator
+on A (x) B beyond the lifted state, or the basis change U as a product; it
+builds every block entrywise from the factors of a product.  These do form
+them, so the tests can check the reduced evaluation against the definition,
+on any state, invariant or not, and the entrywise blocks against U+ op U.
 """
 
 from __future__ import annotations
@@ -19,6 +20,49 @@ from dmrate.maps import PostprocessingMaps
 DIM_R = 4
 DIM_A = 4
 LN2 = float(np.log(2.0))
+_POWERS_OF_I = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
+def _phases(n_b: int) -> tuple[np.ndarray, np.ndarray]:
+    # U = D (F (x) 1_B): D = diag(i^{nx}) on |x>|n>, F[x, k] = i^{-kx}/2.
+    x = np.arange(DIM_A)
+    d = _POWERS_OF_I[np.outer(x, np.arange(n_b)) % 4]
+    f = 0.5 * _POWERS_OF_I[(-np.outer(x, x)) % 4]
+    return d, f
+
+
+def to_block_basis(op: np.ndarray, n_b: int) -> np.ndarray:
+    """U+ op U for an operator on A (x) B, U[(x, n), (k, n)] = i^{(n-k)x}/2."""
+    d, f = _phases(n_b)
+    t = op.reshape(DIM_A, n_b, DIM_A, n_b) * (d.conj()[:, :, None, None] * d[None, None, :, :])
+    t = np.tensordot(f.conj(), t, axes=(0, 0))  # (k, n, y, m)
+    t = np.tensordot(t, f, axes=(2, 0))  # (k, n, m, l)
+    return t.transpose(0, 1, 3, 2).reshape(DIM_A * n_b, DIM_A * n_b)
+
+
+def from_block_basis(m: np.ndarray, n_b: int) -> np.ndarray:
+    """U m U+, the inverse of `to_block_basis`."""
+    d, f = _phases(n_b)
+    t = np.tensordot(f, m.reshape(DIM_A, n_b, DIM_A, n_b), axes=(1, 0))  # (x, n, l, m)
+    t = np.tensordot(t, f.conj(), axes=(2, 1))  # (x, n, m, y)
+    t = t.transpose(0, 1, 3, 2) * (d[:, :, None, None] * d.conj()[None, None, :, :])
+    return t.reshape(DIM_A * n_b, DIM_A * n_b)
+
+
+def reduce(maps: PostprocessingMaps, op: np.ndarray) -> np.ndarray:
+    """The real (K, d, d) blocks Re(U_j+ op U_j) of a Hermitian operator on
+    A (x) B: Tr(rho op) = sum_j Tr(B_j block_j) for every invariant rho, and
+    the blocks are those of the group average of op."""
+    full = to_block_basis(op, op.shape[0] // DIM_A)
+    return full[maps.columns[:, :, None], maps.columns[:, None, :]].real
+
+
+def lift(maps: PostprocessingMaps, blocks: np.ndarray) -> np.ndarray:
+    """The operator on A (x) B whose blocks are ``blocks``, by U M U+."""
+    n = maps.dim_ab
+    m = np.zeros((n, n), dtype=complex)
+    m[maps.columns[:, :, None], maps.columns[:, None, :]] = blocks
+    return from_block_basis(m, n // DIM_A)
 
 
 def kraus_blocks(roots) -> tuple[np.ndarray, ...]:
@@ -27,7 +71,7 @@ def kraus_blocks(roots) -> tuple[np.ndarray, ...]:
 
 
 def roots(maps: PostprocessingMaps) -> tuple[np.ndarray, ...]:
-    """sqrt(R_z), computed as the package computes it."""
+    """sqrt(R_z) of every region, by a complex eigendecomposition."""
     return tuple(hermitian_sqrt(r) for r in maps.regions)
 
 

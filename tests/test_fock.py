@@ -166,6 +166,19 @@ class TestQuadratureOperators:
         with pytest.raises(ValueError):
             quadrature_operators(0)
 
+    @pytest.mark.parametrize("N", [1, 2, 6, 15])
+    def test_closed_forms_match_products(self, N):
+        # The closed forms against the ladder-operator products they replace.
+        a = np.diag(np.sqrt(np.arange(1, N + 1)).astype(complex), k=1)
+        ad = a.conj().T
+        q, p, n_op, d = quadrature_operators(N)
+        expect = ((ad + a) / np.sqrt(2.0), 1j * (ad - a) / np.sqrt(2.0), ad @ a, a @ a + ad @ ad)
+        for got, ref in zip((q, p, n_op, d), expect):
+            assert np.max(np.abs(got - ref)) < 1e-14
+            assert np.array_equal(got, got.conj().T)
+        assert q.dtype == n_op.dtype == d.dtype == np.float64
+        assert np.array_equal(n_op, np.diag(np.arange(N + 1.0)))
+
 
 class TestCoherentOverlap:
     def test_normalized(self):
@@ -213,6 +226,28 @@ class TestMatrixFunctions:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             hermitian_log(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("rank", [6, 3])
+    def test_sqrt_of_real_input_is_real(self, rank):
+        # A real symmetric matrix keeps a real root, equal to the one the
+        # complex path takes; rank 3 exercises the clamp.
+        rng = np.random.default_rng(13)
+        B = rng.normal(size=(6, rank))
+        M = B @ B.T
+        r = hermitian_sqrt(M)
+        assert r.dtype == np.float64
+        assert np.max(np.abs(r - hermitian_sqrt(M.astype(complex)))) < 1e-14
+        assert check_hermitian(M).dtype == np.float64
+        assert check_hermitian(np.eye(3, dtype=int)).dtype == np.float64
+
+    def test_sqrt_of_complex_input(self):
+        rng = np.random.default_rng(14)
+        B = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        M = B @ B.conj().T
+        r = hermitian_sqrt(M)
+        assert r.dtype == np.complex128
+        assert np.max(np.abs(r - r.conj().T)) == 0.0
+        assert np.max(np.abs(r @ r - M)) < 1e-12
 
 
 class TestFockOperator:

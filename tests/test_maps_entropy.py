@@ -5,7 +5,7 @@ from dmrate.detector import DetectorModel
 from dmrate.entropy import line_objective, objective_with_gradient
 from dmrate.maps import build_postprocessing_maps
 from dmrate.observables import region_operators
-from support.maps import apply_G, apply_G_adjoint, apply_Z, full_objective, hermitian_log, kraus_gram, z_projector
+from support.maps import apply_G, apply_G_adjoint, apply_Z, full_objective, hermitian_log, kraus_gram, reduce, z_projector
 
 DET = DetectorModel.simple(0.719, 0.01)
 
@@ -20,7 +20,7 @@ def random_state(rng, d, full_rank=True):
 
 def random_stack(rng, maps):
     """The blocks of the group average of a random full-rank state."""
-    return maps.reduce(random_state(rng, maps.dim_ab))
+    return reduce(maps, random_state(rng, maps.dim_ab))
 
 
 def random_direction(rng, maps):
@@ -205,7 +205,7 @@ class TestGradient:
         t = 1e-5
         checked = 0
         while checked < 10:
-            rho = 0.5 * random_stack(rng, maps) + 0.5 * maps.reduce(np.eye(maps.dim_ab)) / maps.dim_ab
+            rho = 0.5 * random_stack(rng, maps) + 0.5 * reduce(maps, np.eye(maps.dim_ab)) / maps.dim_ab
             delta = random_direction(rng, maps)
             _, g = objective_with_gradient(rho, maps)
             overlap = float(np.vdot(delta, g))
@@ -222,7 +222,7 @@ class TestGradient:
         rng = np.random.default_rng(12)
         maps = detector_maps(0.0)
         t = 1e-5
-        rho = 0.5 * random_stack(rng, maps) + 0.5 * maps.reduce(np.eye(maps.dim_ab)) / maps.dim_ab
+        rho = 0.5 * random_stack(rng, maps) + 0.5 * reduce(maps, np.eye(maps.dim_ab)) / maps.dim_ab
         delta = random_direction(rng, maps)
         _, g = objective_with_gradient(rho, maps)
         g_bad = g + 0.01 * np.linalg.norm(g) * delta

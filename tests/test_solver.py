@@ -243,9 +243,9 @@ class TestRegressionGuards:
         assert peak - start <= 0.25 * 2**20
 
     def test_solve_memory_peak(self):
-        # The solve holds a few small stacks of real blocks and forms the
-        # full-space rows one at a time, from their factors, to reduce them;
-        # a stack of the (33, 44, 44) complex rows alone would take 1 MiB.
+        # The solve holds a few small stacks of real blocks and takes the
+        # blocks of every row entrywise from its factors; a stack of the
+        # (33, 44, 44) complex full-space rows alone would take 1 MiB.
         cs, maps = setup_problem(L=50.0, cutoff=10)
         tracemalloc.start()
         try:

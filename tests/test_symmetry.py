@@ -22,7 +22,7 @@ from dmrate.pipeline import point_artifacts
 from dmrate.sdp import independent_rows, solve_sdp
 from dmrate.solver import solve
 from support.constraints import full_operators
-from support.maps import full_objective, full_objective_with_gradient, roots
+from support.maps import full_objective, full_objective_with_gradient, lift, reduce, roots
 
 DET = DetectorModel.simple(0.719, 0.01)
 DISTINCT = DetectorModel(0.70, 0.74, 0.01, 0.02)
@@ -32,6 +32,7 @@ CASES = {
     "identical-d0.5": (DET, 0.5, "trusted"),
     "ideal-untrusted": (DET, 0.5, "untrusted"),
     "distinct": (DISTINCT, 0.5, "trusted"),
+    "distinct-d0": (DISTINCT, 0.0, "trusted"),
 }
 
 
@@ -74,11 +75,25 @@ class TestEquivalence:
     def test_reduce_and_lift_are_the_twirl(self, case):
         cs, maps = problem(case)
         rho = random_state(np.random.default_rng(0), maps.dim_ab)
-        assert np.max(np.abs(maps.lift(maps.reduce(rho)) - twirl(rho, maps))) < 1e-14
+        stack = reduce(maps, rho)
+        assert np.max(np.abs(maps.lift(stack) - twirl(rho, maps))) < 1e-14
+        # The entrywise lift is the basis change U M U+.
+        assert np.max(np.abs(maps.lift(stack) - lift(maps, stack))) < 1e-14
         # The group leaves every objective value unchanged.
         f = full_objective(rho, roots(maps))
         for g in group(maps):
             assert abs(full_objective(g(rho), roots(maps)) - f) < 1e-12
+
+    @pytest.mark.parametrize("cutoff", range(2, 9))
+    def test_rows_match_basis_change(self, case, cutoff):
+        # The blocks of every row, taken entrywise from its factors, are those
+        # of U+ (A_i (x) B_i) U; the ptrace-im rows (imaginary A_i) and the
+        # moment-FP rows (imaginary B_i) included.
+        cs, maps = problem(case, cutoff)
+        red = maps.reduce_products(cs.a_parts, cs.b_parts)
+        assert red.dtype == np.float64
+        oracle = np.array([reduce(maps, op) for op in full_operators(cs)])
+        assert np.max(np.abs(red - oracle)) < 1e-14
 
     def test_objective_gradient_and_residuals(self, case):
         cs, maps = problem(case)
@@ -86,7 +101,7 @@ class TestEquivalence:
         red, _ = solver._reduced_rows(cs, maps)
         for _ in range(3):
             rho = twirl(random_state(rng, maps.dim_ab), maps)
-            stack = maps.reduce(rho)
+            stack = reduce(maps, rho)
             f, grad = objective_with_gradient(stack, maps)
             f_full, grad_full = full_objective_with_gradient(rho, roots(maps))
             assert abs(f - f_full) < 1e-12
@@ -98,7 +113,7 @@ class TestEquivalence:
         _, maps = problem(case)
         rng = np.random.default_rng(2)
         rho, sigma = (twirl(random_state(rng, maps.dim_ab), maps) for _ in range(2))
-        phi = line_objective(maps.reduce(rho), maps.reduce(sigma - rho), maps)
+        phi = line_objective(reduce(maps, rho), reduce(maps, sigma - rho), maps)
         for t in (0.0, 0.3, 1.0):
             assert abs(phi(t) - full_objective((1 - t) * rho + t * sigma, roots(maps))) < 1e-12
 
