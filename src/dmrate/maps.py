@@ -26,15 +26,15 @@ so the blocks of a constraint row come straight from its two factors.  The
 maps hold, read-only, everything the objective needs on the stack:
 ``kraus_factor``, the upper-triangular W_j with W_j^T W_j the j-th block of
 K+K = 1_A (x) sum_z R_z (which commutes with the group; the sum is real by
-the reflection, and diagonal for identical arms, whose sectors tile the
-circle), and ``pinch_factors``, one real (K, 4(N+1), d) factor F_r per orbit
+the reflection, and for identical arms it is the rotation-invariant, so
+diagonal, integral of the POVM outside the disk), and ``pinch_factors``, one real (K, 4(N+1), d) factor F_r per orbit
 of key values under the group, with E_r rho E_r+ unitarily equivalent to
 sum_j F_r[j] B_j F_r[j]^T.  The quarter turn makes the four pinched
 entropies equal, so one orbit representative with weight 4 replaces them;
 the half turn leaves two orbits of weight 2.  Each F_r takes one real
 eigendecomposition: R_0 is real, and so is S+ R_1 S with S = diag(i^n).
-G, the register pinching and any full-space basis change are never formed
-here (the tests form them, in ``tests/support/maps.py``).
+G, the register pinching and the basis change as a matrix product are
+never formed here (the tests form them, in ``tests/support/maps.py``).
 """
 
 from __future__ import annotations
