@@ -81,7 +81,9 @@ class DetectorModel:
     def nbar_d(self) -> float:
         """Thermal occupation (1 - eta_d + nu_el)/eta_d of the displaced
         thermal state each G_y projects onto, simple case only."""
-        return (1.0 - self.eta_d + self.nu_el) / self.eta_d
+        if not self.simple_case():
+            raise ValueError("nbar_d is only defined for the simple (identical-arm) case")
+        return self.lambdas()[0]
 
     def is_ideal(self) -> bool:
         return self.simple_case() and self.nbar_d < IDEAL_NBAR_THRESHOLD

@@ -4,10 +4,8 @@ Everything here is pure and deterministic.  Polynomials are evaluated by
 three-term recurrences (factorial-ratio forms overflow past degree ~20);
 factorial ratios that do appear downstream go through log-gamma.  The
 special functions are log-gamma (`gammaln`) and erfc, elementwise through
-`math`, and the regularized incomplete gamma pair P(a, x), Q(a, x)
-(`regularized_gamma`): the positive series for P below x = a + 1, the
-continued fraction for Q above it.  Gauss-Legendre rules
-(`gauss_legendre`) come from Newton's method on the Legendre recurrence.
+`math`, and Gauss-Legendre rules (`gauss_legendre`), from Newton's method on
+the Legendre recurrence.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ import numpy as np
 __all__ = [
     "gammaln",
     "erfc",
-    "regularized_gamma",
     "gauss_legendre",
     "hermitize",
     "check_hermitian",
@@ -38,12 +35,6 @@ __all__ = [
 # relative entropies of rank-deficient states.
 CLAMP_REL = 1e-12
 
-# Relative size of the last term (series) or factor (continued fraction) at
-# which `regularized_gamma` stops, and the iteration budget it may take.
-_GAMMA_EPS = 1e-16
-_GAMMA_MAX_ITERS = 1000
-# Floor that keeps the modified-Lentz denominators away from zero.
-_LENTZ_TINY = 1e-300
 # Newton steps on the Legendre nodes stop once the largest step is below
 # this; Tricomi's guesses are close enough that a handful suffice.
 _NODE_TOL = 1e-15
@@ -61,56 +52,6 @@ def gammaln(x):
 def erfc(x):
     """Complementary error function, elementwise; a scalar for scalar x."""
     return np.asarray(_erfc(x), dtype=float)[()]
-
-
-def _regularized_gamma(a: float, x: float) -> tuple[float, float]:
-    # Numerical Recipes 6.2: below x = a + 1 the series for P has positive
-    # terms, above it the modified-Lentz continued fraction for Q converges
-    # fast; each branch returns the other function as the complement, which
-    # does not cancel on its own side of the switch.
-    if x == 0.0:
-        return 0.0, 1.0
-    log_prefactor = a * math.log(x) - x - math.lgamma(a)
-    if x < a + 1.0:
-        term = total = 1.0 / a
-        denom = a
-        for _ in range(_GAMMA_MAX_ITERS):
-            denom += 1.0
-            term *= x / denom
-            total += term
-            if term < total * _GAMMA_EPS:
-                p = total * math.exp(log_prefactor)
-                return p, 1.0 - p
-    else:
-        b = x + 1.0 - a
-        c = 1.0 / _LENTZ_TINY
-        d = 1.0 / b
-        h = d
-        for i in range(1, _GAMMA_MAX_ITERS + 1):
-            an = -i * (i - a)
-            b += 2.0
-            d = an * d + b
-            d = 1.0 / (d if abs(d) >= _LENTZ_TINY else _LENTZ_TINY)
-            c = b + an / c
-            c = c if abs(c) >= _LENTZ_TINY else _LENTZ_TINY
-            factor = d * c
-            h *= factor
-            if abs(factor - 1.0) < _GAMMA_EPS:
-                q = h * math.exp(log_prefactor)
-                return 1.0 - q, q
-    raise RuntimeError(f"incomplete gamma did not converge at a={a}, x={x}")
-
-
-_regularized_gamma_ufunc = np.frompyfunc(_regularized_gamma, 2, 2)
-
-
-def regularized_gamma(a, x):
-    """The regularized incomplete gamma pair (P(a, x), Q(a, x)), P + Q = 1,
-    for a > 0 and x >= 0, elementwise with broadcasting; scalars for scalar
-    arguments.  Both are accurate to ~3e-14 relative, Q also where it is
-    tiny (large x)."""
-    p, q = _regularized_gamma_ufunc(a, x)
-    return np.asarray(p, dtype=float)[()], np.asarray(q, dtype=float)[()]
 
 
 def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

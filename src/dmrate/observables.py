@@ -9,7 +9,8 @@ quadrature operators (`moment_observables`).  The regions of identical arms,
 the ideal detector included, and their central-disk complement are one
 closed form: the angular integrals are elementary, and each radial integral
 is a finite sum of positive terms, a gamma function times a regularized
-incomplete gamma function Q (outside the disk) or P (inside it).  The ideal
+incomplete gamma function Q (outside the disk) or P (inside it), summed on
+the lattices of its orders 1, 3/2, ..., N + 1 (`_lattice_gamma`).  The ideal
 detector is thermal occupation 0 of that sum, not a separate path.  Only the
 regions of distinct arms are numeric: they integrate the POVM over a tensor
 Gauss-Legendre grid in polar coordinates (radius times angle), refined until
@@ -19,12 +20,13 @@ two levels agree.  Each grid is one call of the batched kernel
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .detector import DetectorModel, povm_weighted_sum
-from .fock import gammaln, gauss_legendre, hermitize, quadrature_operators, regularized_gamma
+from .fock import erfc, gammaln, gauss_legendre, hermitize, quadrature_operators
 
 __all__ = [
     "ObservableSet",
@@ -62,6 +64,24 @@ def _sector_phase(k: int, j: int) -> complex:
     return 1j * (np.exp(1j * k * (2 * j - 1) * np.pi / 4) - np.exp(1j * k * (2 * j + 1) * np.pi / 4)) / k
 
 
+def _lattice_gamma(x: float, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The regularized incomplete gamma pair P(s, x), Q(s, x) at s = 1, 3/2,
+    ..., N + 1, from the positive terms t_j = e^{-x} x^j / Gamma(j + 1),
+    j = 0, 1/2, 1, ...  On each lattice (integer j, half-integer j) Q(s) sums
+    the terms below s, plus Q(1/2, x) = erfc(sqrt(x)) on the half-integer one,
+    and P(s) the terms from s on.  Past j = max(2x, N + 1) each term is at
+    most half the one before, so 64 more take the tail below rounding.  At
+    x = 0, P = 0 and Q = 1 exactly."""
+    top = math.ceil(max(2 * x, N + 1)) + 64
+    j = np.arange(2 * top + 2).reshape(-1, 2) / 2  # columns: the two lattices
+    t = np.exp(j * math.log(x) - x - gammaln(j + 1)) if x > 0 else (j == 0).astype(float)
+    below = np.cumsum(t, axis=0)  # up to and including j
+    below[:, 1] += erfc(math.sqrt(x))
+    above = np.cumsum(t[::-1], axis=0)[::-1]  # from j on
+    # s runs over the flat positions 2 .. 2N + 2 of j; Q(s) sums up to s - 1.
+    return above.ravel()[2 : 2 * N + 3], below.ravel()[: 2 * N + 1]
+
+
 def _identical_arm_operators(det: DetectorModel, delta_a: float, N: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Region operators and disk-complement diagonal of identical arms.
 
@@ -71,16 +91,16 @@ def _identical_arm_operators(det: DetectorModel, delta_a: float, N: int) -> tupl
     |y| < delta_a (F = P) are, for m <= n,
         W_F[m, n] = sum_{i=0}^{m} sqrt(m!/n!) C(n, m-i) t^{m-i}
                     (1+nbar)^{-h/2} Gamma(h/2+1)/i! F(h/2+1, x),
-    with P, Q the regularized incomplete gamma pair and 0^0 = 1, so nbar = 0
-    is the ideal detector.  Every term is positive, and writing nbar^{m-i}
-    as t^{m-i} (1+nbar)^{m-i} keeps every factor below overflow.  R_j[m, n]
-    is W_Q[m, n] times the sector phase over 2 pi for m < n, and
-    1/4 - W_P[m, m]/4 on the diagonal, exactly 1/4 at delta_a = 0.  The
-    disk complement is the diagonal W_P[m, m].
+    with P, Q the regularized incomplete gamma pair (`_lattice_gamma`) and
+    0^0 = 1, so nbar = 0 is the ideal detector.  Every term is positive, and
+    writing nbar^{m-i} as t^{m-i} (1+nbar)^{m-i} keeps every factor below
+    overflow.  R_j[m, n] is W_Q[m, n] times the sector phase over 2 pi for
+    m < n, and 1/4 - W_P[m, m]/4 on the diagonal, exactly 1/4 at
+    delta_a = 0.  The disk complement is the diagonal W_P[m, m].
     """
     nbar = det.nbar_d
     s = np.arange(2 * N + 1) / 2 + 1
-    P, Q = regularized_gamma(s, delta_a * delta_a / (det.eta_d * (1 + nbar)))
+    P, Q = _lattice_gamma(delta_a * delta_a / (det.eta_d * (1 + nbar)), N)
     log_fact = gammaln(np.arange(N + 1) + 1.0)
     m, n, i = np.indices((N + 1,) * 3).reshape(3, -1)
     keep = (i <= m) & (m <= n)

@@ -4,16 +4,15 @@ of PSD blocks.
 Standard form:  minimize  sum_k <C_k, X_k>
                 s.t.      sum_k <A_ik, X_k> = b_i,  i = 1..m,   X_k >= 0
 
-Every C_k, A_ik and X_k is a d x d real symmetric (or complex Hermitian)
-block, kept in stacked (K, d, d) and (m, K, d, d) arrays: the key-rate
-solver works on the symmetry-reduced state, K real blocks.  A single (n, n)
-matrix with (m, n, n) operators is the case K = 1.  HKM scaling with
-Mehrotra predictor-corrector and infeasible start.  m is a few dozen at
-most, so the Schur complement M_ij = sum_k Re Tr(A_ik X_k A_jk S_k^-1) is
-dense; every factorization is batched over the blocks, and no external
-solver is involved.  Weak duality makes the returned dual vector usable as
-a certificate: any y with sum_i y_i A_ik <= C_k for every k bounds the
-optimum below by b.y.
+Every C_k, A_ik and X_k is a d x d real symmetric block, kept in stacked
+(K, d, d) and (m, K, d, d) arrays: the key-rate solver works on the
+symmetry-reduced state, K real blocks, and complex input is a TypeError.
+HKM scaling with Mehrotra predictor-corrector and infeasible start.  m is a
+few dozen at most, so the Schur complement M_ij = sum_k Tr(A_ik X_k A_jk
+S_k^-1) is dense; every factorization is batched over the blocks, and no
+external solver is involved.  Weak duality makes the returned dual vector
+usable as a certificate: any y with sum_i y_i A_ik <= C_k for every k bounds
+the optimum below by b.y.
 """
 
 from __future__ import annotations
@@ -52,13 +51,13 @@ class SdpResult:
 
 
 def independent_rows(ops: np.ndarray) -> list[int]:
-    """Indices of a maximal linearly independent subset of the constraint
-    operators (the first axis of ``ops``), chosen greedily in order (earlier
-    rows win ties)."""
+    """Indices of a maximal linearly independent subset of the real
+    constraint operators (the first axis of ``ops``), chosen greedily in
+    order (earlier rows win ties)."""
+    if np.iscomplexobj(ops):
+        raise TypeError("independent_rows takes real operators only")
     m = ops.shape[0]
     vecs = ops.reshape(m, -1)
-    if np.iscomplexobj(vecs):
-        vecs = np.concatenate([vecs.real, vecs.imag], axis=1)
     kept: list[int] = []
     basis: list[np.ndarray] = []
     for i in range(m):
@@ -77,21 +76,15 @@ def independent_rows(ops: np.ndarray) -> list[int]:
     return kept
 
 
-def _adj(a: np.ndarray) -> np.ndarray:
-    # Conjugate transpose of every block.
-    a = a.swapaxes(-1, -2)
-    return a.conj() if np.iscomplexobj(a) else a
-
-
 def _trace_prod(a: np.ndarray, b: np.ndarray) -> float:
-    # sum_k Re Tr(a_k b_k) for Hermitian a, without forming the products.
-    return float(np.vdot(a, b).real)
+    # sum_k Tr(a_k b_k) for symmetric a, without forming the products.
+    return float(np.vdot(a, b))
 
 
 def _max_step(chol_inv: np.ndarray, direction: np.ndarray) -> float:
     # Largest alpha with M + alpha * D >= 0 in every block, via the whitened
-    # direction L^-1 D L^-H, where M = L L^H and chol_inv = L^-1.
-    w = chol_inv @ direction @ _adj(chol_inv)
+    # direction L^-1 D L^-T, where M = L L^T and chol_inv = L^-1.
+    w = chol_inv @ direction @ chol_inv.swapaxes(-1, -2)
     lam_min = float(np.linalg.eigvalsh(hermitize(w)).min())
     if lam_min >= -1e-14:
         return np.inf
@@ -104,48 +97,45 @@ def solve_sdp(
     b: np.ndarray,
     max_iters: int = 100,
 ) -> SdpResult:
-    """Solve the standard-form SDP: c_mat is a (K, d, d) stack of blocks and
-    ops an (m, K, d, d) stack of constraints, or c_mat one (n, n) matrix and
-    ops (m, n, n).  x and s come back in the shape of c_mat.
+    """Solve the standard-form SDP: c_mat is a real (K, d, d) stack of
+    blocks and ops a real (m, K, d, d) stack of constraints; x and s come
+    back as (K, d, d) stacks.
 
     Constraints are normalized to unit Frobenius norm internally; the
     returned dual vector refers to the caller's original operators.
     """
     c_mat, ops = np.asarray(c_mat), np.asarray(ops)
-    single = c_mat.ndim == 2
-    if single:
-        c_mat, ops = c_mat[None], ops[:, None]
-    dtype = np.result_type(c_mat, ops, float)
+    if np.iscomplexobj(c_mat) or np.iscomplexobj(ops):
+        raise TypeError("solve_sdp takes real symmetric blocks only")
     n_blocks, n = c_mat.shape[:2]
     dim = n_blocks * n
     m = ops.shape[0]
-    c_mat = hermitize(c_mat.astype(dtype))
+    c_mat = hermitize(c_mat)
     norms = np.maximum(np.linalg.norm(ops.reshape(m, -1), axis=1), 1e-300)
-    ops = ops.astype(dtype) / norms[:, None, None, None]
+    ops = ops / norms[:, None, None, None]
     b = np.asarray(b, dtype=float) / norms
 
-    # Tr(A M) = vec(A^T) . vec(M), and A^T = conj(A) for Hermitian A.
+    # Tr(A M) = vec(A) . vec(M) for symmetric A.
     ops_flat = ops.reshape(m, -1)
-    ops_flat_t = ops_flat.conj() if np.iscomplexobj(ops_flat) else ops_flat
-    eye = np.eye(n, dtype=dtype)
+    eye = np.eye(n)
 
     def aop(mat: np.ndarray) -> np.ndarray:
         # sum_k <A_ik, mat_k> for all i.
-        return (ops_flat_t @ mat.ravel()).real
+        return ops_flat @ mat.ravel()
 
     def amat(vec: np.ndarray) -> np.ndarray:
         return (vec @ ops_flat).reshape(n_blocks, n, n)
 
     def newton_step(x, y, s, r_p, r_d, mu, pinf, pobj):
         # One predictor-corrector step.  Each Cholesky factor is inverted
-        # once; L^-1 whitens the step-length tests and gives S^-1 = L^-H L^-1.
+        # once; L^-1 whitens the step-length tests and gives S^-1 = L^-T L^-1.
         x_chol_inv = np.linalg.inv(np.linalg.cholesky(x))
         s_chol_inv = np.linalg.inv(np.linalg.cholesky(s))
-        s_inv = hermitize(_adj(s_chol_inv) @ s_chol_inv)
+        s_inv = hermitize(s_chol_inv.swapaxes(-1, -2) @ s_chol_inv)
 
-        # Schur complement M[i,j] = sum_k Re Tr(A_ik X_k A_jk S_k^-1).
+        # Schur complement M[i,j] = sum_k Tr(A_ik X_k A_jk S_k^-1).
         t_ops = x @ ops @ s_inv
-        schur = (ops_flat_t @ t_ops.reshape(m, -1).T).real
+        schur = ops_flat @ t_ops.reshape(m, -1).T
         schur += (1e-13 * max(1.0, np.trace(schur) / m)) * np.eye(m)
 
         x_rd_sinv = x @ r_d @ s_inv
@@ -222,9 +212,9 @@ def solve_sdp(
     pobj = _trace_prod(c_mat, x)
     dobj = float(b @ y)
     return SdpResult(
-        x=x[0] if single else x,
+        x=x,
         y=y / norms,
-        s=s[0] if single else s,
+        s=s,
         status=status,
         iterations=it,
         primal_obj=pobj,

@@ -42,10 +42,9 @@ __all__ = ["KeyRateResult", "InfeasibleError", "solve", "key_rate"]
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 GAP_TOL = 1e-6  # bits
 MAX_ITERS = 300
-# Rounds of alternating projection for the start point and for an atom's
-# first polish.
+# Rounds of alternating projection for the start point, and for an atom the
+# scaled correction cannot repair (thin sets need several hundred).
 FEASIBLE_ROUNDS = 400
-POLISH_ROUNDS = 60
 LINE_SEARCH_POINTS = 20
 IPM_MAX_ITERS = 100
 # Stop once the certified bound has improved by less than this (bits) over
@@ -180,11 +179,11 @@ def _affine_projector(ops: np.ndarray):
     return project
 
 
-def _feasible_start(rho: np.ndarray, project, b: np.ndarray, rounds: int = FEASIBLE_ROUNDS) -> np.ndarray:
+def _feasible_start(rho: np.ndarray, project, b: np.ndarray) -> np.ndarray:
     # Alternate affine projection with PSD clamping; the interior-point
     # output is close to feasible, so modest linear convergence suffices.
     # Degenerate sets (pure-state corners) converge slowly, hence the budget.
-    for _ in range(rounds):
+    for _ in range(FEASIBLE_ROUNDS):
         rho = project(rho, b)
         w, u = np.linalg.eigh(hermitize(rho))
         if w.min() >= -1e-12:
@@ -221,16 +220,15 @@ def _scaled_correction(sigma: np.ndarray, ops: np.ndarray, b: np.ndarray) -> np.
 
 def _polish_atom(sigma: np.ndarray, project, ops: np.ndarray, b: np.ndarray, atom_tol: float) -> np.ndarray | None:
     """sigma moved onto A(sigma) = b within atom_tol and PSD, or None.  The
-    scaled correction nearly always makes it exact; else a short polish by
-    alternating projection, and before giving up, the start point's full
-    budget."""
+    scaled correction nearly always makes it exact; it cannot repair an atom
+    with a negative eigenvalue, which alternating projection, with the start
+    point's budget, then does."""
     exact = _scaled_correction(sigma, ops, b)
     if exact is not None:
         return exact
-    for rounds in (POLISH_ROUNDS, FEASIBLE_ROUNDS):
-        sigma = _feasible_start(sigma, project, b, rounds)
-        if _residual(ops, sigma, b) <= atom_tol and np.linalg.eigvalsh(sigma).min() >= -1e-9:
-            return sigma
+    sigma = _feasible_start(sigma, project, b)
+    if _residual(ops, sigma, b) <= atom_tol and np.linalg.eigvalsh(sigma).min() >= -1e-9:
+        return sigma
     return None
 
 

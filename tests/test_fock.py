@@ -16,8 +16,8 @@ from dmrate.fock import (
     hermitian_sqrt,
     laguerre,
     quadrature_operators,
-    regularized_gamma,
 )
+from dmrate.observables import _lattice_gamma
 from support.maps import hermitian_log
 
 
@@ -82,30 +82,22 @@ class TestHermite:
 
 
 class TestSpecialFunctions:
-    """The package's special functions against scipy.special, and its
-    Gauss-Legendre rules against numpy's."""
+    """The package's special functions, and the incomplete gamma sums of the
+    region operators, against scipy.special, and its Gauss-Legendre rules
+    against numpy's."""
 
-    def test_regularized_gamma_against_scipy(self):
-        # Every a the package uses up to cutoff ~14, and x on both sides of
-        # the series / continued-fraction switch at x = a + 1.
-        for a in np.arange(1.0, 22.5, 0.5):
-            switch = a + 1.0
-            x = np.concatenate([np.geomspace(1e-8, 60.0, 300), switch + np.array([-1e-9, 0.0, 1e-9, -0.25, 0.25])])
-            assert (x < switch).any() and (x >= switch).any()
-            p, q = regularized_gamma(a, x)
-            np.testing.assert_allclose(p, special.gammainc(a, x), rtol=1e-13, atol=0, err_msg=f"P, a={a}")
-            np.testing.assert_allclose(q, special.gammaincc(a, x), rtol=1e-13, atol=0, err_msg=f"Q, a={a}")
-
-    def test_regularized_gamma_shapes_and_edges(self):
-        p, q = regularized_gamma(np.arange(1, 5)[:, None], np.array([0.0, 0.5, 7.0]))
-        assert p.shape == q.shape == (4, 3)
-        np.testing.assert_allclose(p + q, 1.0, rtol=0, atol=1e-15)
-        assert (p[:, 0] == 0.0).all() and (q[:, 0] == 1.0).all()
-        p, q = regularized_gamma(2, 1.5)
-        assert np.ndim(p) == np.ndim(q) == 0
-        # Q(1, x) = e^{-x}, on both sides of the switch at x = 2.
-        for x in (1.5, 3.0):
-            assert regularized_gamma(1, x)[1] == pytest.approx(np.exp(-x), rel=1e-14)
+    def test_lattice_gamma_against_scipy(self):
+        # Every order s = 1, 3/2, ..., N + 1 the region operators use, at x
+        # from 1e-12, where P(21, x) is 2e-272, to 100, where Q(1, x) is 4e-44.
+        for N in range(2, 21):
+            s = np.arange(2 * N + 1) / 2 + 1
+            for x in np.geomspace(1e-12, 100.0, 200):
+                p, q = _lattice_gamma(x, N)
+                np.testing.assert_allclose(p, special.gammainc(s, x), rtol=1e-13, atol=0, err_msg=f"P, x={x}")
+                np.testing.assert_allclose(q, special.gammaincc(s, x), rtol=1e-13, atol=0, err_msg=f"Q, x={x}")
+            p, q = _lattice_gamma(0.0, N)
+            assert p.shape == q.shape == s.shape
+            assert (p == 0.0).all() and (q == 1.0).all()
 
     def test_erfc_against_scipy(self):
         x = np.linspace(-10.0, 10.0, 2001)

@@ -3,9 +3,9 @@ none of numpy's lazily imported `polynomial`, `random`, `ma` or `fft`.
 
 `scipy.special` and `scipy.linalg` alone cost about 0.3 s and 29 MiB on a
 fresh import, more than the package and numpy together, for a handful of
-functions: log-gamma, erfc, the regularized incomplete gamma pair (in
-`dmrate.fock`) and dense solves (numpy's).  scipy is a test-only dependency;
-the tests keep it as an oracle.  numpy loads `numpy.polynomial` lazily, on
+functions: log-gamma and erfc (in `dmrate.fock`) and dense solves
+(numpy's).  scipy is a test-only dependency; the tests keep it as an
+oracle.  numpy loads `numpy.polynomial` lazily, on
 first use, and it costs about 0.7 MiB of resident memory for one function,
 Gauss-Legendre nodes, which `dmrate.fock.gauss_legendre` computes instead.
 The package needs none of the others, and each would add to the peak

@@ -4,14 +4,22 @@ import pytest
 from dmrate.sdp import independent_rows, solve_sdp
 
 
-def random_hermitian(rng, n):
-    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return 0.5 * (m + m.conj().T)
+def random_symmetric(rng, *shape):
+    m = rng.normal(size=shape)
+    return 0.5 * (m + m.swapaxes(-1, -2))
+
+
+def random_state(rng, n_blocks, n):
+    # A positive definite stack of total trace 1.
+    chol = rng.normal(size=(n_blocks, n, n))
+    x = chol @ chol.swapaxes(1, 2)
+    return x / np.trace(x, axis1=1, axis2=2).sum()
 
 
 def kkt_check(res, c_mat, ops, b, tol=1e-7):
     # Self-contained optimality certificate: primal/dual feasibility plus a
     # small complementarity gap sandwich b.y <= p* <= <C, X>.
+    assert res.x.shape == res.s.shape == c_mat.shape
     assert res.primal_residual < tol * (1 + np.abs(b).max())
     assert np.linalg.eigvalsh(res.x).min() > -tol
     s = c_mat - np.tensordot(res.y, ops, axes=1)
@@ -23,76 +31,91 @@ def kkt_check(res, c_mat, ops, b, tol=1e-7):
 class TestDiagonalProblems:
     def test_reduces_to_lp(self):
         # min c.x over x >= 0, sum x = 1 with diagonal matrices: picks min c.
-        c = np.diag([3.0, 1.0, 2.0]).astype(complex)
-        ops = np.array([np.eye(3, dtype=complex)])
+        c = np.diag([3.0, 1.0, 2.0])[None]
+        ops = np.eye(3)[None, None]
         b = np.array([1.0])
         res = solve_sdp(c, ops, b)
         assert res.converged
         assert res.primal_obj == pytest.approx(1.0, abs=1e-7)
-        x_diag = np.diag(res.x).real
+        x_diag = np.diag(res.x[0])
         assert x_diag[1] == pytest.approx(1.0, abs=1e-6)
 
     def test_two_constraints(self):
         # min x11 + 4 x22 + 9 x33, tr = 1, x11 = 0.2
-        c = np.diag([1.0, 4.0, 9.0]).astype(complex)
-        e11 = np.zeros((3, 3), dtype=complex)
+        c = np.diag([1.0, 4.0, 9.0])[None]
+        e11 = np.zeros((3, 3))
         e11[0, 0] = 1.0
-        ops = np.array([np.eye(3, dtype=complex), e11])
+        ops = np.array([np.eye(3), e11])[:, None]
         b = np.array([1.0, 0.2])
         res = solve_sdp(c, ops, b)
         assert res.converged
         assert res.primal_obj == pytest.approx(0.2 * 1 + 0.8 * 4, abs=1e-6)
 
+    def test_blocks_share_the_trace(self):
+        # Two blocks, one trace row over both: the weight goes to the
+        # smallest diagonal entry of either block.
+        c = np.array([np.diag([3.0, 2.0]), np.diag([5.0, 0.5])])
+        ops = np.eye(2)[None, None].repeat(2, axis=1)
+        res = solve_sdp(c, ops, np.array([1.0]))
+        assert res.converged
+        assert res.primal_obj == pytest.approx(0.5, abs=1e-7)
+        assert res.x[1, 1, 1] == pytest.approx(1.0, abs=1e-6)
+
+
+def check_random_problems(n_blocks):
+    rng = np.random.default_rng(42)
+    for trial in range(6):
+        n = int(rng.integers(4, 14))
+        m = int(rng.integers(2, 2 * n))
+        eye = np.broadcast_to(np.eye(n), (n_blocks, n, n))
+        ops = np.concatenate([eye[None], random_symmetric(rng, m - 1, n_blocks, n, n)])
+        # Feasible by construction: take expectation values of a state.
+        x_feas = random_state(rng, n_blocks, n)
+        b = np.einsum("ikab,kba->i", ops, x_feas)
+        c_mat = random_symmetric(rng, n_blocks, n, n)
+        res = solve_sdp(c_mat, ops, b)
+        assert res.converged, f"trial {trial} did not converge"
+        kkt_check(res, c_mat, ops, b)
+
 
 class TestRandomProblems:
     def test_kkt_certificates(self):
-        rng = np.random.default_rng(42)
-        for trial in range(6):
-            n = int(rng.integers(4, 14))
-            m = int(rng.integers(2, 2 * n))
-            ops = np.stack([np.eye(n, dtype=complex)] + [random_hermitian(rng, n) for _ in range(m - 1)])
-            # Feasible by construction: take expectation values of a state.
-            chol = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            x_feas = chol @ chol.conj().T
-            x_feas /= np.trace(x_feas).real
-            b = np.einsum("iab,ba->i", ops, x_feas).real
-            c_mat = random_hermitian(rng, n)
-            res = solve_sdp(c_mat, ops, b)
-            assert res.converged, f"trial {trial} did not converge"
-            kkt_check(res, c_mat, ops, b)
+        check_random_problems(1)
+
+    def test_kkt_certificates_several_blocks(self):
+        # The key-rate solver's shape: K blocks joined by the trace row.
+        check_random_problems(3)
 
     def test_weak_duality_bound(self):
         rng = np.random.default_rng(7)
         n, m = 10, 6
-        ops = np.stack([np.eye(n, dtype=complex)] + [random_hermitian(rng, n) for _ in range(m - 1)])
-        chol = rng.normal(size=(n, n))
-        x_feas = chol @ chol.T
-        x_feas = x_feas / np.trace(x_feas)
-        b = np.einsum("iab,ba->i", ops, x_feas.astype(complex)).real
-        c_mat = random_hermitian(rng, n)
+        ops = np.concatenate([np.eye(n)[None, None], random_symmetric(rng, m - 1, 1, n, n)])
+        x_feas = random_state(rng, 1, n)
+        b = np.einsum("ikab,kba->i", ops, x_feas)
+        c_mat = random_symmetric(rng, 1, n, n)
         res = solve_sdp(c_mat, ops, b)
         # Any feasible point is bounded below by the dual objective.
-        assert float(np.einsum("ab,ba->", c_mat, x_feas.astype(complex)).real) >= res.dual_obj - 1e-7
+        assert float(np.einsum("kab,kba->", c_mat, x_feas)) >= res.dual_obj - 1e-7
 
 
 class TestIndependentRows:
     def test_detects_redundancy(self):
-        eye = np.eye(3, dtype=complex)
-        e00 = np.zeros((3, 3), dtype=complex)
+        eye = np.eye(3)
+        e00 = np.zeros((3, 3))
         e00[0, 0] = 1.0
         rest = eye - e00
-        ops = np.stack([eye, e00, rest])
+        ops = np.stack([eye, e00, rest])[:, None]
         kept = independent_rows(ops)
         assert kept == [0, 1]
 
     def test_keeps_all_independent(self):
         rng = np.random.default_rng(3)
-        ops = np.stack([random_hermitian(rng, 4) for _ in range(5)])
+        ops = random_symmetric(rng, 5, 2, 4, 4)
         assert independent_rows(ops) == list(range(5))
 
     def test_prefers_early_rows(self):
-        a = np.diag([1.0, 0.0]).astype(complex)
-        ops = np.stack([a, 2 * a])
+        a = np.diag([1.0, 0.0])
+        ops = np.stack([a, 2 * a])[:, None]
         assert independent_rows(ops) == [0]
 
 
@@ -100,10 +123,20 @@ class TestDegenerate:
     def test_redundant_constraints_need_reduction(self):
         # Duplicated rows make the Schur complement singular; the caller is
         # expected to reduce first.
-        eye = np.eye(4, dtype=complex)
-        ops = np.stack([eye, eye])
+        eye = np.eye(4)
+        ops = np.stack([eye, eye])[:, None]
         b = np.array([1.0, 1.0])
         kept = independent_rows(ops)
-        res = solve_sdp(np.diag([1.0, 2, 3, 4]).astype(complex), ops[kept], b[kept])
+        res = solve_sdp(np.diag([1.0, 2, 3, 4])[None], ops[kept], b[kept])
         assert res.converged
         assert res.primal_obj == pytest.approx(1.0, abs=1e-6)
+
+
+def test_complex_input_rejected():
+    c = np.eye(2)[None]
+    ops = np.eye(2)[None, None]
+    for c_in, ops_in in ((c.astype(complex), ops), (c, ops.astype(complex))):
+        with pytest.raises(TypeError):
+            solve_sdp(c_in, ops_in, np.array([1.0]))
+    with pytest.raises(TypeError):
+        independent_rows(ops.astype(complex))

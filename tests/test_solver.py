@@ -11,10 +11,11 @@ from dmrate.detector import DetectorModel
 from dmrate.maps import build_postprocessing_maps
 from dmrate.observables import observable_set
 from dmrate.pipeline import cutoff_stability, evaluate_point
-from dmrate.sdp import independent_rows, solve_sdp
+from dmrate.sdp import independent_rows
 from dmrate.solver import InfeasibleError, KeyRateResult, key_rate, solve
 from support.constraints import full_operators
 from support.maps import full_objective_with_gradient, roots
+from support.sdp import embed, solve_hermitian_sdp
 
 DET = DetectorModel.simple(0.719, 0.01)
 
@@ -65,12 +66,12 @@ class TestSolve:
         cs, maps, res = solved
         _, grad = full_objective_with_gradient(res.rho, roots(maps))
         ops = full_operators(cs)
-        kept = independent_rows(ops)
+        kept = independent_rows(embed(ops))
         for seed in range(3):
             rng = np.random.default_rng(seed)
             c_rand = rng.normal(size=(cs.dim, cs.dim)) + 1j * rng.normal(size=(cs.dim, cs.dim))
             c_rand = c_rand + c_rand.conj().T
-            feas = solve_sdp(c_rand, ops[kept], cs.values[kept])
+            feas = solve_hermitian_sdp(c_rand, ops[kept], cs.values[kept])
             slack = float(np.einsum("ab,ba->", feas.x - res.rho, grad).real)
             assert slack >= -max(10 * res.gap, 1e-5)
 
@@ -79,9 +80,8 @@ class TestFailedChecks:
     # A subproblem check that fails ends the run, but the subproblem's dual
     # vector, once repaired, still certifies a bound.  Each case loosens the
     # subproblem results; "polish" also spoils the atom polish (no scaled
-    # correction, and every _feasible_start call
-    # after the start point's, the short polish and the long one alike), so
-    # the polished atom misses its tolerance.
+    # correction, and every _feasible_start call after the start point's),
+    # so the polished atom misses its tolerance.
     @pytest.mark.parametrize(
         "loosen, status",
         [
@@ -97,12 +97,13 @@ class TestFailedChecks:
         def loose_solve_sdp(*args, **kwargs):
             return replace(solve_sdp_exact(*args, **kwargs), **loosen)
 
-        calls = []
+        calls = 0
 
-        def spoiled_polish(rho, project, b, rounds=solver.FEASIBLE_ROUNDS):
-            calls.append(rounds)
-            out = feasible_start_exact(rho, project, b, rounds)
-            return 2.0 * out if len(calls) > 1 else out
+        def spoiled_polish(rho, project, b):
+            nonlocal calls
+            calls += 1
+            out = feasible_start_exact(rho, project, b)
+            return 2.0 * out if calls > 1 else out
 
         monkeypatch.setattr(solver, "solve_sdp", loose_solve_sdp)
         monkeypatch.setattr(solver, "_feasible_start", spoiled_polish)
@@ -111,7 +112,7 @@ class TestFailedChecks:
         assert res.status == status
         assert res.iterations == 1
         if status == "polish_failure":
-            assert calls == [solver.FEASIBLE_ROUNDS, solver.POLISH_ROUNDS, solver.FEASIBLE_ROUNDS]
+            assert calls == 2  # the start point, then the one polish
         assert np.isfinite(res.lower_bound)
         assert res.certified
         assert res.lower_bound <= res.primal_value
@@ -205,11 +206,11 @@ class TestPipeline:
 
 
 class TestPolish:
-    def test_long_polish_after_short_one_misses(self):
+    def test_long_polish_after_short_one_misses(self, monkeypatch):
         # A thin feasible set: X >= 0 on 2 x 2 with X_11 = 0.99 and trace 1,
         # so |X_12| <= 0.0995.  From X_12 = 0.1, alternating projection
         # converges slowly: 60 rounds miss the tightest atom tolerance, and
-        # the start point's 400 more meet it.  The atom has a negative
+        # the start point's budget meets it.  The atom has a negative
         # eigenvalue, which the scaled correction cannot repair.
         ops = np.array([np.eye(2)[None], np.diag([1.0, 0.0])[None]])
         b = np.array([1.0, 0.99])
@@ -217,7 +218,9 @@ class TestPolish:
         atom = np.array([[[0.99, 0.1], [0.1, 0.01]]])
         atom_tol = 5e-8
         assert solver._scaled_correction(atom, ops, b) is None
-        short = solver._feasible_start(atom, project, b, solver.POLISH_ROUNDS)
+        with monkeypatch.context() as short_budget:
+            short_budget.setattr(solver, "FEASIBLE_ROUNDS", 60)
+            short = solver._feasible_start(atom, project, b)
         assert solver._residual(ops, short, b) > atom_tol
         polished = solver._polish_atom(atom, project, ops, b, atom_tol)
         assert polished is not None
