@@ -86,18 +86,30 @@ class TestSpecialFunctions:
     region operators, against scipy.special, and its Gauss-Legendre rules
     against numpy's."""
 
-    def test_lattice_gamma_against_scipy(self):
-        # Every order s = 1, 3/2, ..., N + 1 the region operators use, at x
-        # from 1e-12, where P(21, x) is 2e-272, to 100, where Q(1, x) is 4e-44.
+    def test_regularized_gamma_against_scipy(self):
+        # The incomplete gamma pair of the region operators, at every order
+        # s = 1, 3/2, ..., N + 1 they use, and x from 1e-12, where P(21, x) is
+        # 2e-272, to 100, where Q(1, x) is 4e-44.
         for N in range(2, 21):
             s = np.arange(2 * N + 1) / 2 + 1
             for x in np.geomspace(1e-12, 100.0, 200):
                 p, q = _lattice_gamma(x, N)
                 np.testing.assert_allclose(p, special.gammainc(s, x), rtol=1e-13, atol=0, err_msg=f"P, x={x}")
                 np.testing.assert_allclose(q, special.gammaincc(s, x), rtol=1e-13, atol=0, err_msg=f"Q, x={x}")
+
+    def test_regularized_gamma_shapes_and_edges(self):
+        for N in (1, 2, 7, 20):
             p, q = _lattice_gamma(0.0, N)
-            assert p.shape == q.shape == s.shape
+            assert p.shape == q.shape == (2 * N + 1,)
             assert (p == 0.0).all() and (q == 1.0).all()
+            for x in (0.5, 7.0, 40.0):
+                p, q = _lattice_gamma(x, N)
+                assert p.shape == q.shape == (2 * N + 1,)
+                # P and Q are separate sums, each held to 1e-13 against scipy
+                # above, so they add to 1 to that accuracy, not to one ulp.
+                np.testing.assert_allclose(p + q, 1.0, rtol=0, atol=1e-13)
+                # Q(1, x) = e^{-x}: the first order, on the integer lattice.
+                assert q[0] == pytest.approx(np.exp(-x), rel=1e-14)
 
     def test_erfc_against_scipy(self):
         x = np.linspace(-10.0, 10.0, 2001)
