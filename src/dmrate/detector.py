@@ -23,9 +23,9 @@ from .fock import gammaln, hermite
 
 __all__ = ["DetectorModel", "povm_weighted_sum", "IDEAL_NBAR_THRESHOLD"]
 
-# Below this effective thermal occupation a detector is ideal and its G_y are
-# coherent projectors: the Laguerre arguments contain 1/nbar_d and become
-# numerically treacherous, and the ideal limit is exact anyway.
+# Below this effective thermal occupation a detector is ideal.  In the package
+# this only lets `build_constraints` accept the detector for untrusted noise;
+# the identical-arm regions are one closed form on both sides of it.
 IDEAL_NBAR_THRESHOLD = 1e-12
 
 # lambda_1 == lambda_2 collapses the squeezing of the general POVM; at this

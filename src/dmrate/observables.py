@@ -31,7 +31,6 @@ from .fock import erfc, gammaln, gauss_legendre, hermitize, quadrature_operators
 __all__ = [
     "ObservableSet",
     "region_operators",
-    "region_complement",
     "moment_observables",
     "observable_set",
 ]
@@ -180,16 +179,6 @@ def region_operators(det: DetectorModel, delta_a: float, N: int) -> tuple[np.nda
     if det.simple_case():
         return _identical_arm_operators(det, delta_a, N)[0]
     return _general_regions(det, delta_a, N)
-
-
-def region_complement(det: DetectorModel, delta_a: float, N: int) -> np.ndarray:
-    """Operator of the discarded central disk |y| < delta_a; diagonal, since
-    the full-circle angular integral kills every off-diagonal entry."""
-    if delta_a < 0:
-        raise ValueError(f"postselection radius must be >= 0, got {delta_a}")
-    if not det.simple_case():
-        raise ValueError("disk complement implemented for identical arms only")
-    return np.diag(_identical_arm_operators(det, delta_a, N)[1]).astype(complex)
 
 
 def moment_observables(det: DetectorModel, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -10,19 +10,18 @@ the reduced rows must hold for the values.  Then the twirl of any feasible state
 objective is convex and invariant, and the minimum over invariant states is
 the minimum over all states; otherwise ValueError.
 
-Each iteration linearizes the objective at the current feasible state and
-solves min <sigma, grad> over the constrained PSD set with the dense
-interior-point solver; the subproblem's dual vector, repaired to exact dual
-feasibility by shifting the trace-constraint coordinate, turns the
-linearization into a valid lower bound on the true minimum (weak duality +
-convexity).  The best bound over all iterations is reported, so even a run
-stopped at the iteration cap, or by a subproblem that fails its usability
-check ("subproblem_failure") or its atom polish ("polish_failure"), is
-certified.  Every atom, and the last iterate, is corrected onto the rows in
-its own metric where that is possible, so the primal value is taken at a
-state that meets the rows exactly and stays above the bound.
-The returned state is lifted back to A (x) B, and its residual is taken
-against the original rows.
+Each iteration linearizes the objective at the current state and solves
+min <sigma, grad> over the constrained PSD set with the dense interior-point
+solver; the subproblem's dual vector, repaired to exact dual feasibility by
+shifting the trace-constraint coordinate, turns the linearization into a
+valid lower bound on the true minimum (weak duality + convexity), whether or
+not the states meet the rows.  The best bound over all iterations is
+reported, so even a run stopped at the iteration cap, or by a subproblem
+that fails its usability check ("subproblem_failure"), is certified.  Atoms
+are used as the subproblem returns them; only the last iterate is corrected
+onto the rows, in its own metric, so the primal value is taken at a state
+that meets them exactly and stays above the bound.  The returned state is
+lifted back to A (x) B, and its residual is taken against the original rows.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ __all__ = ["KeyRateResult", "InfeasibleError", "solve", "key_rate"]
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 GAP_TOL = 1e-6  # bits
 MAX_ITERS = 300
-# Rounds of alternating projection for the start point, and for an atom the
-# scaled correction cannot repair (thin sets need several hundred).
+# Rounds of alternating projection for the start point (thin sets need
+# several hundred).
 FEASIBLE_ROUNDS = 400
 LINE_SEARCH_POINTS = 20
 IPM_MAX_ITERS = 100
@@ -70,6 +69,14 @@ class InfeasibleError(RuntimeError):
 
 @dataclass(frozen=True)
 class KeyRateResult:
+    """One solve, in bits.  `rate` follows from `lower_bound`, the best
+    certified bound of the run.  `rho` is the last iterate on A (x) B after
+    the closing correction onto the rows, and `primal_value` its objective.
+    `status`: "converged" (gap below GAP_TOL), "converged_bound" (bound
+    plateau), "converged_approx" or the uncertified "stalled" (no descent at
+    a small or a large gap), "rate_zero" (primal below the error-correction
+    cost), "subproblem_failure" or "max_iters"."""
+
     primal_value: float
     lower_bound: float
     delta_ec: float
@@ -163,28 +170,19 @@ def _reduced_rows(cs: ConstraintSet, maps: PostprocessingMaps) -> tuple[np.ndarr
     return red, kept
 
 
-def _affine_projector(ops: np.ndarray):
-    """Minimum-Frobenius-norm correction onto the affine subspace
-    A(rho) = b, with the normalized rows and their Gram matrix built once."""
-    m = ops.shape[0]
+def _feasible_start(rho: np.ndarray, ops: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Alternate the minimum-Frobenius-norm correction onto A(rho) = b with
+    # PSD clamping; the interior-point output is close to feasible, so
+    # modest linear convergence suffices.  Degenerate sets (pure-state
+    # corners) converge slowly, hence the budget.
+    m = len(b)
     scaled = ops.reshape(m, -1)
     norms = np.linalg.norm(scaled, axis=1)
     scaled = scaled / norms[:, None]
     gram_inv = np.linalg.inv(scaled @ scaled.T + 1e-14 * np.eye(m))
-
-    def project(rho: np.ndarray, b: np.ndarray) -> np.ndarray:
-        w = gram_inv @ (scaled @ rho.ravel() - b / norms)
-        return rho - (w @ scaled).reshape(rho.shape)
-
-    return project
-
-
-def _feasible_start(rho: np.ndarray, project, b: np.ndarray) -> np.ndarray:
-    # Alternate affine projection with PSD clamping; the interior-point
-    # output is close to feasible, so modest linear convergence suffices.
-    # Degenerate sets (pure-state corners) converge slowly, hence the budget.
     for _ in range(FEASIBLE_ROUNDS):
-        rho = project(rho, b)
+        z = gram_inv @ (scaled @ rho.ravel() - b / norms)
+        rho = rho - (z @ scaled).reshape(rho.shape)
         w, u = np.linalg.eigh(hermitize(rho))
         if w.min() >= -1e-12:
             return hermitize(rho)
@@ -218,20 +216,6 @@ def _scaled_correction(sigma: np.ndarray, ops: np.ndarray, b: np.ndarray) -> np.
     return sigma
 
 
-def _polish_atom(sigma: np.ndarray, project, ops: np.ndarray, b: np.ndarray, atom_tol: float) -> np.ndarray | None:
-    """sigma moved onto A(sigma) = b within atom_tol and PSD, or None.  The
-    scaled correction nearly always makes it exact; it cannot repair an atom
-    with a negative eigenvalue, which alternating projection, with the start
-    point's budget, then does."""
-    exact = _scaled_correction(sigma, ops, b)
-    if exact is not None:
-        return exact
-    sigma = _feasible_start(sigma, project, b)
-    if _residual(ops, sigma, b) <= atom_tol and np.linalg.eigvalsh(sigma).min() >= -1e-9:
-        return sigma
-    return None
-
-
 def _repaired_dual(grad: np.ndarray, ops: np.ndarray, y: np.ndarray, trace_pos: int) -> np.ndarray:
     # Shift the trace coordinate until sum_i y_i Gamma_i <= grad holds exactly;
     # any dual-feasible y gives a valid bound b.y on min <sigma, grad>.
@@ -249,9 +233,11 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
 
     Returns the primal value at the last iterate and a certified lower bound
     (both in bits).  `ec_floor` enables an early exit: once the primal drops
-    below it the final key rate is provably zero, since the primal only
-    decreases and always dominates the minimum.  Raises ValueError if the
-    rows or values are not closed under the symmetry group of the maps.
+    below it the final key rate is taken to be zero, since the primal only
+    decreases and dominates the minimum.  That test reads f at an iterate
+    that meets the rows only to the interior-point tolerance; the reported
+    rate still comes from the certified bound alone.  Raises ValueError if
+    the rows or values are not closed under the symmetry group of the maps.
     """
     red, kept = _reduced_rows(cs, maps)
     ops = red[kept]
@@ -260,7 +246,6 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
     if 0 not in kept:  # trace row is first and never a combination of nothing
         raise RuntimeError("trace constraint unexpectedly dropped")
     trace_pos = kept.index(0)
-    project = _affine_projector(ops)
 
     # Feasibility pre-solve with a deterministic generic objective, the
     # blocks of diag(0..1) on A (x) B, that is of
@@ -271,7 +256,7 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
     b_parts = np.stack([np.eye(n_b), np.diag(np.arange(float(n_b)))])
     c0 = maps.reduce_products(a_parts, b_parts).sum(axis=0) / (maps.dim_ab - 1)
     pre = solve_sdp(c0, ops, b, max_iters=200)
-    rho = _feasible_start(hermitize(pre.x), project, b)
+    rho = _feasible_start(hermitize(pre.x), ops, b)
     full_res = float(np.max(np.abs(cs.residuals(maps.lift(rho)))))
     if full_res > 5e-8 or np.linalg.eigvalsh(rho).min() < -1e-9:
         raise InfeasibleError("no feasible state found", full_res)
@@ -304,21 +289,7 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
             status = "subproblem_failure"
             break
 
-        # Polish every atom so mixing cannot degrade the iterate's
-        # feasibility beyond what the subproblem geometry allows: the primal
-        # value must stay an upper bound on the minimum, and a residual r
-        # can lower it by about |y| r.  At degenerate corners (empty
-        # interior) a small floor remains, and the certified bound stays
-        # rigorous regardless since dual feasibility does not involve the
-        # constraint values.  An atom that was within 5e-8 already is kept
-        # as it is if the polish cannot do better.
         sigma = hermitize(sub.x)
-        polished = _polish_atom(sigma, project, ops, b_sub, max(5e-8, min(1.5 * sub.primal_residual, 2e-6)))
-        if polished is not None:
-            sigma = polished
-        elif sub.primal_residual > 5e-8:
-            status = "polish_failure"
-            break
         gap = float(np.vdot(rho - sigma, grad))
         gap = max(gap, 0.0)
         lower_history.append(best_lower)
@@ -345,9 +316,9 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
         f, grad = objective_with_gradient(rho, maps)
         history.append(f)
 
-    # The iterate meets the rows only as well as its atoms did, to ~1e-9,
-    # and a residual r can take f below the minimum by |y| r.  The scaled
-    # correction makes it exact and keeps it PSD.
+    # The iterate meets the rows only to its atoms' interior-point
+    # tolerance, and a residual r can take f below the minimum by |y| r.
+    # The scaled correction makes it exact and keeps it PSD.
     exact = _scaled_correction(rho, ops, b)
     if exact is not None:
         rho = exact

@@ -12,10 +12,10 @@ from dmrate.observables import (
     _general_regions,
     moment_observables,
     observable_set,
-    region_complement,
     region_operators,
 )
 from support.detector import povm_element
+from support.observables import region_complement
 
 SIMPLE = DetectorModel.simple(0.719, 0.01)
 NOISY = DetectorModel.simple(0.60, 0.30)

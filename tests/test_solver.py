@@ -78,43 +78,25 @@ class TestSolve:
 
 class TestFailedChecks:
     # A subproblem check that fails ends the run, but the subproblem's dual
-    # vector, once repaired, still certifies a bound.  Each case loosens the
-    # subproblem results; "polish" also spoils the atom polish (no scaled
-    # correction, and every _feasible_start call after the start point's),
-    # so the polished atom misses its tolerance.
-    @pytest.mark.parametrize(
-        "loosen, status",
-        [
-            ({"primal_residual": 1e-7}, "polish_failure"),
-            ({"status": "stalled", "primal_residual": 1e-3}, "subproblem_failure"),
-        ],
-        ids=["polish", "subproblem"],
-    )
-    def test_bound_survives_failed_check(self, monkeypatch, loosen, status):
+    # vector, once repaired, still certifies a bound.  The closing
+    # correction is spoiled as well, so the last iterate is returned as the
+    # loop left it.
+    @pytest.mark.parametrize("loosen", [{"status": "stalled", "primal_residual": 1e-3}], ids=["subproblem"])
+    def test_bound_survives_failed_check(self, monkeypatch, loosen):
         cs, maps = setup_problem(cutoff=5)
-        solve_sdp_exact, feasible_start_exact = solver.solve_sdp, solver._feasible_start
+        solve_sdp_exact = solver.solve_sdp
 
         def loose_solve_sdp(*args, **kwargs):
             return replace(solve_sdp_exact(*args, **kwargs), **loosen)
 
-        calls = 0
-
-        def spoiled_polish(rho, project, b):
-            nonlocal calls
-            calls += 1
-            out = feasible_start_exact(rho, project, b)
-            return 2.0 * out if calls > 1 else out
-
         monkeypatch.setattr(solver, "solve_sdp", loose_solve_sdp)
-        monkeypatch.setattr(solver, "_feasible_start", spoiled_polish)
         monkeypatch.setattr(solver, "_scaled_correction", lambda sigma, ops, b: None)
         res = solve(cs, maps)
-        assert res.status == status
+        assert res.status == "subproblem_failure"
         assert res.iterations == 1
-        if status == "polish_failure":
-            assert calls == 2  # the start point, then the one polish
         assert np.isfinite(res.lower_bound)
         assert res.certified
+        assert res.constraint_residual <= 1e-7
         assert res.lower_bound <= res.primal_value
 
 
@@ -205,27 +187,24 @@ class TestPipeline:
         assert shift < 5e-3
 
 
-class TestPolish:
-    def test_long_polish_after_short_one_misses(self, monkeypatch):
+class TestFeasibleStart:
+    def test_start_budget_meets_thin_set(self, monkeypatch):
         # A thin feasible set: X >= 0 on 2 x 2 with X_11 = 0.99 and trace 1,
-        # so |X_12| <= 0.0995.  From X_12 = 0.1, alternating projection
-        # converges slowly: 60 rounds miss the tightest atom tolerance, and
-        # the start point's budget meets it.  The atom has a negative
-        # eigenvalue, which the scaled correction cannot repair.
+        # so |X_12| <= 0.0995.  From X_12 = 0.1, a point with a negative
+        # eigenvalue that the scaled correction cannot repair, alternating
+        # projection converges slowly: 60 rounds miss the start point's
+        # 5e-8 gate, and FEASIBLE_ROUNDS meets it.
         ops = np.array([np.eye(2)[None], np.diag([1.0, 0.0])[None]])
         b = np.array([1.0, 0.99])
-        project = solver._affine_projector(ops)
-        atom = np.array([[[0.99, 0.1], [0.1, 0.01]]])
-        atom_tol = 5e-8
-        assert solver._scaled_correction(atom, ops, b) is None
+        rho = np.array([[[0.99, 0.1], [0.1, 0.01]]])
+        assert solver._scaled_correction(rho, ops, b) is None
         with monkeypatch.context() as short_budget:
             short_budget.setattr(solver, "FEASIBLE_ROUNDS", 60)
-            short = solver._feasible_start(atom, project, b)
-        assert solver._residual(ops, short, b) > atom_tol
-        polished = solver._polish_atom(atom, project, ops, b, atom_tol)
-        assert polished is not None
-        assert solver._residual(ops, polished, b) <= atom_tol
-        assert np.linalg.eigvalsh(polished).min() >= -1e-9
+            short = solver._feasible_start(rho, ops, b)
+        assert solver._residual(ops, short, b) > 5e-8
+        start = solver._feasible_start(rho, ops, b)
+        assert solver._residual(ops, start, b) <= 5e-8
+        assert np.linalg.eigvalsh(start).min() >= -1e-9
 
 
 class TestRegressionGuards:
@@ -266,15 +245,15 @@ class TestRegressionGuards:
         ids=["seed8-point2", "seed6-point0"],
     )
     def test_pinned_bench_point(self, distance, alpha):
-        # Two curve-trusted-n10 points, cutoff 10.  Seed 8 point 2: its first
-        # atom's short polish once missed atom_tol by 4% and failed the
-        # point.  Seed 6 point 0: a final iterate 2e-9 off its rows once
-        # undercut the certified bound by 2.3e-7 bits, since the dual weighs
-        # a residual by up to ~50.
+        # Two curve-trusted-n10 points, cutoff 10, that once failed.  Seed 8
+        # point 2: an atom there missed a feasibility tolerance.  Seed 6
+        # point 0: a final iterate 2e-9 off its rows undercut the certified
+        # bound by 2.3e-7 bits, since the dual weighs a residual by up to
+        # ~50; the closing correction makes the returned state exact.
         ch = ChannelModel.from_distance(distance, 0.01)
         pp = ProtocolParams(alpha=alpha, cutoff=10)
         res = evaluate_point(ch, DET, pp, "trusted")
         assert res.certified
         assert res.status in {"converged", "converged_bound", "converged_approx", "rate_zero"}
-        assert res.constraint_residual <= 1e-7
+        assert res.constraint_residual <= 1e-12
         assert res.lower_bound <= res.primal_value + 1e-10
