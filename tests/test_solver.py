@@ -207,6 +207,43 @@ class TestFeasibleStart:
         assert np.linalg.eigvalsh(start).min() >= -1e-9
 
 
+class TestLineSearch:
+    @staticmethod
+    def counted(phi):
+        calls = []
+
+        def wrapped(t):
+            calls.append(t)
+            return phi(t)
+
+        return wrapped, calls
+
+    @pytest.mark.parametrize("t_min", [1e-9, 1e-4, 0.3])
+    def test_interior_minimum_at_every_scale(self, t_min):
+        # Frank-Wolfe steps range over many decades; the search resolves
+        # each to a fixed fraction of itself, with a fixed number of calls.
+        phi, calls = self.counted(lambda t: (t - t_min) ** 2)
+        t, f = solver._line_search(phi)
+        assert abs(t - t_min) <= 0.01 * t_min
+        assert f == (t - t_min) ** 2
+        assert len(calls) == solver.LINE_SEARCH_POINTS + 1
+
+    def test_full_step(self):
+        phi, calls = self.counted(lambda t: (t - 2.0) ** 2)
+        assert solver._line_search(phi) == (1.0, 1.0)
+        assert len(calls) == solver.LINE_SEARCH_POINTS + 1
+
+    def test_no_descent(self):
+        # An increasing phi has no step that lowers it, and the search must
+        # not report one: the solver then stops with "converged_approx" or
+        # "stalled".
+        phi, calls = self.counted(lambda t: 1.0 + t)
+        t, f = solver._line_search(phi)
+        assert 0.0 < t <= 1.0
+        assert f >= 1.0 - 1e-14  # phi(0)
+        assert len(calls) == solver.LINE_SEARCH_POINTS + 1
+
+
 class TestRegressionGuards:
     def test_build_constraints_memory_peak(self):
         # The rows are kept as their factors: a (33, 4, 4) and a (33, 11, 11)
