@@ -217,7 +217,7 @@ def discretization_distribution(
         x, z = np.unravel_index(np.argmin(cond), cond.shape)
         raise RuntimeError(f"negative sector mass {cond[x, z]} at (x={x}, z={z})")
     cond = np.maximum(cond, 0.0)
-    joint = cond / 4.0
+    joint = np.asarray(pp.PRIORS)[:, None] * cond
     return DiscretizedDistribution(ptilde=joint, p_pass=float(joint.sum()), conditional=cond)
 
 

@@ -27,6 +27,7 @@ __all__ = ["SdpResult", "solve_sdp", "independent_rows"]
 
 # Relative primal/dual infeasibility and gap at which an IPM solve is optimal.
 TOL = 1e-9
+MAX_ITERS = 100  # iteration budget of every IPM solve
 # A row is independent when its component orthogonal to the earlier kept
 # rows keeps more than this fraction of its norm.
 RANK_TOL = 1e-9
@@ -91,15 +92,12 @@ def _max_step(chol_inv: np.ndarray, direction: np.ndarray) -> float:
     return -1.0 / lam_min
 
 
-def solve_sdp(
-    c_mat: np.ndarray,
-    ops: np.ndarray,
-    b: np.ndarray,
-    max_iters: int = 100,
-) -> SdpResult:
+def solve_sdp(c_mat: np.ndarray, ops: np.ndarray, b: np.ndarray) -> SdpResult:
     """Solve the standard-form SDP: c_mat is a real (K, d, d) stack of
     blocks and ops a real (m, K, d, d) stack of constraints; x and s come
-    back as (K, d, d) stacks.
+    back as (K, d, d) stacks.  The budget is the fixed MAX_ITERS
+    iterations; a solve that is not optimal by then, or that stalls, returns
+    its best-merit iterate with status "max_iters" or "stalled".
 
     Constraints are normalized to unit Frobenius norm internally; the
     returned dual vector refers to the caller's original operators.
@@ -177,7 +175,7 @@ def solve_sdp(
     it = 0
     best = None
     best_merit = np.inf
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         r_p = b - aop(x)
         r_d = c_mat - amat(y) - s
         mu = _trace_prod(x, s) / dim

@@ -13,17 +13,19 @@ the minimum over all states; otherwise ValueError.
 Each iteration linearizes the objective at the current state and solves
 min <sigma, grad> over the constrained PSD set with the dense interior-point
 solver; the subproblem's dual vector, repaired to exact dual feasibility by
-shifting the trace-constraint coordinate, turns the linearization into a
+shifting the coordinate of row 0, the trace, turns the linearization into a
 valid lower bound on the true minimum (weak duality + convexity), whether or
-not the states meet the rows.  The step toward the subproblem's state comes
-from one golden-section search over log t, t in [1e-13, 1], as the steps
-span many decades.  The best bound over all iterations is reported, so even
-a run stopped at the iteration cap, or by a subproblem that fails its
-usability check ("subproblem_failure"), is certified.  Atoms are used as
-the subproblem returns them; only the last iterate is corrected onto the
-rows, in its own metric, so the primal value is taken at a state that meets
-them exactly and stays above the bound.  The returned state is lifted back
-to A (x) B, and its residual is taken against the original rows.
+not the states meet the rows.  The subproblems, the bound and the closing
+correction all read one set of values, the stated values of the kept rows.
+The step toward the subproblem's state comes from one golden-section search
+over log t, t in [1e-13, 1], as the steps span many decades.  The best bound
+over all iterations is reported, so even a run stopped at the iteration cap,
+or by a subproblem that fails its usability check ("subproblem_failure"), is
+certified.  Atoms are used as the subproblem returns them; only the last
+iterate is corrected onto the rows, in its own metric, so the primal value
+is taken at a state that meets them exactly and stays above the bound.  The
+returned state is lifted back to A (x) B, and its residual is taken against
+the original rows.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ MAX_ITERS = 300
 # only the projection meets the 5e-8 start gate (1.2e-8-3.6e-8).
 FEASIBLE_ROUNDS = 400
 LINE_SEARCH_POINTS = 20
-IPM_MAX_ITERS = 100
 # Stop once the certified bound has improved by less than this (bits) over
 # the trailing window; the bound is the reported quantity, so extra
 # iterations past its plateau only polish the primal.
@@ -202,15 +203,16 @@ def _scaled_correction(sigma: np.ndarray, ops: np.ndarray, b: np.ndarray) -> np.
     return sigma
 
 
-def _repaired_dual(grad: np.ndarray, ops: np.ndarray, y: np.ndarray, trace_pos: int) -> np.ndarray:
-    # Shift the trace coordinate until sum_i y_i Gamma_i <= grad holds exactly;
-    # any dual-feasible y gives a valid bound b.y on min <sigma, grad>.
+def _repaired_dual(grad: np.ndarray, ops: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # Shift y[0], the trace row's coordinate, until sum_i y_i Gamma_i <= grad
+    # holds exactly; any dual-feasible y gives a valid bound b.y on
+    # min <sigma, grad>.
     s_mat = grad - np.tensordot(y, ops, axes=1)
     lam_min = float(np.linalg.eigvalsh(hermitize(s_mat)).min())
     margin = 1e-12 * (1.0 + float(np.max(np.abs(grad))))
     y = y.copy()
     if lam_min < margin:
-        y[trace_pos] += lam_min - margin
+        y[0] += lam_min - margin
     return y
 
 
@@ -229,9 +231,8 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
     ops = red[kept]
     b = cs.values[kept]
     del red
-    if 0 not in kept:  # trace row is first and never a combination of nothing
+    if 0 not in kept:  # the trace row is first, and kept rows stay in order
         raise RuntimeError("trace constraint unexpectedly dropped")
-    trace_pos = kept.index(0)
 
     # Feasibility pre-solve with a deterministic generic objective, the
     # blocks of diag(0..1) on A (x) B, that is of
@@ -241,16 +242,11 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
     a_parts = np.stack([np.diag(np.arange(DIM_A) * float(n_b)), np.eye(DIM_A)])
     b_parts = np.stack([np.eye(n_b), np.diag(np.arange(float(n_b)))])
     c0 = maps.reduce_products(a_parts, b_parts).sum(axis=0) / (maps.dim_ab - 1)
-    pre = solve_sdp(c0, ops, b, max_iters=IPM_MAX_ITERS)
+    pre = solve_sdp(c0, ops, b)
     rho = _feasible_start(hermitize(pre.x), ops, b)
     full_res = float(np.max(np.abs(cs.residuals(maps.lift(rho)))))
     if full_res > 5e-8 or np.linalg.eigvalsh(rho).min() < -1e-9:
         raise InfeasibleError("no feasible state found", full_res)
-    # Subproblems run against the start point's achieved values (identical to
-    # b up to truncation slack, and exactly feasible by construction); the
-    # certified bound below always uses the stated values, which weak duality
-    # permits since dual feasibility does not involve the right-hand side.
-    b_sub = ops.reshape(len(b), -1) @ rho.ravel()
 
     f, grad = objective_with_gradient(rho, maps)
     history = [f]
@@ -262,12 +258,12 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
     iterations = 0
 
     for iterations in range(1, MAX_ITERS + 1):
-        sub = solve_sdp(grad, ops, b_sub, max_iters=IPM_MAX_ITERS)
+        sub = solve_sdp(grad, ops, b)
         # Any finite dual vector, once repaired, certifies a bound, since dual
         # feasibility does not involve the constraint values; so the bound is
         # taken before the checks below, which only judge the direction.
         if np.isfinite(sub.y).all():
-            lower_k = f - float(np.vdot(rho, grad)) + float(b @ _repaired_dual(grad, ops, sub.y, trace_pos))
+            lower_k = f - float(np.vdot(rho, grad)) + float(b @ _repaired_dual(grad, ops, sub.y))
             best_lower = max(best_lower, lower_k)
         # A slightly loose subproblem is still usable: the direction only
         # needs near-feasibility, and the dual repair keeps the bound valid.

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dmrate import sdp
 from dmrate.sdp import independent_rows, solve_sdp
 
 
@@ -130,6 +131,26 @@ class TestDegenerate:
         res = solve_sdp(np.diag([1.0, 2, 3, 4])[None], ops[kept], b[kept])
         assert res.converged
         assert res.primal_obj == pytest.approx(1.0, abs=1e-6)
+
+
+class TestBudget:
+    # Every solve has the fixed budget sdp.MAX_ITERS.
+    def test_stops_at_the_budget(self, monkeypatch):
+        c = np.diag([1.0, 4.0, 9.0])[None]
+        e11 = np.zeros((3, 3))
+        e11[0, 0] = 1.0
+        ops = np.array([np.eye(3), e11])[:, None]
+        monkeypatch.setattr(sdp, "MAX_ITERS", 3)
+        res = solve_sdp(c, ops, np.array([1.0, 0.2]))
+        assert res.status == "max_iters"
+        assert res.iterations == 3
+
+    def test_infeasible_rows_end_within_the_budget(self):
+        # Trace 1 and X_11 = 2 cannot both hold for X >= 0.
+        ops = np.array([np.eye(2), np.diag([1.0, 0.0])])[:, None]
+        res = solve_sdp(np.diag([1.0, 2.0])[None], ops, np.array([1.0, 2.0]))
+        assert not res.converged
+        assert res.iterations <= sdp.MAX_ITERS
 
 
 def test_complex_input_rejected():

@@ -207,6 +207,25 @@ class TestFeasibleStart:
         assert np.linalg.eigvalsh(start).min() >= -1e-9
 
 
+    @pytest.mark.parametrize("mode", ["trusted", "untrusted"])
+    def test_start_meets_the_stated_values(self, monkeypatch, mode):
+        # The subproblems read the stated values of the kept rows, which is
+        # sound because the start point meets them to rounding.
+        cs, maps = setup_problem(cutoff=5, mode=mode)
+        feasible_start = solver._feasible_start
+        starts = []
+
+        def traced_start(rho, ops, b):
+            start = feasible_start(rho, ops, b)
+            starts.append((ops, start, b))
+            return start
+
+        monkeypatch.setattr(solver, "_feasible_start", traced_start)
+        solve(cs, maps)
+        [(ops, start, b)] = starts
+        assert solver._residual(ops, start, b) <= 1e-13
+
+
 class TestLineSearch:
     @staticmethod
     def counted(phi):

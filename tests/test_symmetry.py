@@ -136,8 +136,8 @@ def test_full_space_certificate(case, monkeypatch):
         last[:] = [rho, out[1]]
         return out
 
-    def traced_dual(grad, ops, y, trace_pos):
-        y_rep = repaired(grad, ops, y, trace_pos)
+    def traced_dual(grad, ops, y):
+        y_rep = repaired(grad, ops, y)
         certificates.append((*last, y_rep))
         return y_rep
 
