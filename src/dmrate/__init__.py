@@ -11,8 +11,16 @@ bound and subtract the error-correction cost.
 from .channel import ChannelModel, ProtocolParams
 from .detector import DetectorModel
 from .pipeline import evaluate_point
-from .solver import KeyRateResult
+from .solver import InfeasibleError, KeyRateResult
 
 __version__ = "0.1.0"
 
-__all__ = ["evaluate_point", "ChannelModel", "DetectorModel", "ProtocolParams", "KeyRateResult", "__version__"]
+__all__ = [
+    "evaluate_point",
+    "ChannelModel",
+    "DetectorModel",
+    "ProtocolParams",
+    "KeyRateResult",
+    "InfeasibleError",
+    "__version__",
+]

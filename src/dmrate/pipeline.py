@@ -39,7 +39,9 @@ def evaluate_point(
     pp: ProtocolParams,
     mode: str = "trusted",
 ) -> KeyRateResult:
-    """Certified key rate of one (channel, detector, protocol) point."""
+    """Certified key rate of one (channel, detector, protocol) point.
+    Raises InfeasibleError where the truncated problem has no start point,
+    e.g. xi = 0 with trusted noise."""
     stats = simulate_statistics(ch, det, pp)
     obs, maps = point_artifacts(det, pp, mode)
     cs = build_constraints(stats, obs, pp, mode)

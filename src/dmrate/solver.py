@@ -21,9 +21,12 @@ The step toward the subproblem's state comes from one golden-section search
 over log t, t in [1e-13, 1], as the steps span many decades.  The best bound
 over all iterations is reported, so even a run stopped at the iteration cap,
 or by a subproblem that fails its usability check ("subproblem_failure"), is
-certified.  Atoms are used as the subproblem returns them; only the last
-iterate is corrected onto the rows, in its own metric, so the primal value
-is taken at a state that meets them exactly and stays above the bound.  The
+certified.  One correction moves a state onto the rows, in its own metric,
+and it serves twice: it turns the feasibility pre-solve's point into the
+start, and the last iterate into the returned state, so the primal value is
+taken at a state that meets the rows exactly and stays above the bound.
+Atoms are used as the subproblem returns them.  If no PSD state near the
+pre-solve's point meets the rows, the solve raises InfeasibleError.  The
 returned state is lifted back to A (x) B, and its residual is taken against
 the original rows.
 """
@@ -45,11 +48,6 @@ __all__ = ["KeyRateResult", "InfeasibleError", "solve", "key_rate"]
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 GAP_TOL = 1e-6  # bits
 MAX_ITERS = 300
-# Rounds of alternating projection for the start point (thin sets need
-# several hundred).  The pre-solve alone is not enough: at eta_t 1, xi 0 and
-# an ideal detector it stalls 3.3e-8-6.5e-8 off the rows (cutoffs 8-12), and
-# only the projection meets the 5e-8 start gate (1.2e-8-3.6e-8).
-FEASIBLE_ROUNDS = 400
 LINE_SEARCH_POINTS = 20
 # Stop once the certified bound has improved by less than this (bits) over
 # the trailing window; the bound is the reported quantity, so extra
@@ -67,6 +65,11 @@ RANK_CUT = 1e-12
 
 
 class InfeasibleError(RuntimeError):
+    """No PSD state near the feasibility pre-solve's point meets the kept
+    rows, so the truncated problem has no start point; e.g. xi = 0 with
+    trusted noise, where the truncated set is empty at about 1e-8.
+    `max_residual` is the largest residual of the start that was tried."""
+
     def __init__(self, message: str, max_residual: float):
         super().__init__(f"{message} (max constraint residual {max_residual:.3e})")
         self.max_residual = max_residual
@@ -157,26 +160,6 @@ def _reduced_rows(cs: ConstraintSet, maps: PostprocessingMaps) -> tuple[np.ndarr
     return red, kept
 
 
-def _feasible_start(rho: np.ndarray, ops: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Alternate the minimum-Frobenius-norm correction onto A(rho) = b with
-    # PSD clamping; the interior-point output is close to feasible, so
-    # modest linear convergence suffices.  Degenerate sets (pure-state
-    # corners) converge slowly, hence the budget.
-    m = len(b)
-    scaled = ops.reshape(m, -1)
-    norms = np.linalg.norm(scaled, axis=1)
-    scaled = scaled / norms[:, None]
-    gram_inv = np.linalg.inv(scaled @ scaled.T + 1e-14 * np.eye(m))
-    for _ in range(FEASIBLE_ROUNDS):
-        z = gram_inv @ (scaled @ rho.ravel() - b / norms)
-        rho = rho - (z @ scaled).reshape(rho.shape)
-        w, u = np.linalg.eigh(hermitize(rho))
-        if w.min() >= -1e-12:
-            return hermitize(rho)
-        rho = (u * np.maximum(w, 0.0)[:, None, :]) @ u.swapaxes(1, 2)
-    return hermitize(rho)
-
-
 def _residual(ops: np.ndarray, rho: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(ops.reshape(len(b), -1) @ rho.ravel() - b)))
 
@@ -225,7 +208,8 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
     decreases and dominates the minimum.  That test reads f at an iterate
     that meets the rows only to the interior-point tolerance; the reported
     rate still comes from the certified bound alone.  Raises ValueError if
-    the rows or values are not closed under the symmetry group of the maps.
+    the rows or values are not closed under the symmetry group of the maps,
+    and InfeasibleError if the scaled correction finds no start point.
     """
     red, kept = _reduced_rows(cs, maps)
     ops = red[kept]
@@ -236,16 +220,19 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
 
     # Feasibility pre-solve with a deterministic generic objective, the
     # blocks of diag(0..1) on A (x) B, that is of
-    # (n_b diag(0..3) (x) 1 + 1 (x) diag(0..N)) / (4 n_b - 1); its solution,
-    # polished by projection, is the starting state.
+    # (n_b diag(0..3) (x) 1 + 1 (x) diag(0..N)) / (4 n_b - 1).  Its solution
+    # meets the rows to the interior-point tolerance; the scaled correction,
+    # the one that also closes the solve, makes that exact and PSD, and the
+    # result is the starting state.  Where it fails the truncated set is
+    # empty, or too thin to start from (xi = 0 with trusted noise).
     n_b = maps.dim_ab // DIM_A
     a_parts = np.stack([np.diag(np.arange(DIM_A) * float(n_b)), np.eye(DIM_A)])
     b_parts = np.stack([np.eye(n_b), np.diag(np.arange(float(n_b)))])
     c0 = maps.reduce_products(a_parts, b_parts).sum(axis=0) / (maps.dim_ab - 1)
     pre = solve_sdp(c0, ops, b)
-    rho = _feasible_start(hermitize(pre.x), ops, b)
-    full_res = float(np.max(np.abs(cs.residuals(maps.lift(rho)))))
-    if full_res > 5e-8 or np.linalg.eigvalsh(rho).min() < -1e-9:
+    rho = _scaled_correction(pre.x, ops, b)
+    full_res = float(np.max(np.abs(cs.residuals(maps.lift(pre.x if rho is None else rho)))))
+    if rho is None or full_res > 5e-8:
         raise InfeasibleError("no feasible state found", full_res)
 
     f, grad = objective_with_gradient(rho, maps)
@@ -271,8 +258,7 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
             status = "subproblem_failure"
             break
 
-        sigma = hermitize(sub.x)
-        gap = float(np.vdot(rho - sigma, grad))
+        gap = float(np.vdot(rho - sub.x, grad))
         gap = max(gap, 0.0)
         lower_history.append(best_lower)
 
@@ -287,14 +273,14 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
             status = "converged_bound"
             break
 
-        delta = sigma - rho
+        delta = sub.x - rho
         phi = line_objective(rho, delta, maps)
         t_step, f_step = _line_search(phi)
         if f_step >= f - 1e-14:
             status = "converged_approx" if gap < 1e3 * GAP_TOL else "stalled"
             certified = certified and status == "converged_approx"
             break
-        rho = hermitize(rho + t_step * delta)
+        rho = rho + t_step * delta
         f, grad = objective_with_gradient(rho, maps)
         history.append(f)
 

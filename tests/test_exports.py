@@ -27,5 +27,13 @@ def test_all_matches_public_definitions(name):
 
 def test_top_level_api():
     assert sorted(dmrate.__all__) == sorted(
-        ["evaluate_point", "ChannelModel", "DetectorModel", "ProtocolParams", "KeyRateResult", "__version__"]
+        [
+            "evaluate_point",
+            "ChannelModel",
+            "DetectorModel",
+            "ProtocolParams",
+            "KeyRateResult",
+            "InfeasibleError",
+            "__version__",
+        ]
     )

@@ -153,6 +153,25 @@ class TestBudget:
         assert res.iterations <= sdp.MAX_ITERS
 
 
+def test_x_exactly_symmetric(monkeypatch):
+    # The solver uses x as it comes back, with no symmetrization: every
+    # iterate, the returned best-merit one included, must be exactly
+    # symmetric.
+    rng = np.random.default_rng(5)
+    n_blocks, n = 3, 6
+    eye = np.broadcast_to(np.eye(n), (n_blocks, n, n))
+    ops = np.concatenate([eye[None], random_symmetric(rng, 4, n_blocks, n, n)])
+    b = np.einsum("ikab,kba->i", ops, random_state(rng, n_blocks, n))
+    c_mat = random_symmetric(rng, n_blocks, n, n)
+    infeasible = np.array([np.eye(2), np.diag([1.0, 0.0])])[:, None]
+    results = [solve_sdp(c_mat, ops, b), solve_sdp(np.diag([1.0, 2.0])[None], infeasible, np.array([1.0, 2.0]))]
+    monkeypatch.setattr(sdp, "MAX_ITERS", 3)
+    results.append(solve_sdp(c_mat, ops, b))
+    assert [r.converged for r in results] == [True, False, False]
+    for res in results:
+        assert np.array_equal(res.x, res.x.swapaxes(-1, -2))
+
+
 def test_complex_input_rejected():
     c = np.eye(2)[None]
     ops = np.eye(2)[None, None]

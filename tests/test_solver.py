@@ -79,18 +79,24 @@ class TestSolve:
 class TestFailedChecks:
     # A subproblem check that fails ends the run, but the subproblem's dual
     # vector, once repaired, still certifies a bound.  The closing
-    # correction is spoiled as well, so the last iterate is returned as the
-    # loop left it.
+    # correction is spoiled as well (every call after the first, which
+    # makes the start), so the last iterate is returned as the loop left it.
     @pytest.mark.parametrize("loosen", [{"status": "stalled", "primal_residual": 1e-3}], ids=["subproblem"])
     def test_bound_survives_failed_check(self, monkeypatch, loosen):
         cs, maps = setup_problem(cutoff=5)
         solve_sdp_exact = solver.solve_sdp
+        scaled_correction = solver._scaled_correction
+        calls = []
 
         def loose_solve_sdp(*args, **kwargs):
             return replace(solve_sdp_exact(*args, **kwargs), **loosen)
 
+        def start_only(sigma, ops, b):
+            calls.append(sigma)
+            return scaled_correction(sigma, ops, b) if len(calls) == 1 else None
+
         monkeypatch.setattr(solver, "solve_sdp", loose_solve_sdp)
-        monkeypatch.setattr(solver, "_scaled_correction", lambda sigma, ops, b: None)
+        monkeypatch.setattr(solver, "_scaled_correction", start_only)
         res = solve(cs, maps)
         assert res.status == "subproblem_failure"
         assert res.iterations == 1
@@ -101,13 +107,18 @@ class TestFailedChecks:
 
 
 class TestSanityRuns:
-    def test_lossless_noiseless_positive_rate(self):
-        ch = ChannelModel(eta_t=1.0, xi=0.0)
-        pp = ProtocolParams(alpha=0.75, beta=0.95, cutoff=8)
-        res = evaluate_point(ch, DetectorModel.ideal(), pp, "trusted")
-        assert res.certified
-        assert res.primal_value <= 2.0
-        assert res.rate > 0.1
+    def test_xi_zero_raises_only_with_trusted_noise(self):
+        # With no excess noise and trusted detector noise the truncated set
+        # is empty at about 1e-8, so no start point exists; untrusted noise
+        # reads the same data as an ideal detector's, and that set is not
+        # empty.
+        pp = ProtocolParams(alpha=0.75, cutoff=8)
+        for det, distance in ((DetectorModel.ideal(), 0.0), (DET, 20.0)):
+            with pytest.raises(InfeasibleError):
+                evaluate_point(ChannelModel.from_distance(distance, 0.0), det, pp, "trusted")
+        res = evaluate_point(ChannelModel.from_distance(0.0, 0.0), DET, pp, "untrusted")
+        assert res.lower_bound <= res.primal_value + 1e-10
+        assert res.constraint_residual <= 1e-12
 
     def test_trusted_and_untrusted_both_certified(self):
         results = []
@@ -188,41 +199,39 @@ class TestPipeline:
 
 
 class TestFeasibleStart:
-    def test_start_budget_meets_thin_set(self, monkeypatch):
+    def test_scaled_correction_on_thin_set(self):
         # A thin feasible set: X >= 0 on 2 x 2 with X_11 = 0.99 and trace 1,
-        # so |X_12| <= 0.0995.  From X_12 = 0.1, a point with a negative
-        # eigenvalue that the scaled correction cannot repair, alternating
-        # projection converges slowly: 60 rounds miss the start point's
-        # 5e-8 gate, and FEASIBLE_ROUNDS meets it.
+        # so |X_12| <= 0.0995.  From X_12 = 0.1, outside the cone, the
+        # correction fails; from a PSD point 1e-4 off the rows it meets them.
         ops = np.array([np.eye(2)[None], np.diag([1.0, 0.0])[None]])
         b = np.array([1.0, 0.99])
-        rho = np.array([[[0.99, 0.1], [0.1, 0.01]]])
-        assert solver._scaled_correction(rho, ops, b) is None
-        with monkeypatch.context() as short_budget:
-            short_budget.setattr(solver, "FEASIBLE_ROUNDS", 60)
-            short = solver._feasible_start(rho, ops, b)
-        assert solver._residual(ops, short, b) > 5e-8
-        start = solver._feasible_start(rho, ops, b)
-        assert solver._residual(ops, start, b) <= 5e-8
-        assert np.linalg.eigvalsh(start).min() >= -1e-9
-
+        outside = np.array([[[0.99, 0.1], [0.1, 0.01]]])
+        assert solver._scaled_correction(outside, ops, b) is None
+        near = np.array([[[0.99 + 1e-4, 0.05], [0.05, 0.01]]])
+        assert np.linalg.eigvalsh(near).min() > 0.0
+        start = solver._scaled_correction(near, ops, b)
+        assert start is not None
+        assert solver._residual(ops, start, b) <= 1e-13
+        assert np.linalg.eigvalsh(start).min() >= 0.0
 
     @pytest.mark.parametrize("mode", ["trusted", "untrusted"])
     def test_start_meets_the_stated_values(self, monkeypatch, mode):
         # The subproblems read the stated values of the kept rows, which is
-        # sound because the start point meets them to rounding.
+        # sound because the start point meets them to rounding.  The first
+        # scaled correction of a solve makes the start, the last closes it.
         cs, maps = setup_problem(cutoff=5, mode=mode)
-        feasible_start = solver._feasible_start
-        starts = []
+        scaled_correction = solver._scaled_correction
+        calls = []
 
-        def traced_start(rho, ops, b):
-            start = feasible_start(rho, ops, b)
-            starts.append((ops, start, b))
-            return start
+        def traced_correction(sigma, ops, b):
+            exact = scaled_correction(sigma, ops, b)
+            calls.append((ops, exact, b))
+            return exact
 
-        monkeypatch.setattr(solver, "_feasible_start", traced_start)
+        monkeypatch.setattr(solver, "_scaled_correction", traced_correction)
         solve(cs, maps)
-        [(ops, start, b)] = starts
+        ops, start, b = calls[0]
+        assert start is not None
         assert solver._residual(ops, start, b) <= 1e-13
 
 
