@@ -162,7 +162,7 @@ def solve_sdp(c_mat: np.ndarray, ops: np.ndarray, b: np.ndarray) -> SdpResult:
         dx, dy, ds = direction(comp)
         tau = 0.9 if mu > 1e-4 else 0.98
         alpha = min(1.0, tau * _max_step(x_chol_inv, dx), tau * _max_step(s_chol_inv, ds))
-        return hermitize(x + alpha * dx), y + alpha * dy, hermitize(s + alpha * ds)
+        return x + alpha * dx, y + alpha * dy, hermitize(s + alpha * ds)
 
     x = max(1.0, float(np.max(np.abs(b))) * np.sqrt(dim)) * np.broadcast_to(eye, c_mat.shape)
     s = max(1.0, float(np.linalg.norm(c_mat)) / np.sqrt(dim)) * np.broadcast_to(eye, c_mat.shape)

@@ -18,12 +18,13 @@ valid lower bound on the true minimum (weak duality + convexity), whether or
 not the states meet the rows.  The subproblems, the bound and the closing
 correction all read one set of values, the stated values of the kept rows.
 The step toward the subproblem's state comes from one golden-section search
-over log t, t in [1e-13, 1], as the steps span many decades.  The best bound
-over all iterations is reported, so even a run stopped at the iteration cap,
-or by a subproblem that fails its usability check ("subproblem_failure"), is
-certified.  One correction moves a state onto the rows, in its own metric,
-and it serves twice: it turns the feasibility pre-solve's point into the
-start, and the last iterate into the returned state, so the primal value is
+over logit t = ln(t / (1 - t)), as steps span many decades near 0 and 1.
+The best bound over all iterations is reported, so even a run stopped at the
+iteration cap, or by a subproblem that fails its usability check
+("subproblem_failure"), is certified.  One correction moves a state onto the
+rows, in its own metric, and it serves twice: it turns the feasibility
+pre-solve's point into the start, and the last iterate into the returned
+state (or the start is returned where it fails), so the primal value is
 taken at a state that meets the rows exactly and stays above the bound.
 Atoms are used as the subproblem returns them.  If no PSD state near the
 pre-solve's point meets the rows, the solve raises InfeasibleError.  The
@@ -33,6 +34,7 @@ the original rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -48,7 +50,7 @@ __all__ = ["KeyRateResult", "InfeasibleError", "solve", "key_rate"]
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 GAP_TOL = 1e-6  # bits
 MAX_ITERS = 300
-LINE_SEARCH_POINTS = 20
+LINE_SEARCH_POINTS = 21
 # Stop once the certified bound has improved by less than this (bits) over
 # the trailing window; the bound is the reported quantity, so extra
 # iterations past its plateau only polish the primal.
@@ -79,7 +81,8 @@ class InfeasibleError(RuntimeError):
 class KeyRateResult:
     """One solve, in bits.  `rate` follows from `lower_bound`, the best
     certified bound of the run.  `rho` is the last iterate on A (x) B after
-    the closing correction onto the rows, and `primal_value` its objective.
+    the closing correction onto the rows, or the start where that correction
+    fails; `primal_value` is its objective.
     `status`: "converged" (gap below GAP_TOL), "converged_bound" (bound
     plateau), "converged_approx" or the uncertified "stalled" (no descent at
     a small or a large gap), "rate_zero" (primal below the error-correction
@@ -100,26 +103,23 @@ class KeyRateResult:
 
 
 def _line_search(phi) -> tuple[float, float]:
-    # Exact minimization of the convex phi over t in [1e-13, 1].  A convex
-    # phi is unimodal in u = log10 t as well, so one golden section over u
-    # finds the minimizer to the same relative precision (about 0.3%) at
-    # every scale; the endpoint t = 1, which the section never evaluates,
-    # is checked exactly.
-    lo, hi = -13.0, 0.0
+    # Exact minimization of the convex phi over t in (0, 1).  A convex phi is
+    # unimodal in u = logit t as well, so one golden section over u in [-30, 30]
+    # finds the minimizer to about 0.3% of t near 0 and of 1 - t near 1.
+    def logistic(u): return 1.0 / (1.0 + math.exp(-u))
+    lo, hi = -30.0, 30.0
     u1, u2 = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
-    f1, f2 = phi(10.0**u1), phi(10.0**u2)
+    f1, f2 = phi(logistic(u1)), phi(logistic(u2))
     for _ in range(LINE_SEARCH_POINTS - 2):
         if f1 <= f2:
             hi, u2, f2 = u2, u1, f1
             u1 = hi - GOLDEN * (hi - lo)
-            f1 = phi(10.0**u1)
+            f1 = phi(logistic(u1))
         else:
             lo, u1, f1 = u1, u2, f2
             u2 = lo + GOLDEN * (hi - lo)
-            f2 = phi(10.0**u2)
-    f, u = (f1, u1) if f1 <= f2 else (f2, u2)
-    f_end = phi(1.0)
-    return (1.0, f_end) if f_end < f else (10.0**u, f)
+            f2 = phi(logistic(u2))
+    return (logistic(u1), f1) if f1 <= f2 else (logistic(u2), f2)
 
 
 def _reduced_rows(cs: ConstraintSet, maps: PostprocessingMaps) -> tuple[np.ndarray, list[int]]:
@@ -202,7 +202,7 @@ def _repaired_dual(grad: np.ndarray, ops: np.ndarray, y: np.ndarray) -> np.ndarr
 def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = None) -> KeyRateResult:
     """Minimize the pinched relative entropy over the constrained state set.
 
-    Returns the primal value at the last iterate and a certified lower bound
+    Returns the primal value at the returned state and a certified lower bound
     (both in bits).  `ec_floor` enables an early exit: once the primal drops
     below it the final key rate is taken to be zero, since the primal only
     decreases and dominates the minimum.  That test reads f at an iterate
@@ -236,6 +236,7 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
         raise InfeasibleError("no feasible state found", full_res)
 
     f, grad = objective_with_gradient(rho, maps)
+    start = rho, f
     history = [f]
     lower_history: list[float] = []
     best_lower = -np.inf
@@ -286,11 +287,10 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
 
     # The iterate meets the rows only to its atoms' interior-point
     # tolerance, and a residual r can take f below the minimum by |y| r.
-    # The scaled correction makes it exact and keeps it PSD.
+    # The scaled correction makes it exact and keeps it PSD; where it fails,
+    # the start gives a looser primal at a state that meets the rows.
     exact = _scaled_correction(rho, ops, b)
-    if exact is not None:
-        rho = exact
-        f = objective_with_gradient(rho, maps)[0]
+    rho, f = start if exact is None else (exact, objective_with_gradient(exact, maps)[0])
     rho = maps.lift(rho)
     residual = float(np.max(np.abs(cs.residuals(rho))))
     lower = best_lower if best_lower > -np.inf else np.nan

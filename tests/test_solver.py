@@ -80,7 +80,7 @@ class TestFailedChecks:
     # A subproblem check that fails ends the run, but the subproblem's dual
     # vector, once repaired, still certifies a bound.  The closing
     # correction is spoiled as well (every call after the first, which
-    # makes the start), so the last iterate is returned as the loop left it.
+    # makes the start), so the start is returned in place of the iterate.
     @pytest.mark.parametrize("loosen", [{"status": "stalled", "primal_residual": 1e-3}], ids=["subproblem"])
     def test_bound_survives_failed_check(self, monkeypatch, loosen):
         cs, maps = setup_problem(cutoff=5)
@@ -102,7 +102,7 @@ class TestFailedChecks:
         assert res.iterations == 1
         assert np.isfinite(res.lower_bound)
         assert res.certified
-        assert res.constraint_residual <= 1e-7
+        assert res.constraint_residual <= 1e-12
         assert res.lower_bound <= res.primal_value
 
 
@@ -117,6 +117,16 @@ class TestSanityRuns:
             with pytest.raises(InfeasibleError):
                 evaluate_point(ChannelModel.from_distance(distance, 0.0), det, pp, "trusted")
         res = evaluate_point(ChannelModel.from_distance(0.0, 0.0), DET, pp, "untrusted")
+        assert res.lower_bound <= res.primal_value + 1e-10
+        assert res.constraint_residual <= 1e-12
+
+    @pytest.mark.parametrize("det", [DET, DetectorModel.ideal()], ids=["trusted", "ideal"])
+    def test_thin_set_returns_a_state_on_the_rows(self, det):
+        # At xi = 1e-4 the truncated set is thin, and the closing correction
+        # of the last iterate fails at 20 km; the start, returned in its
+        # place, meets the rows and keeps the primal above the bound.
+        pp = ProtocolParams(alpha=0.75, cutoff=8)
+        res = evaluate_point(ChannelModel.from_distance(20.0, 1e-4), det, pp, "trusted")
         assert res.lower_bound <= res.primal_value + 1e-10
         assert res.constraint_residual <= 1e-12
 
@@ -246,20 +256,23 @@ class TestLineSearch:
 
         return wrapped, calls
 
-    @pytest.mark.parametrize("t_min", [1e-9, 1e-4, 0.3])
+    @pytest.mark.parametrize("t_min", [1e-9, 1e-4, 0.3, 1 - 4e-4, 1 - 1e-6])
     def test_interior_minimum_at_every_scale(self, t_min):
-        # Frank-Wolfe steps range over many decades; the search resolves
-        # each to a fixed fraction of itself, with a fixed number of calls.
+        # Frank-Wolfe steps range over many decades near 0 and near 1; the
+        # search resolves t, or 1 - t, to a fixed fraction of itself, with a
+        # fixed number of calls.
         phi, calls = self.counted(lambda t: (t - t_min) ** 2)
         t, f = solver._line_search(phi)
-        assert abs(t - t_min) <= 0.01 * t_min
+        assert abs(t - t_min) <= 0.01 * min(t_min, 1 - t_min)
         assert f == (t - t_min) ** 2
-        assert len(calls) == solver.LINE_SEARCH_POINTS + 1
+        assert len(calls) == solver.LINE_SEARCH_POINTS
 
     def test_full_step(self):
         phi, calls = self.counted(lambda t: (t - 2.0) ** 2)
-        assert solver._line_search(phi) == (1.0, 1.0)
-        assert len(calls) == solver.LINE_SEARCH_POINTS + 1
+        t, f = solver._line_search(phi)
+        assert t >= 1 - 1e-12
+        assert f == (t - 2.0) ** 2
+        assert len(calls) == solver.LINE_SEARCH_POINTS
 
     def test_no_descent(self):
         # An increasing phi has no step that lowers it, and the search must
@@ -269,7 +282,7 @@ class TestLineSearch:
         t, f = solver._line_search(phi)
         assert 0.0 < t <= 1.0
         assert f >= 1.0 - 1e-14  # phi(0)
-        assert len(calls) == solver.LINE_SEARCH_POINTS + 1
+        assert len(calls) == solver.LINE_SEARCH_POINTS
 
 
 class TestRegressionGuards:
