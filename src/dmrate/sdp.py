@@ -77,11 +77,6 @@ def independent_rows(ops: np.ndarray) -> list[int]:
     return kept
 
 
-def _trace_prod(a: np.ndarray, b: np.ndarray) -> float:
-    # sum_k Tr(a_k b_k) for symmetric a, without forming the products.
-    return float(np.vdot(a, b))
-
-
 def _max_step(chol_inv: np.ndarray, direction: np.ndarray) -> float:
     # Largest alpha with M + alpha * D >= 0 in every block, via the whitened
     # direction L^-1 D L^-T, where M = L L^T and chol_inv = L^-1.
@@ -152,7 +147,7 @@ def solve_sdp(c_mat: np.ndarray, ops: np.ndarray, b: np.ndarray) -> SdpResult:
         # infeasible, which is exactly the stall this avoids.
         dx_a, dy_a, ds_a = direction(np.zeros_like(x))
         a_aff = min(1.0, _max_step(x_chol_inv, dx_a), _max_step(s_chol_inv, ds_a))
-        mu_aff = _trace_prod(x + a_aff * dx_a, s + a_aff * ds_a) / dim
+        mu_aff = float(np.vdot(x + a_aff * dx_a, s + a_aff * ds_a)) / dim
         sigma = min(1.0, max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-8))
         if pinf > 10 * mu / (1 + abs(pobj)):
             sigma = max(sigma, 0.5)
@@ -178,17 +173,19 @@ def solve_sdp(c_mat: np.ndarray, ops: np.ndarray, b: np.ndarray) -> SdpResult:
     for it in range(1, MAX_ITERS + 1):
         r_p = b - aop(x)
         r_d = c_mat - amat(y) - s
-        mu = _trace_prod(x, s) / dim
-        pobj = _trace_prod(c_mat, x)
+        # sum_k Tr(A_k B_k) of symmetric blocks is vdot, without the products.
+        mu = float(np.vdot(x, s)) / dim
+        pobj = float(np.vdot(c_mat, x))
         dobj = float(b @ y)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         pinf = np.linalg.norm(r_p) / b_norm
         dinf = np.linalg.norm(r_d) / c_norm
+        record = (x, y, s, r_p, r_d, pobj, dobj)  # returned as measured
 
         merit = pinf + dinf + mu / (1.0 + abs(pobj))
         if merit < best_merit:
             best_merit = merit
-            best = (x, y, s)
+            best = record
 
         if pinf < TOL and dinf < TOL and (gap < 10 * TOL or mu / (1 + abs(pobj)) < TOL):
             status = "optimal"
@@ -203,12 +200,7 @@ def solve_sdp(c_mat: np.ndarray, ops: np.ndarray, b: np.ndarray) -> SdpResult:
             status = "stalled"
             break
 
-    if status != "optimal" and best is not None:
-        x, y, s = best
-    r_p = b - aop(x)
-    r_d = c_mat - amat(y) - s
-    pobj = _trace_prod(c_mat, x)
-    dobj = float(b @ y)
+    x, y, s, r_p, r_d, pobj, dobj = record if status == "optimal" or best is None else best
     return SdpResult(
         x=x,
         y=y / norms,

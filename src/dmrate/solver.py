@@ -21,15 +21,16 @@ The step toward the subproblem's state comes from one golden-section search
 over logit t = ln(t / (1 - t)), as steps span many decades near 0 and 1.
 The best bound over all iterations is reported, so even a run stopped at the
 iteration cap, or by a subproblem that fails its usability check
-("subproblem_failure"), is certified.  One correction moves a state onto the
-rows, in its own metric, and it serves twice: it turns the feasibility
-pre-solve's point into the start, and the last iterate into the returned
-state (or the start is returned where it fails), so the primal value is
-taken at a state that meets the rows exactly and stays above the bound.
-Atoms are used as the subproblem returns them.  If no PSD state near the
-pre-solve's point meets the rows, the solve raises InfeasibleError.  The
-returned state is lifted back to A (x) B, and its residual is taken against
-the original rows.
+("subproblem_failure"), is certified.  The start is a feasibility solve,
+one interior-point solve whose objective is the trace row.  One correction
+moves a state onto the rows, in its own metric, and it serves twice: it
+turns that solve's point into the start, and the last iterate into the
+returned state (or the start is returned where it fails), so the primal
+value is taken at a state that meets the rows exactly and stays above the
+bound.  Atoms are used as the subproblem returns them.  If no PSD state near
+the feasibility solve's point meets the rows, the solve raises
+InfeasibleError.  The returned state is lifted back to A (x) B, and its
+residual is taken against the original rows.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .constraints import DIM_A, ConstraintSet
+from .constraints import ConstraintSet
 from .entropy import line_objective, objective_with_gradient
 from .fock import hermitize
 from .maps import PostprocessingMaps
@@ -67,10 +68,10 @@ RANK_CUT = 1e-12
 
 
 class InfeasibleError(RuntimeError):
-    """No PSD state near the feasibility pre-solve's point meets the kept
-    rows, so the truncated problem has no start point; e.g. xi = 0 with
-    trusted noise, where the truncated set is empty at about 1e-8.
-    `max_residual` is the largest residual of the start that was tried."""
+    """No PSD state near the feasibility solve's point meets the kept rows,
+    so the solve has no start point.  A feasible state may exist all the
+    same, e.g. at some inputs with xi = 0 and trusted noise, where the set
+    is thin.  `max_residual` is the largest residual of the start tried."""
 
     def __init__(self, message: str, max_residual: float):
         super().__init__(f"{message} (max constraint residual {max_residual:.3e})")
@@ -209,7 +210,7 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
     that meets the rows only to the interior-point tolerance; the reported
     rate still comes from the certified bound alone.  Raises ValueError if
     the rows or values are not closed under the symmetry group of the maps,
-    and InfeasibleError if the scaled correction finds no start point.
+    and InfeasibleError if the feasibility solve's point gives no start.
     """
     red, kept = _reduced_rows(cs, maps)
     ops = red[kept]
@@ -218,18 +219,10 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
     if 0 not in kept:  # the trace row is first, and kept rows stay in order
         raise RuntimeError("trace constraint unexpectedly dropped")
 
-    # Feasibility pre-solve with a deterministic generic objective, the
-    # blocks of diag(0..1) on A (x) B, that is of
-    # (n_b diag(0..3) (x) 1 + 1 (x) diag(0..N)) / (4 n_b - 1).  Its solution
-    # meets the rows to the interior-point tolerance; the scaled correction,
-    # the one that also closes the solve, makes that exact and PSD, and the
-    # result is the starting state.  Where it fails the truncated set is
-    # empty, or too thin to start from (xi = 0 with trusted noise).
-    n_b = maps.dim_ab // DIM_A
-    a_parts = np.stack([np.diag(np.arange(DIM_A) * float(n_b)), np.eye(DIM_A)])
-    b_parts = np.stack([np.eye(n_b), np.diag(np.arange(float(n_b)))])
-    c0 = maps.reduce_products(a_parts, b_parts).sum(axis=0) / (maps.dim_ab - 1)
-    pre = solve_sdp(c0, ops, b)
+    # Tr rho, row 0, is 1 on the feasible set, so this objective chooses
+    # nothing: the solve finds a point that meets the rows to the IPM
+    # tolerance, and the scaled correction makes it exact and PSD.
+    pre = solve_sdp(ops[0], ops, b)
     rho = _scaled_correction(pre.x, ops, b)
     full_res = float(np.max(np.abs(cs.residuals(maps.lift(pre.x if rho is None else rho)))))
     if rho is None or full_res > 5e-8:

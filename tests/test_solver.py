@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmrate import solver
 from dmrate.channel import ChannelModel, ProtocolParams, simulate_statistics
@@ -10,8 +12,8 @@ from dmrate.constraints import ConstraintSet, build_constraints
 from dmrate.detector import DetectorModel
 from dmrate.maps import build_postprocessing_maps
 from dmrate.observables import observable_set
-from dmrate.pipeline import cutoff_stability, evaluate_point
-from dmrate.sdp import independent_rows
+from dmrate.pipeline import cutoff_stability, evaluate_point, point_artifacts
+from dmrate.sdp import independent_rows, solve_sdp
 from dmrate.solver import InfeasibleError, KeyRateResult, key_rate, solve
 from support.constraints import full_operators
 from support.maps import full_objective_with_gradient, roots
@@ -109,9 +111,9 @@ class TestFailedChecks:
 class TestSanityRuns:
     def test_xi_zero_raises_only_with_trusted_noise(self):
         # With no excess noise and trusted detector noise the truncated set
-        # is empty at about 1e-8, so no start point exists; untrusted noise
-        # reads the same data as an ideal detector's, and that set is not
-        # empty.
+        # is at best thin: at these inputs no PSD state near the feasibility
+        # solve's point meets the rows.  Untrusted noise reads the same data
+        # as an ideal detector's, and there a start is found.
         pp = ProtocolParams(alpha=0.75, cutoff=8)
         for det, distance in ((DetectorModel.ideal(), 0.0), (DET, 20.0)):
             with pytest.raises(InfeasibleError):
@@ -243,6 +245,71 @@ class TestFeasibleStart:
         ops, start, b = calls[0]
         assert start is not None
         assert solver._residual(ops, start, b) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "det", [DET, DetectorModel(0.70, 0.74, 0.01, 0.02)], ids=["quarter-turn", "half-turn"]
+    )
+    def test_start_solve_takes_the_trace_row(self, monkeypatch, det):
+        # Tr rho, row 0, is 1 on the feasible set, so the first interior-point
+        # solve of `solve`, whose objective is that row, only finds a point
+        # that meets the rows.  The row reduces to exactly the identity blocks.
+        pp = ProtocolParams(alpha=0.75, delta_a=0.5, cutoff=5)
+        obs, maps = point_artifacts(det, pp, "trusted")
+        stats = simulate_statistics(ChannelModel.from_distance(20.0, 0.01), det, pp)
+        cs = build_constraints(stats, obs, pp, "trusted")
+        red, kept = solver._reduced_rows(cs, maps)
+        identity = np.broadcast_to(np.eye(red.shape[-1]), red.shape[1:])
+        assert maps.quarter_turn == (det == DET)
+        assert cs.labels[0] == "trace" and kept[0] == 0
+        assert np.array_equal(red[0], identity)
+
+        solve_sdp_exact = solver.solve_sdp
+        objectives = []
+
+        def recorded(c_mat, ops, b):
+            objectives.append(c_mat)
+            return solve_sdp_exact(c_mat, ops, b)
+
+        monkeypatch.setattr(solver, "solve_sdp", recorded)
+        solve(cs, maps)
+        assert np.array_equal(objectives[0], identity)
+
+
+class TestProperties:
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        alpha=st.floats(0.5, 1.0),
+        distance=st.floats(0.0, 100.0),
+        xi=st.floats(1e-3, 0.05),
+        delta_a=st.sampled_from([0.0, 0.5]),
+        mode=st.sampled_from(["trusted", "untrusted"]),
+        eta_d=st.floats(0.6, 1.0),
+        nu_el=st.floats(0.0, 0.05),
+    )
+    def test_certified_or_empty(self, alpha, distance, xi, delta_a, mode, eta_d, nu_el):
+        # A point with excess noise is certified, its bound stays below the
+        # primal value, and the returned state meets the rows; or the
+        # truncated set is empty, as it is at cutoff 4 for alpha near 1 at
+        # short distance with little excess noise.  Any y with
+        # sum_i y_i Gamma_i <= 1 gives b.y <= Tr rho = 1 on the feasible set,
+        # so the feasibility solve's repaired dual with b.y > 1 proves it empty.
+        ch = ChannelModel.from_distance(distance, xi)
+        pp = ProtocolParams(alpha=alpha, delta_a=delta_a, cutoff=4)
+        det = DetectorModel.simple(eta_d, nu_el)
+        try:
+            res = evaluate_point(ch, det, pp, mode)
+        except InfeasibleError:
+            obs, maps = point_artifacts(det, pp, mode)
+            cs = build_constraints(simulate_statistics(ch, det, pp), obs, pp, mode)
+            red, kept = solver._reduced_rows(cs, maps)
+            ops, b = red[kept], cs.values[kept]
+            y = solver._repaired_dual(ops[0], ops, solve_sdp(ops[0], ops, b).y)
+            assert b @ y > 1.0 + 1e-9
+            return
+        assert res.certified
+        assert res.lower_bound <= res.primal_value + 1e-10
+        assert res.constraint_residual <= 1e-12
+        assert res.rate >= 0.0
 
 
 class TestLineSearch:
