@@ -12,9 +12,11 @@ V acts as i^k and Theta as plain conjugation.  A state invariant under the
 group of V and Theta is therefore a stack of K = 4 real symmetric
 (N+1) x (N+1) blocks, one per k.  Distinct detector arms break V but keep V^2
 and Theta; the state is then K = 2 real blocks of size 2(N+1), one per
-k mod 2.  Since the objective is convex and invariant and the feasible set
-is invariant, its minimum over all states equals its minimum over invariant
-ones, so the solver works on the stack alone.
+k mod 2.  The maps read the group from the regions themselves: the quarter
+turn where they are covariant under it, else the half turn.  Since the
+objective is convex and invariant and the feasible set is invariant, its
+minimum over all states equals its minimum over invariant ones, so the
+solver works on the stack alone.
 
 Every operator the solver reads is built entrywise in this basis, in real
 arithmetic wherever the operator is real.  For a product on A (x) B,
@@ -67,32 +69,29 @@ def _product_entries(a_t: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.
     return a_t[..., (n - k) % DIM_A, (m - l) % DIM_A] * b[..., n, m]
 
 
-def _check_covariance(regions: tuple[np.ndarray, ...], turn: int) -> None:
-    # R_{z+turn} = e^{i turn pi n/2} R_z e^{-i turn pi n/2}, and the mirror
-    # image of R_z is R_{-z}: conj(R_z) = R_{-z}.
-    phase = _POWERS_OF_I[(turn * np.arange(regions[0].shape[0])) % 4]
-    scale = max(float(np.max(np.abs(r))) for r in regions)
-    for z, r in enumerate(regions):
-        turned = phase[:, None] * r * phase.conj()[None, :]
-        dev = max(
-            float(np.max(np.abs(turned - regions[(z + turn) % 4]))),
-            float(np.max(np.abs(r.conj() - regions[-z % 4]))),
-        )
-        if dev > COVARIANCE_TOL * scale:
-            kind = "quarter" if turn == 1 else "half"
-            raise ValueError(f"region {z} is not covariant under the {kind} turn and the reflection (deviation {dev:.3e})")
+def _covariance_deviation(regions: tuple[np.ndarray, ...], turn: int) -> float:
+    """The largest deviation from R_{z+turn} = e^{i turn pi n/2} R_z
+    e^{-i turn pi n/2} and from the mirror image conj(R_z) = R_{-z},
+    relative to the largest entry of a region operator."""
+    stack = np.stack(regions)
+    phase = _POWERS_OF_I[(turn * np.arange(stack.shape[1])) % 4]
+    turned = phase[:, None] * stack * phase.conj()[None, :]
+    dev = max(np.max(np.abs(turned - np.roll(stack, -turn, axis=0))), np.max(np.abs(stack.conj() - stack[[0, 3, 2, 1]])))
+    return float(dev / np.max(np.abs(stack)))
 
 
 @dataclass(frozen=True)
 class PostprocessingMaps:
     """The maps of the key regions R_0..R_3 on the state reduced under the
-    quarter turn (``quarter_turn``, identical detector arms) or the half
-    turn (distinct arms), with the reflection in both.  ``columns[j]`` lists
-    the basis vectors e_{k,n} (at index k (N+1) + n) of block j.  Raises ValueError if the regions are not covariant under the
-    group.  Every array is read-only, since cached maps are shared."""
+    quarter turn where the regions are covariant under it (``quarter_turn``;
+    identical detector arms), else the half turn (distinct arms), with the
+    reflection in both.  ``columns[j]`` lists the basis vectors e_{k,n} (at
+    index k (N+1) + n) of block j.  Raises ValueError if the regions are not
+    covariant under the half turn.  Every array is read-only, since cached
+    maps are shared."""
 
     regions: tuple[np.ndarray, ...] = field(repr=False)
-    quarter_turn: bool = True
+    quarter_turn: bool = field(init=False)
     columns: np.ndarray = field(init=False, repr=False)
     kraus_factor: np.ndarray = field(init=False, repr=False)
     pinch_factors: np.ndarray = field(init=False, repr=False)
@@ -100,9 +99,11 @@ class PostprocessingMaps:
 
     def __post_init__(self):
         regions = tuple(np.array(r, dtype=complex) for r in self.regions)
-        _check_covariance(regions, 1 if self.quarter_turn else 2)
+        quarter_turn = _covariance_deviation(regions, 1) <= COVARIANCE_TOL
+        if not quarter_turn and (dev := _covariance_deviation(regions, 2)) > COVARIANCE_TOL:
+            raise ValueError(f"regions are not covariant under the half turn and the reflection (deviation {dev:.3e})")
         n_b = regions[0].shape[0]
-        n_blocks = 4 if self.quarter_turn else 2
+        n_blocks = 4 if quarter_turn else 2
         k = np.arange(DIM_A * n_b) // n_b
         columns = np.stack([np.flatnonzero(k % n_blocks == j) for j in range(n_blocks)])
         object.__setattr__(self, "columns", columns)
@@ -118,7 +119,7 @@ class PostprocessingMaps:
         # S = diag(i^n), since i^{n-m} = i^{k-l} wherever 1 (x) B has an
         # entry.  Moving i^{rk} onto block j of the state leaves the signs
         # (-1)^{r(k-j)/2} on it once the phase i^{rj} cancels.
-        reps = (0,) if self.quarter_turn else (0, 1)
+        reps = (0,) if quarter_turn else (0, 1)
         factors = []
         for r in reps:
             turn = _POWERS_OF_I[(r * np.arange(n_b)) % 4]
@@ -131,6 +132,7 @@ class PostprocessingMaps:
         for arr in (*regions, columns, kraus_factor, pinch_factors):
             arr.setflags(write=False)
         object.__setattr__(self, "regions", regions)
+        object.__setattr__(self, "quarter_turn", quarter_turn)
         object.__setattr__(self, "kraus_factor", kraus_factor)
         object.__setattr__(self, "pinch_factors", pinch_factors)
         object.__setattr__(self, "pinch_weights", (4 // len(reps),) * len(reps))
@@ -166,7 +168,6 @@ class PostprocessingMaps:
         return (t * (d[:, :, None, None] * d.conj()[None, None, :, :])).reshape(n, n)
 
 
-def build_postprocessing_maps(regions: tuple[np.ndarray, ...], quarter_turn: bool = True) -> PostprocessingMaps:
-    """Maps of the key regions R_0..R_3; ``quarter_turn`` is False for
-    distinct detector arms, whose regions only have the half turn."""
-    return PostprocessingMaps(tuple(regions), quarter_turn)
+def build_postprocessing_maps(regions: tuple[np.ndarray, ...]) -> PostprocessingMaps:
+    """Maps of the key regions R_0..R_3, reduced under the group they have."""
+    return PostprocessingMaps(tuple(regions))

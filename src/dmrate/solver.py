@@ -6,9 +6,11 @@ constraint row Gamma_i = A_i (x) B_i is reduced to its blocks (those of its
 group average T(Gamma_i)) entrywise from its two factors, without forming
 the row on A (x) B, and the rows are checked to be closed under the group:
 every T(Gamma_i) must lie in the span of the rows, and every relation among
-the reduced rows must hold for the values.  Then the twirl of any feasible state is feasible, the
-objective is convex and invariant, and the minimum over invariant states is
-the minimum over all states; otherwise ValueError.
+the reduced rows must hold for the values.  Then the twirl of any feasible
+state is feasible, the objective is convex and invariant, and the minimum
+over invariant states is the minimum over all states; otherwise ValueError.
+Row 0 must reduce to exactly the identity blocks, the trace, which the start
+and the dual repair both rest on; otherwise ValueError.
 
 Each iteration linearizes the objective at the current state and solves
 min <sigma, grad> over the constrained PSD set with the dense interior-point
@@ -28,9 +30,9 @@ turns that solve's point into the start, and the last iterate into the
 returned state (or the start is returned where it fails), so the primal
 value is taken at a state that meets the rows exactly and stays above the
 bound.  Atoms are used as the subproblem returns them.  If no PSD state near
-the feasibility solve's point meets the rows, the solve raises
-InfeasibleError.  The returned state is lifted back to A (x) B, and its
-residual is taken against the original rows.
+the feasibility solve's point meets the kept rows (the closure check covers
+the rest), the solve raises InfeasibleError.  The returned state is lifted
+back to A (x) B, and its residual is taken against the original rows.
 """
 
 from __future__ import annotations
@@ -57,9 +59,9 @@ LINE_SEARCH_POINTS = 21
 # iterations past its plateau only polish the primal.
 BOUND_PLATEAU_TOL = 2.5e-7
 BOUND_PLATEAU_WINDOW = 15
-# Closure of the rows under the symmetry group: the largest component of a
-# normalized row's group average outside the row span, and the largest
-# mismatch of a normalized value, that the solver accepts.
+# Closure of the rows under the symmetry group, per unit-norm row: the
+# squared norm of its group average outside the row span (so a component of
+# norm up to ~3.2e-5 passes), and the mismatch of its value, that it accepts.
 CLOSURE_TOL = 1e-9
 # Eigenvalues of the rows' normalized Gram matrix below this fraction of the
 # largest belong to exact dependencies (the trace is the sum of the
@@ -71,7 +73,8 @@ class InfeasibleError(RuntimeError):
     """No PSD state near the feasibility solve's point meets the kept rows,
     so the solve has no start point.  A feasible state may exist all the
     same, e.g. at some inputs with xi = 0 and trusted noise, where the set
-    is thin.  `max_residual` is the largest residual of the start tried."""
+    is thin.  `max_residual` is the largest kept-row residual of the
+    feasibility solve's point."""
 
     def __init__(self, message: str, max_residual: float):
         super().__init__(f"{message} (max constraint residual {max_residual:.3e})")
@@ -209,24 +212,23 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
     decreases and dominates the minimum.  That test reads f at an iterate
     that meets the rows only to the interior-point tolerance; the reported
     rate still comes from the certified bound alone.  Raises ValueError if
-    the rows or values are not closed under the symmetry group of the maps,
-    and InfeasibleError if the feasibility solve's point gives no start.
+    the rows or values are not closed under the group or row 0 is not the
+    trace, and InfeasibleError if the feasibility solve gives no start.
     """
     red, kept = _reduced_rows(cs, maps)
     ops = red[kept]
     b = cs.values[kept]
     del red
-    if 0 not in kept:  # the trace row is first, and kept rows stay in order
-        raise RuntimeError("trace constraint unexpectedly dropped")
+    if not np.array_equal(ops[0], np.broadcast_to(np.eye(ops.shape[-1]), ops.shape[1:])):
+        raise ValueError("row 0 must be the trace, whose blocks are the identity")
 
-    # Tr rho, row 0, is 1 on the feasible set, so this objective chooses
-    # nothing: the solve finds a point that meets the rows to the IPM
-    # tolerance, and the scaled correction makes it exact and PSD.
+    # Tr rho is 1 on the feasible set, so this objective chooses nothing:
+    # the solve finds a point that meets the rows to the IPM tolerance, and
+    # the scaled correction makes it exact and PSD.
     pre = solve_sdp(ops[0], ops, b)
     rho = _scaled_correction(pre.x, ops, b)
-    full_res = float(np.max(np.abs(cs.residuals(maps.lift(pre.x if rho is None else rho)))))
-    if rho is None or full_res > 5e-8:
-        raise InfeasibleError("no feasible state found", full_res)
+    if rho is None:
+        raise InfeasibleError("no feasible state found", _residual(ops, pre.x, b))
 
     f, grad = objective_with_gradient(rho, maps)
     start = rho, f

@@ -16,7 +16,7 @@ from dmrate.channel import ChannelModel, ProtocolParams, simulate_statistics
 from dmrate.constraints import DIM_A, ConstraintSet, build_constraints
 from dmrate.detector import DetectorModel
 from dmrate.entropy import line_objective, objective_with_gradient
-from dmrate.maps import PostprocessingMaps, build_postprocessing_maps
+from dmrate.maps import build_postprocessing_maps
 from dmrate.observables import observable_set, region_operators
 from dmrate.pipeline import point_artifacts
 from dmrate.sdp import independent_rows
@@ -209,15 +209,33 @@ class TestTypedErrors:
         with pytest.raises(ValueError, match="rows are not closed"):
             solve(fewer, maps)
 
-    @pytest.mark.parametrize("quarter_turn", [True, False])
-    def test_non_covariant_regions(self, quarter_turn):
+    def test_non_covariant_regions(self):
         regions = list(region_operators(DET, 0.5, CUTOFF))
         bump = np.zeros_like(regions[0])
         bump[1, 2] = 1e-6j
         regions[0] = regions[0] + bump + bump.conj().T
         with pytest.raises(ValueError, match="not covariant"):
-            build_postprocessing_maps(tuple(regions), quarter_turn)
+            build_postprocessing_maps(tuple(regions))
 
-    def test_distinct_arms_break_the_quarter_turn(self):
-        with pytest.raises(ValueError, match="quarter turn"):
-            PostprocessingMaps(observable_set(DISTINCT, 0.5, CUTOFF).regions, quarter_turn=True)
+    @pytest.mark.parametrize("delta_a", [0.0, 0.5])
+    @pytest.mark.parametrize(
+        "det",
+        [DET, DetectorModel.ideal(), DISTINCT, DetectorModel(0.719, 0.719, 0.01, 0.0100001)],
+        ids=["identical", "ideal", "distinct", "nearly-identical"],
+    )
+    def test_group_read_from_regions(self, det, delta_a):
+        # The maps take the quarter turn exactly where the detector arms are
+        # identical, even where the arms differ only by 1e-7 in noise.
+        maps = build_postprocessing_maps(observable_set(det, delta_a, CUTOFF).regions)
+        assert maps.quarter_turn == det.simple_case()
+
+    @pytest.mark.parametrize("case", ["identical-d0", "distinct"])
+    def test_row_zero_must_be_the_trace(self, case):
+        # The start's objective and the dual repair's shift are both row 0,
+        # so a constraint set whose first row is not the trace is refused.
+        cs, maps = problem(case)
+        first = cs.labels.index("ptrace-d0")
+        order = [first] + [i for i in range(len(cs.labels)) if i != first]
+        moved = ConstraintSet(cs.a_parts[order], cs.b_parts[order], cs.values[order], tuple(cs.labels[i] for i in order))
+        with pytest.raises(ValueError, match="row 0 must be the trace"):
+            solve(moved, maps)
