@@ -209,8 +209,13 @@ class TestTypedErrors:
         with pytest.raises(ValueError, match="rows are not closed"):
             solve(fewer, maps)
 
-    def test_non_covariant_regions(self):
-        regions = list(region_operators(DET, 0.5, CUTOFF))
+    @pytest.mark.parametrize("quarter_turn", [True, False])
+    def test_non_covariant_regions(self, quarter_turn):
+        # The same bump is refused whether the unbumped regions keep the
+        # quarter turn (identical arms) or only the half turn (distinct arms).
+        det = DET if quarter_turn else DISTINCT
+        regions = list(region_operators(det, 0.5, CUTOFF))
+        assert build_postprocessing_maps(tuple(regions)).quarter_turn == quarter_turn
         bump = np.zeros_like(regions[0])
         bump[1, 2] = 1e-6j
         regions[0] = regions[0] + bump + bump.conj().T
