@@ -5,18 +5,19 @@ The quantum channel is phase-invariant Gaussian: transmittance eta_t
 (10^(-0.02 L) for fiber of length L km at 0.2 dB/km) plus excess noise xi
 quoted in shot-noise units at the channel input.  A coherent signal |alpha>
 arrives as a displaced thermal state centered at sqrt(eta_t) alpha with
-per-quadrature variance (1 + eta_t xi)/2.
+per-quadrature variance (1 + eta_t xi)/2, built by the POVM kernel of
+`detector`.  `fock.refined` refines the key map's sector masses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .detector import DetectorModel
-from .fock import displaced_thermal_matrix, erfc, gauss_legendre
+from .detector import DetectorModel, povm_weighted_sum
+from .fock import erfc, gauss_legendre, refined
 from .observables import moment_observables
 
 __all__ = [
@@ -106,8 +107,13 @@ class SimulatedStatistics:
 
 
 def simulated_conditional_state(ch: ChannelModel, x: int, pp: ProtocolParams, N: int) -> np.ndarray:
-    """Bob's conditional state for signal x: displaced thermal, truncated at N."""
-    return displaced_thermal_matrix(np.sqrt(ch.eta_t) * pp.signal(x), ch.eta_t * ch.xi / 2.0, N)
+    """Bob's conditional state D(beta) rho_th(nbar) D(beta)+ for signal x,
+    truncated at N, with beta = sqrt(eta_t) alpha_x and nbar = eta_t xi/2.
+    A heterodyne element of unit efficiency and noise nbar is
+    G_y = D(y) rho_th(nbar) D(y)+ / pi, so the state is pi G_beta."""
+    nbar = ch.eta_t * ch.xi / 2.0
+    det = DetectorModel(1.0, 1.0, nbar, nbar)
+    return np.pi * povm_weighted_sum([np.sqrt(ch.eta_t) * pp.signal(x)], [1.0], det, N)
 
 
 def _noise_variance(ch: ChannelModel, det: DetectorModel) -> float:
@@ -192,16 +198,8 @@ def _sector_mass(c: np.ndarray, s: float, delta_a: float) -> np.ndarray:
     # analytic per angle; the angle takes one Gauss-Legendre rule for all
     # signals and sectors, doubled from 32 to 512 nodes until two levels
     # agree to SECTOR_TOL.
-    n = 32
-    prev = _sector_integrals(c, s, delta_a, n)
-    while n < 512:
-        n *= 2
-        cur = _sector_integrals(c, s, delta_a, n)
-        err = float(np.max(np.abs(cur - prev)))
-        if err < SECTOR_TOL:
-            return cur / (np.pi * s)
-        prev = cur
-    raise RuntimeError(f"sector quadrature did not converge (last refinement change {err:.2e})")
+    rule = partial(_sector_integrals, c, s, delta_a)
+    return refined(rule, (32, 64, 128, 256, 512), SECTOR_TOL, "sector quadrature") / (np.pi * s)
 
 
 def discretization_distribution(

@@ -7,7 +7,9 @@ port.  Each POVM element G_y is a scaled projection onto a displaced
 elements.  The package needs G_y only inside integrals over the outcome
 plane, so it has one POVM kernel: `povm_weighted_sum` builds a weighted sum
 of G_y over many outcomes y at once, for any pair of arms, and the
-distinct-arm quadrature of the region operators calls it.
+distinct-arm quadrature of the region operators calls it.  It also builds the
+channel's conditional states: a displaced thermal state is pi G_y of a
+detector of unit efficiency (`channel.simulated_conditional_state`).
 Single elements G_y (the identical-arm closed form and the one-node kernel
 call) live with the tests in `tests/support/detector.py`, which check them
 against an independent Wigner-quadrature oracle in `tests/support/wigner.py`.

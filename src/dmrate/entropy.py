@@ -8,11 +8,8 @@ unitarily equivalent within each orbit of key values, so one orbit
 representative F_r, weighted by its orbit size, stands for them:
 E_r rho E_r+ ~ sum_j F_r[j] B_j F_r[j]^T.  The gradient at an invariant state
 is invariant, so it is a stack of real blocks too.  No operator on the full
-register space is ever formed.  At cutoff 12, on one BLAS thread of a 2-core
-x86-64 machine, one value-and-gradient evaluation takes about 0.8 ms and one
-line evaluation about 0.26 ms with identical detector arms (4 blocks, one
-pinched block), and 1.6 ms and 0.5 ms with distinct arms (2 blocks, two
-pinched blocks).
+register space is ever formed.  Identical arms give 4 blocks and one pinched
+block, distinct arms 2 of each.  Both functions work at `perturbed(rho)`.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ import numpy as np
 from .fock import CLAMP_REL
 from .maps import PostprocessingMaps
 
-__all__ = ["objective_with_gradient", "line_objective", "PERTURBATION"]
+__all__ = ["objective_with_gradient", "line_objective", "perturbed", "PERTURBATION"]
 
 LN2 = float(np.log(2.0))
 
@@ -31,8 +28,9 @@ LN2 = float(np.log(2.0))
 PERTURBATION = 1e-9
 
 
-def _perturb(rho: np.ndarray) -> np.ndarray:
-    # dim is the dimension of A (x) B, the sum of the block sizes.
+def perturbed(rho: np.ndarray) -> np.ndarray:
+    """(1 - PERTURBATION) rho + PERTURBATION 1/dim, the state at which the
+    objective is taken; dim, that of A (x) B, is the sum of the block sizes."""
     n_blocks, d = rho.shape[:2]
     return (1.0 - PERTURBATION) * rho + (PERTURBATION / (n_blocks * d)) * np.eye(d)
 
@@ -67,9 +65,9 @@ def _pinched(factor: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def objective_with_gradient(rho: np.ndarray, maps: PostprocessingMaps) -> tuple[float, np.ndarray]:
     """Objective in bits and its gradient G+[log2 G(rho)] - G+[log2 Z(G(rho))],
-    both on the (K, d, d) stack of real blocks; rho is a symmetric stack of
-    unit total trace, which the caller guarantees."""
-    rho = _perturb(rho)
+    both at `perturbed(rho)` and on the (K, d, d) stack of real blocks; rho is
+    a symmetric stack of unit total trace, which the caller guarantees."""
+    rho = perturbed(rho)
     w = maps.kraus_factor
     log_sigma, term1 = _clamped_log(w @ rho @ w.swapaxes(1, 2))
     grad = w.swapaxes(1, 2) @ log_sigma @ w
@@ -86,7 +84,7 @@ def line_objective(rho: np.ndarray, delta: np.ndarray, maps: PostprocessingMaps)
     transformed endpoint matrices precomputed, for cheap exact line
     searches."""
     w = maps.kraus_factor
-    rho = _perturb(rho)
+    rho = perturbed(rho)
     sig0 = w @ rho @ w.swapaxes(1, 2)
     sigd = (1.0 - PERTURBATION) * (w @ delta @ w.swapaxes(1, 2))
     tau0 = [_pinched(f, rho) for f in maps.pinch_factors]

@@ -5,7 +5,8 @@ three-term recurrences (factorial-ratio forms overflow past degree ~20);
 factorial ratios that do appear downstream go through log-gamma.  The
 special functions are log-gamma (`gammaln`) and erfc, elementwise through
 `math`, and Gauss-Legendre rules (`gauss_legendre`), from Newton's method on
-the Legendre recurrence.
+the Legendre recurrence.  `refined` is the one refine-until-two-levels-agree
+loop of the numeric quadratures (the key sectors and the distinct-arm regions).
 """
 
 from __future__ import annotations
@@ -19,14 +20,12 @@ __all__ = [
     "gammaln",
     "erfc",
     "gauss_legendre",
+    "refined",
     "hermitize",
     "check_hermitian",
-    "laguerre",
     "hermite",
     "quadrature_operators",
     "coherent_overlap",
-    "coherent_state_vector",
-    "displaced_thermal_matrix",
     "hermitian_sqrt",
 ]
 
@@ -93,6 +92,19 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def refined(rule, levels, tol: float, what: str) -> np.ndarray:
+    """rule(level) at the first of ``levels`` that agrees with the level
+    before it to ``tol`` in every entry; else RuntimeError naming ``what``."""
+    prev, err = rule(levels[0]), np.inf
+    for level in levels[1:]:
+        cur = rule(level)
+        err = float(np.max(np.abs(cur - prev)))
+        if err < tol:
+            return cur
+        prev = cur
+    raise RuntimeError(f"{what} did not converge (last refinement change {err:.2e})")
+
+
 def hermitize(m: np.ndarray) -> np.ndarray:
     """(m + m+)/2: the Hermitian part, exactly Hermitian afterwards; for a
     stack of matrices, of every matrix in it."""
@@ -110,22 +122,6 @@ def check_hermitian(m: np.ndarray) -> np.ndarray:
     if asym > 1e-8 * max(1.0, float(np.max(np.abs(m)))):
         raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3e})")
     return hermitize(m)
-
-
-def laguerre(k: int, j: int, x: float) -> float:
-    """Generalized Laguerre polynomial L_k^(j)(x) by the stable recurrence.
-
-    Raises ValueError for negative degree or parameter.
-    """
-    if k < 0 or j < 0:
-        raise ValueError(f"laguerre needs k >= 0 and j >= 0, got k={k}, j={j}")
-    if k == 0:
-        return 1.0
-    prev = 1.0
-    cur = 1.0 + j - x
-    for i in range(1, k):
-        prev, cur = cur, ((2 * i + 1 + j - x) * cur - (i + j) * prev) / (i + 1)
-    return cur
 
 
 def hermite(ell: int, z):
@@ -169,48 +165,6 @@ def quadrature_operators(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
 def coherent_overlap(a: complex, b: complex) -> complex:
     """Overlap <b|a> of two coherent states."""
     return np.exp(-0.5 * (abs(a) ** 2 + abs(b) ** 2) + np.conj(b) * a)
-
-
-def coherent_state_vector(alpha: complex, N: int) -> np.ndarray:
-    """Amplitudes <n|alpha> for n = 0..N (not renormalized after truncation)."""
-    if alpha == 0:
-        v = np.zeros(N + 1, dtype=complex)
-        v[0] = 1.0
-        return v
-    n = np.arange(N + 1)
-    logmag = -0.5 * abs(alpha) ** 2 + n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1)
-    phase = np.exp(1j * n * np.angle(alpha))
-    return np.exp(logmag) * phase
-
-
-def displaced_thermal_matrix(alpha: complex, nbar: float, N: int) -> np.ndarray:
-    """Photon-number matrix of D(alpha) rho_th(nbar) D(alpha)+, truncated at N.
-
-    For m <= n the entry is
-        exp(-|alpha|^2/(1+nbar)) * nbar^m/(1+nbar)^(n+1) * conj(alpha)^(n-m)
-        * sqrt(m!/n!) * L_m^(n-m)(-|alpha|^2/(nbar(1+nbar))),
-    the rest by Hermiticity.  nbar -> 0 reduces to the coherent projector.
-    """
-    if nbar < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {nbar}")
-    if nbar < 1e-12:
-        v = coherent_state_vector(alpha, N)
-        return np.outer(v, v.conj())
-    rho = np.zeros((N + 1, N + 1), dtype=complex)
-    aa = abs(alpha) ** 2
-    larg = -aa / (nbar * (1.0 + nbar))
-    for m in range(N + 1):
-        for n in range(m, N + 1):
-            logmag = (
-                -aa / (1.0 + nbar)
-                + m * np.log(nbar)
-                - (n + 1) * np.log1p(nbar)
-                + 0.5 * (gammaln(m + 1) - gammaln(n + 1))
-            )
-            val = np.exp(logmag) * np.conj(alpha) ** (n - m) * laguerre(m, n - m, larg)
-            rho[m, n] = val
-            rho[n, m] = np.conj(val)
-    return rho
 
 
 def hermitian_sqrt(M: np.ndarray) -> np.ndarray:

@@ -13,20 +13,21 @@ incomplete gamma function Q (outside the disk) or P (inside it), summed on
 the lattices of its orders 1, 3/2, ..., N + 1 (`_lattice_gamma`).  The ideal
 detector is thermal occupation 0 of that sum, not a separate path.  Only the
 regions of distinct arms are numeric: they integrate the POVM over a tensor
-Gauss-Legendre grid in polar coordinates (radius times angle), refined until
-two levels agree.  Each grid is one call of the batched kernel
-`detector.povm_weighted_sum`, one matmul whatever the number of nodes.
+Gauss-Legendre grid in polar coordinates (radius times angle), refined by
+`fock.refined` until two levels agree.  Each grid is one call of the batched
+kernel `detector.povm_weighted_sum`, one matmul whatever the number of nodes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .detector import DetectorModel, povm_weighted_sum
-from .fock import erfc, gammaln, gauss_legendre, hermitize, quadrature_operators
+from .fock import erfc, gammaln, gauss_legendre, hermitize, quadrature_operators, refined
 
 __all__ = [
     "ObservableSet",
@@ -128,8 +129,9 @@ def _identical_arm_operators(det: DetectorModel, delta_a: float, N: int) -> tupl
     return tuple(ops), disk
 
 
-def _polar_grid_integral(det: DetectorModel, N: int, r_lo, r_hi, th_lo, th_hi, n_r, n_th):
-    # Tensor Gauss-Legendre integral of G_y over the polar patch.
+def _polar_grid_integral(det: DetectorModel, N: int, r_lo, r_hi, th_lo, th_hi, nodes):
+    # Tensor Gauss-Legendre integral of G_y over the polar patch, nodes = (n_r, n_th).
+    n_r, n_th = nodes
     xr, wr = gauss_legendre(n_r)
     xt, wt = gauss_legendre(n_th)
     r = 0.5 * (r_hi - r_lo) * (xr + 1.0) + r_lo
@@ -140,28 +142,14 @@ def _polar_grid_integral(det: DetectorModel, N: int, r_lo, r_hi, th_lo, th_hi, n
     return povm_weighted_sum(y, np.outer(wr * r, wt).ravel(), det, N)
 
 
-def _polar_integral_refined(det: DetectorModel, N: int, r_lo, r_hi, th_lo, th_hi):
-    # Nested Gauss rule: refine the node counts until two levels agree to
-    # POLAR_TOL.
-    n_r, n_th = 48, 24
-    prev = _polar_grid_integral(det, N, r_lo, r_hi, th_lo, th_hi, n_r, n_th)
-    err = np.inf
-    for _ in range(3):
-        n_r, n_th = n_r + 24, n_th + 12
-        cur = _polar_grid_integral(det, N, r_lo, r_hi, th_lo, th_hi, n_r, n_th)
-        err = float(np.max(np.abs(cur - prev)))
-        if err < POLAR_TOL:
-            return cur
-        prev = cur
-    raise RuntimeError(f"polar quadrature did not converge (last refinement change {err:.2e})")
-
-
 def _general_regions(det: DetectorModel, delta_a: float, N: int) -> tuple[np.ndarray, ...]:
+    # Each sector's patch is refined from 48 x 24 to 120 x 60 nodes until two levels agree to POLAR_TOL.
     r_hi = 6.0 * np.sqrt(1.0 + max(det.nu1, det.nu2)) + 4.0
+    levels = ((48, 24), (72, 36), (96, 48), (120, 60))
     ops = []
     for j in range(4):
-        th_lo, th_hi = (2 * j - 1) * np.pi / 4, (2 * j + 1) * np.pi / 4
-        ops.append(hermitize(_polar_integral_refined(det, N, delta_a, r_hi, th_lo, th_hi)))
+        rule = partial(_polar_grid_integral, det, N, delta_a, r_hi, (2 * j - 1) * np.pi / 4, (2 * j + 1) * np.pi / 4)
+        ops.append(hermitize(refined(rule, levels, POLAR_TOL, "polar quadrature")))
     return tuple(ops)
 
 

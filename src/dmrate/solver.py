@@ -12,13 +12,14 @@ over invariant states is the minimum over all states; otherwise ValueError.
 Row 0 must reduce to exactly the identity blocks, the trace, which the start
 and the dual repair both rest on; otherwise ValueError.
 
-Each iteration linearizes the objective at the current state and solves
-min <sigma, grad> over the constrained PSD set with the dense interior-point
-solver; the subproblem's dual vector, repaired to exact dual feasibility by
-shifting the coordinate of row 0, the trace, turns the linearization into a
-valid lower bound on the true minimum (weak duality + convexity), whether or
-not the states meet the rows.  The subproblems, the bound and the closing
-correction all read one set of values, the stated values of the kept rows.
+Each iteration linearizes the objective at `entropy.perturbed(rho)`, where f
+and its gradient are taken (Winick, Lutkenhaus, Coles, Quantum 2, 77 (2018)),
+and solves min <sigma, grad> over the constrained PSD set with the dense
+interior-point solver; the subproblem's dual vector, repaired to exact dual
+feasibility by shifting the coordinate of row 0, the trace, turns the
+linearization into a valid lower bound on the true minimum (weak duality +
+convexity), whether or not the states meet the rows.  The subproblems, the
+bound and the closing correction all read the stated values of the kept rows.
 The step toward the subproblem's state comes from one golden-section search
 over logit t = ln(t / (1 - t)), as steps span many decades near 0 and 1.
 The best bound over all iterations is reported, so even a run stopped at the
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .constraints import ConstraintSet
-from .entropy import line_objective, objective_with_gradient
+from .entropy import line_objective, objective_with_gradient, perturbed
 from .fock import hermitize
 from .maps import PostprocessingMaps
 from .sdp import independent_rows, solve_sdp
@@ -246,7 +247,7 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
         # feasibility does not involve the constraint values; so the bound is
         # taken before the checks below, which only judge the direction.
         if np.isfinite(sub.y).all():
-            lower_k = f - float(np.vdot(rho, grad)) + float(b @ _repaired_dual(grad, ops, sub.y))
+            lower_k = f - float(np.vdot(perturbed(rho), grad)) + float(b @ _repaired_dual(grad, ops, sub.y))
             best_lower = max(best_lower, lower_k)
         # A slightly loose subproblem is still usable: the direction only
         # needs near-feasibility, and the dual repair keeps the bound valid.

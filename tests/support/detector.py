@@ -9,7 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from dmrate.detector import DetectorModel, povm_weighted_sum
-from dmrate.fock import coherent_state_vector, displaced_thermal_matrix, hermitize
+from dmrate.fock import hermitize
+from support.fock import coherent_state_vector, displaced_thermal_matrix
 
 
 def povm_element_simple(y: complex, det: DetectorModel, N: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from scipy import integrate
 from scipy.special import gammaln
 
 from dmrate.detector import DetectorModel
-from dmrate.fock import laguerre
+from support.fock import laguerre
 
 __all__ = [
     "WignerGaussian",

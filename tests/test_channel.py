@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from dmrate import channel
 from dmrate.channel import (
     ChannelModel,
     DiscretizedDistribution,
@@ -14,6 +15,7 @@ from dmrate.channel import (
 from dmrate.detector import DetectorModel
 from dmrate.observables import moment_observables
 from support.channel import pdf_outcome
+from support.fock import displaced_thermal_matrix
 
 DET = DetectorModel.simple(0.719, 0.01)
 
@@ -110,6 +112,20 @@ class TestSimulatedStatistics:
             assert np.trace(sigma @ fp).real == pytest.approx(stats.fp[x], abs=1e-6)
             assert np.trace(sigma @ sq).real == pytest.approx(stats.sq[x], abs=1e-6)
             assert np.trace(sigma @ sp).real == pytest.approx(stats.sp[x], abs=1e-6)
+
+    @pytest.mark.parametrize("xi", [0.0, 1e-4, 0.01, 1.0])
+    def test_conditional_state_against_laguerre_form(self, xi):
+        # pi G_beta from the POVM kernel against the Laguerre closed form of
+        # the displaced thermal state; xi = 0 is the coherent projector.
+        for distance_km in (0.0, 20.0, 100.0):
+            ch = ChannelModel.from_distance(distance_km, xi)
+            for alpha in (0.35, 0.75, 1.5):
+                pp = ProtocolParams(alpha=alpha)
+                for N in (2, 6, 12, 20):
+                    for x in range(4):
+                        got = simulated_conditional_state(ch, x, pp, N)
+                        ref = displaced_thermal_matrix(np.sqrt(ch.eta_t) * pp.signal(x), ch.eta_t * xi / 2, N)
+                        assert np.max(np.abs(got - ref)) < 1e-12
 
     def test_general_detector_path(self):
         det = DetectorModel(0.7, 0.7 - 1e-9, 0.02, 0.02)
@@ -213,6 +229,12 @@ class TestDiscretization:
                     epsabs=1e-11,
                 )
                 assert dd.conditional[x, z] == pytest.approx(ref, abs=1e-9)
+
+    def test_unconverged_rule_raises(self, monkeypatch):
+        # No two Gauss-Legendre levels agree to a zero tolerance.
+        monkeypatch.setattr(channel, "SECTOR_TOL", 0.0)
+        with pytest.raises(RuntimeError, match="sector quadrature did not converge"):
+            discretization_distribution(self.CH, DET, ProtocolParams(alpha=0.75))
 
 
 class TestEcCost:

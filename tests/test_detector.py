@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dmrate.detector import DetectorModel, povm_weighted_sum
-from dmrate.fock import displaced_thermal_matrix
 from support.detector import povm_element, povm_element_kernel, povm_element_simple
+from support.fock import displaced_thermal_matrix
 from support.wigner import povm_oracle_entry
 
 SIMPLE = DetectorModel.simple(0.719, 0.01)

@@ -7,17 +7,16 @@ from scipy import special
 from dmrate.fock import (
     check_hermitian,
     coherent_overlap,
-    coherent_state_vector,
-    displaced_thermal_matrix,
     erfc,
     gammaln,
     gauss_legendre,
     hermite,
     hermitian_sqrt,
-    laguerre,
     quadrature_operators,
+    refined,
 )
 from dmrate.observables import _lattice_gamma
+from support.fock import coherent_state_vector, displaced_thermal_matrix, laguerre
 from support.maps import hermitian_log
 
 
@@ -140,6 +139,24 @@ class TestSpecialFunctions:
                 arr[0] = 0.0
         with pytest.raises(ValueError):
             gauss_legendre(0)
+
+
+class TestRefined:
+    def test_returns_first_agreeing_level(self):
+        levels = []
+
+        def rule(level):
+            levels.append(level)
+            return np.array([1.0, 1.0 / level])
+
+        got = refined(rule, (1, 10, 100, 1000, 10000), 1e-2, "toy rule")
+        # Changes 0.9, 0.09, 0.009: the fourth level is the first to agree.
+        assert levels == [1, 10, 100, 1000]
+        assert np.array_equal(got, [1.0, 1e-3])
+
+    def test_no_agreement_raises(self):
+        with pytest.raises(RuntimeError, match=r"toy rule did not converge \(last refinement change 1.00e\+00\)"):
+            refined(lambda level: np.array([float(level)]), (1, 2, 3), 0.5, "toy rule")
 
 
 class TestQuadratureOperators:

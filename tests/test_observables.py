@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from dmrate import observables
 from dmrate.detector import DetectorModel, povm_weighted_sum
-from dmrate.fock import displaced_thermal_matrix, laguerre, quadrature_operators
+from dmrate.fock import quadrature_operators
 from dmrate.observables import (
     _general_regions,
     moment_observables,
@@ -15,6 +16,7 @@ from dmrate.observables import (
     region_operators,
 )
 from support.detector import povm_element
+from support.fock import displaced_thermal_matrix, laguerre
 from support.observables import region_complement
 
 SIMPLE = DetectorModel.simple(0.719, 0.01)
@@ -286,6 +288,12 @@ class TestGeneralNumericPath:
         assert obs.sq[0, 0] == 1 + self.GENERAL.nu1
         assert obs.sp[0, 0] == 1 + self.GENERAL.nu2
         assert obs.fq[0, 0] == 0.0
+
+    def test_unconverged_grid_raises(self, monkeypatch):
+        # No two node counts agree to a zero tolerance.
+        monkeypatch.setattr(observables, "POLAR_TOL", 0.0)
+        with pytest.raises(RuntimeError, match="polar quadrature did not converge"):
+            region_operators(self.GENERAL, 0.0, 2)
 
 
 class TestObservableSet:

@@ -22,7 +22,7 @@ from dmrate.pipeline import point_artifacts
 from dmrate.sdp import independent_rows
 from dmrate.solver import solve
 from support.constraints import full_operators
-from support.maps import full_objective, full_objective_with_gradient, lift, reduce, roots
+from support.maps import _perturb, full_objective, full_objective_with_gradient, lift, reduce, roots
 from support.sdp import embed, solve_hermitian_sdp
 
 DET = DetectorModel.simple(0.719, 0.01)
@@ -160,7 +160,9 @@ def test_full_space_certificate(case, monkeypatch):
         assert np.max(np.abs(grad - grad_full)) < 1e-5
         slack = grad - np.tensordot(y, twirled, axes=1)
         assert np.linalg.eigvalsh(0.5 * (slack + slack.conj().T)).min() >= -1e-12
-        bounds.append(f - np.vdot(rho, grad).real + cs.values[kept] @ y)
+        # f and its gradient are taken at the perturbed state, and so is
+        # the linearization.
+        bounds.append(f - np.vdot(_perturb(rho), grad).real + cs.values[kept] @ y)
     assert max(bounds) == pytest.approx(res.lower_bound, abs=1e-10)
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dmrate.fock import coherent_overlap, displaced_thermal_matrix
+from dmrate.fock import coherent_overlap
+from support.fock import displaced_thermal_matrix
 from support.wigner import (
     WignerGaussian,
     overlap_integral,
