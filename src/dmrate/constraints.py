@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ProtocolParams, SimulatedStatistics
+from .detector import DetectorModel
 from .fock import coherent_overlap
 from .observables import ObservableSet
 
@@ -105,11 +106,11 @@ def build_constraints(
     simulated stats, one row per signal; the unit-trace row and the 16 real
     functionals pinning Tr_B(rho) to Alice's Gram matrix complete the set.
     ``mode`` names the scenario: "untrusted" needs observables built for the
-    ideal detector (obs.detector.is_ideal()), since Eve holds the detector
+    ideal detector (DetectorModel.ideal()), since Eve holds the detector
     noise, and raises ValueError for any other set.
     """
     check_mode(mode)
-    if mode == "untrusted" and not obs.detector.is_ideal():
+    if mode == "untrusted" and obs.detector != DetectorModel.ideal():
         raise ValueError(f"untrusted noise needs the ideal detector's observables, got {obs.detector}")
     dim_b = obs.fq.shape[0]
     if dim_b != pp.cutoff + 1:

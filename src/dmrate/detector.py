@@ -6,13 +6,14 @@ port.  Each POVM element G_y is a scaled projection onto a displaced
 (squeezed, if the two arms differ) thermal state, with closed-form matrix
 elements.  The package needs G_y only inside integrals over the outcome
 plane, so it has one POVM kernel: `povm_weighted_sum` builds a weighted sum
-of G_y over many outcomes y at once, for any pair of arms, and the
-distinct-arm quadrature of the region operators calls it.  It also builds the
-channel's conditional states: a displaced thermal state is pi G_y of a
-detector of unit efficiency (`channel.simulated_conditional_state`).
-Single elements G_y (the identical-arm closed form and the one-node kernel
-call) live with the tests in `tests/support/detector.py`, which check them
-against an independent Wigner-quadrature oracle in `tests/support/wigner.py`.
+of G_y over many outcomes y at once, by one recurrence for any pair of arms
+(equal arms included), and the distinct-arm quadrature of the region
+operators calls it.  It also builds the channel's conditional states: a
+displaced thermal state is pi G_y of a detector of unit efficiency
+(`channel.simulated_conditional_state`).  Single elements G_y (the
+identical-arm closed form and the one-node kernel call) live with the tests
+in `tests/support/detector.py`, which check them against an independent
+Wigner-quadrature oracle in `tests/support/wigner.py`.
 """
 
 from __future__ import annotations
@@ -21,19 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import gammaln, hermite
+from .fock import gammaln
 
-__all__ = ["DetectorModel", "povm_weighted_sum", "IDEAL_NBAR_THRESHOLD"]
-
-# Below this effective thermal occupation a detector is ideal.  In the package
-# this only lets `build_constraints` accept the detector for untrusted noise;
-# the identical-arm regions are one closed form on both sides of it.
-IDEAL_NBAR_THRESHOLD = 1e-12
-
-# lambda_1 == lambda_2 collapses the squeezing of the general POVM; at this
-# gap the B-tilde powers in the general formula degenerate and their
-# B-tilde -> 0 limit, the displaced-thermal form, takes over.
-DEGENERATE_LAMBDA_GAP = 1e-12
+__all__ = ["DetectorModel", "povm_weighted_sum"]
 
 
 @dataclass(frozen=True)
@@ -87,26 +78,12 @@ class DetectorModel:
             raise ValueError("nbar_d is only defined for the simple (identical-arm) case")
         return self.lambdas()[0]
 
-    def is_ideal(self) -> bool:
-        return self.simple_case() and self.nbar_d < IDEAL_NBAR_THRESHOLD
-
     def lambdas(self) -> tuple[float, float]:
         """lambda_j = (1 - eta_j + nu_j)/eta_j for the two arms."""
         return (
             (1.0 - self.eta1 + self.nu1) / self.eta1,
             (1.0 - self.eta2 + self.nu2) / self.eta2,
         )
-
-
-def _btilde_sqrt(lam1: float, lam2: float) -> complex:
-    # Square-root branch of B-tilde = -|lam1-lam2| / (2(lam1+1)(lam2+1)).
-    # The branch must pair with the quadrature axes so that the matrix
-    # elements reproduce the detector's two-quadrature Gaussian Wigner form
-    # (Re axis governed by lam1, Im by lam2); that fixes i|B|^(1/2) for
-    # lam1 > lam2 and -|B|^(1/2) otherwise, verified against the quadrature
-    # oracle for both orderings.
-    mag = np.sqrt(abs(lam1 - lam2) / (2 * (lam1 + 1) * (lam2 + 1)))
-    return 1j * mag if lam1 > lam2 else -mag
 
 
 def povm_weighted_sum(ys, weights, det: DetectorModel, N: int) -> np.ndarray:
@@ -117,15 +94,17 @@ def povm_weighted_sum(ys, weights, det: DetectorModel, N: int) -> np.ndarray:
     Each G_y is a short sum of rank-1 terms,
         G_y = q0(y)/sqrt(eta_1 eta_2) sum_k (a_t^k/k!) w_k w_k^H,
         w_k[m] = sqrt(m!)/(m-k)! P_{m-k}(y) for m >= k (0 otherwise),
-    with P_j = (b/sqrt2)^j H_j(c_t/(sqrt2 b)) and b the B-tilde square root.
+    where P_j = (b/sqrt2)^j H_j(c_t/(sqrt2 b)), with b^2 = B-tilde, obeys
+        P_0 = 1, P_1 = c_t, P_{j+1} = c_t P_j - j B-tilde P_{j-1}.
+    B-tilde = (lambda_2 - lambda_1)/(2(lambda_1+1)(lambda_2+1)) is real for
+    either ordering of the arms, and 0 for equal lambdas, where P_j = c_t^j
+    and G_y is a scaled displaced thermal state at alpha_het.  Here
+    alpha_het = Re(y)/sqrt(eta_1) + i Im(y)/sqrt(eta_2) is the outcome
+    rescaled by each arm's efficiency.
     Since w_k is P shifted down by k and rescaled entrywise, every term of
     the weighted sum is a block of the (N+1) x (N+1) Gram matrix
     M = P^T diag(weights q0) conj(P), with P the len(ys) x (N+1) table of
     P_j(y_i): one matmul, whatever the number of outcomes.
-    Degenerate squeezing (lambda_1 == lambda_2) takes the b -> 0 limit
-    P_j = c_t^j, a scaled displaced thermal state at alpha_het.  Here
-    alpha_het = Re(y)/sqrt(eta_1) + i Im(y)/sqrt(eta_2) is the outcome
-    rescaled by each arm's efficiency.
     """
     if N < 1:
         raise ValueError("cutoff N must be >= 1")
@@ -142,13 +121,13 @@ def povm_weighted_sum(ys, weights, det: DetectorModel, N: int) -> np.ndarray:
         / np.sqrt((lam1 + 1) * (lam2 + 1))
         * np.exp(-alpha.real**2 / (lam1 + 1) - alpha.imag**2 / (lam2 + 1))
     )
+    btilde = (lam2 - lam1) / (2.0 * (lam1 + 1) * (lam2 + 1))
     degree = np.arange(N + 1)
-    if abs(lam1 - lam2) < DEGENERATE_LAMBDA_GAP:
-        P = c_t[:, None] ** degree
-    else:
-        b_sqrt = _btilde_sqrt(lam1, lam2)
-        herm_arg = c_t / (np.sqrt(2.0) * b_sqrt)
-        P = np.stack([hermite(j, herm_arg) for j in degree], axis=1) * (b_sqrt / np.sqrt(2.0)) ** degree
+    P = np.empty((len(ys), N + 1), dtype=complex)
+    P[:, 0] = 1.0
+    P[:, 1] = c_t
+    for j in range(1, N):
+        P[:, j + 1] = c_t * P[:, j] - j * btilde * P[:, j - 1]
     d = weights * (q0 / np.sqrt(det.eta1 * det.eta2))
     gram = P.T @ (d[:, None] * P.conj())
     log_fact = gammaln(degree + 1.0)

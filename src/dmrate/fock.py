@@ -1,12 +1,12 @@
 """Truncated Fock-space operator algebra and the special functions it needs.
 
-Everything here is pure and deterministic.  Polynomials are evaluated by
-three-term recurrences (factorial-ratio forms overflow past degree ~20);
-factorial ratios that do appear downstream go through log-gamma.  The
+Everything here is pure and deterministic.  Factorial ratios downstream go
+through log-gamma, since their factorial forms overflow past degree ~20.  The
 special functions are log-gamma (`gammaln`) and erfc, elementwise through
 `math`, and Gauss-Legendre rules (`gauss_legendre`), from Newton's method on
-the Legendre recurrence.  `refined` is the one refine-until-two-levels-agree
-loop of the numeric quadratures (the key sectors and the distinct-arm regions).
+the Legendre three-term recurrence.  `refined` is the one
+refine-until-two-levels-agree loop of the numeric quadratures (the key
+sectors and the distinct-arm regions).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "refined",
     "hermitize",
     "check_hermitian",
-    "hermite",
     "quadrature_operators",
     "coherent_overlap",
     "hermitian_sqrt",
@@ -122,24 +121,6 @@ def check_hermitian(m: np.ndarray) -> np.ndarray:
     if asym > 1e-8 * max(1.0, float(np.max(np.abs(m)))):
         raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3e})")
     return hermitize(m)
-
-
-def hermite(ell: int, z):
-    """Physicists' Hermite polynomial H_ell(z), complex argument allowed.
-
-    z may be a scalar or an array; the recurrence runs elementwise and the
-    result has z's shape (a scalar for scalar z).
-    """
-    if ell < 0:
-        raise ValueError(f"hermite needs ell >= 0, got {ell}")
-    z = np.asarray(z, dtype=complex)
-    prev = np.ones_like(z)
-    if ell == 0:
-        return prev[()]
-    cur = 2.0 * z
-    for i in range(1, ell):
-        prev, cur = cur, 2.0 * z * cur - 2.0 * i * prev
-    return cur[()]
 
 
 def quadrature_operators(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

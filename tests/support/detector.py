@@ -31,9 +31,9 @@ def povm_element_kernel(y: complex, det: DetectorModel, N: int) -> np.ndarray:
 
 
 def povm_element(y: complex, det: DetectorModel, N: int) -> np.ndarray:
-    """G_y by whichever closed form applies to the detector; the near-ideal
+    """G_y by whichever closed form applies to the detector; the ideal
     detector takes the coherent projector (1/pi)|y><y|."""
-    if det.is_ideal():
+    if det == DetectorModel.ideal():
         v = coherent_state_vector(y, N)
         return hermitize(np.outer(v, v.conj()) / np.pi)
     if det.simple_case():

@@ -7,6 +7,7 @@ from dmrate.channel import (
     ChannelModel,
     DiscretizedDistribution,
     ProtocolParams,
+    SimulatedStatistics,
     discretization_distribution,
     ec_cost,
     simulate_statistics,
@@ -71,6 +72,7 @@ VALID = {
         (ProtocolParams, "delta_a", np.nan),
         (ProtocolParams, "delta_a", np.inf),
         (ProtocolParams, "cutoff", 3.5),
+        (ProtocolParams, "cutoff", 1),
     ],
 )
 def test_inputs_checked_at_construction(cls, field, value):
@@ -78,6 +80,29 @@ def test_inputs_checked_at_construction(cls, field, value):
     # deep inside the quadrature or the solve.
     with pytest.raises(ValueError, match=field):
         cls(**{**VALID[cls], field: value})
+
+
+UNIFORM = DiscretizedDistribution(ptilde=np.full((4, 4), 1 / 16), p_pass=1.0, conditional=np.full((4, 4), 1 / 4))
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: SimulatedStatistics((1.0,) * 4, (0.0,) * 4, (0.5,) * 4, (1.0,) * 4), "second moments"),
+        (
+            lambda: discretization_distribution(
+                ChannelModel(0.5, 0.01), DetectorModel(0.719, 0.6, 0.01, 0.05), ProtocolParams(alpha=0.75)
+            ),
+            "identical detector arms",
+        ),
+        (lambda: ec_cost(UNIFORM, 0.0), "reconciliation efficiency"),
+        (lambda: ec_cost(UNIFORM, 1.5), "reconciliation efficiency"),
+    ],
+    ids=["moments", "distinct-arms-discretization", "beta-0", "beta-1.5"],
+)
+def test_inputs_outside_the_model_raise(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 class TestSimulatedStatistics:

@@ -5,7 +5,6 @@ so does a declaration nothing uses."""
 import ast
 import re
 import sys
-import tomllib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -13,8 +12,10 @@ PACKAGE = ROOT / "src" / "dmrate"
 
 
 def declared_dependencies() -> set[str]:
-    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    return {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower().replace("-", "_") for req in project["dependencies"]}
+    # The array of strings is also a Python literal; tomllib would need 3.11.
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", (ROOT / "pyproject.toml").read_text(), re.M | re.S).group(1)
+    array = re.search(r"^dependencies\s*=\s*(\[.*?\])\s*$", project, re.M | re.S).group(1)
+    return {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower().replace("-", "_") for req in ast.literal_eval(array)}
 
 
 def imported_third_party() -> set[str]:

@@ -11,7 +11,7 @@ from support.wigner import povm_oracle_entry
 SIMPLE = DetectorModel.simple(0.719, 0.01)
 GENERAL = DetectorModel(0.719, 0.6, 0.01, 0.05)
 GENERAL_SWAPPED = DetectorModel(0.6, 0.719, 0.05, 0.01)
-# Distinct arms with lambda_1 == lambda_2 == 1: the degenerate branch.
+# Distinct arms with lambda_1 == lambda_2 == 1: no squeezing (B-tilde = 0).
 DEGENERATE = DetectorModel(0.5, 1.0, 0.0, 1.0)
 
 
@@ -31,9 +31,10 @@ class TestDetectorModel:
     def test_nbar_d(self):
         assert SIMPLE.nbar_d == pytest.approx((1 - 0.719 + 0.01) / 0.719)
 
-    def test_ideal_flag(self):
-        assert DetectorModel.ideal().is_ideal()
-        assert not SIMPLE.is_ideal()
+    @pytest.mark.parametrize("name", ["eta_d", "nu_el", "nbar_d"])
+    def test_single_arm_parameters_need_identical_arms(self, name):
+        with pytest.raises(ValueError, match=f"{name} is only defined"):
+            getattr(GENERAL, name)
 
 
 class TestSimplePovm:
@@ -116,7 +117,7 @@ class TestWeightedSum:
             expect = np.einsum("i,imn->mn", w, singles)
             assert np.max(np.abs(povm_weighted_sum(self.YS, w, GENERAL, 8) - expect)) < 1e-13
 
-    def test_degenerate_branch(self):
+    def test_equal_lambdas_give_displaced_thermal_state(self):
         assert not DEGENERATE.simple_case()
         lam1, lam2 = DEGENERATE.lambdas()
         assert lam1 == lam2
@@ -131,6 +132,20 @@ class TestWeightedSum:
             assert np.max(np.abs(g[i] - expect)) < 1e-13
         y = self.YS[1]
         assert g[1][1, 2] == pytest.approx(povm_oracle_entry(1, 2, y, DEGENERATE), abs=1e-7)
+
+    def test_cutoff_below_one_rejected(self):
+        with pytest.raises(ValueError, match="cutoff N must be >= 1"):
+            povm_weighted_sum(self.YS, np.ones(len(self.YS)), GENERAL, 0)
+
+    def test_continuous_in_the_lambda_gap(self):
+        # Gaps 1e-14 and 1e-12 lie on the line through gaps 0 and 1e-10: the
+        # kernel has no jump where lambda_1 and lambda_2 separate.
+        gaps = (0.0, 1e-14, 1e-12, 1e-10)
+        w = np.ones(len(self.YS))
+        g = [povm_weighted_sum(self.YS, w, DetectorModel(0.5, 1.0, 0.0, 1.0 + gap), 15) for gap in gaps]
+        slope = (g[3] - g[0]) / gaps[3]
+        for gap, gi in zip(gaps[1:3], g[1:3]):
+            assert np.max(np.abs(gi - (g[0] + gap * slope))) <= 1e-12
 
 
 class TestOracle:

@@ -10,7 +10,6 @@ from dmrate.fock import (
     erfc,
     gammaln,
     gauss_legendre,
-    hermite,
     hermitian_sqrt,
     quadrature_operators,
     refined,
@@ -49,35 +48,6 @@ class TestLaguerre:
             laguerre(-1, 0, 1.0)
         with pytest.raises(ValueError):
             laguerre(0, -2, 1.0)
-
-
-class TestHermite:
-    def test_order_zero(self):
-        assert hermite(0, 1 + 2j) == 1.0
-
-    def test_order_one(self):
-        assert hermite(1, 0.5) == pytest.approx(1.0)
-
-    def test_order_two(self):
-        assert hermite(2, 1) == pytest.approx(2.0)
-
-    def test_complex_argument_against_series(self):
-        # H_4(z) = 16 z^4 - 48 z^2 + 12
-        z = 0.3 - 0.7j
-        assert hermite(4, z) == pytest.approx(16 * z**4 - 48 * z**2 + 12, rel=1e-12)
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            hermite(-1, 0.0)
-
-    def test_array_argument_elementwise(self):
-        z = np.array([[0.3 - 0.7j, 1.5], [-2.0 + 0.1j, 0.0]])
-        for ell in (0, 1, 5):
-            got = hermite(ell, z)
-            assert got.shape == z.shape
-            expect = [hermite(ell, complex(v)) for v in z.ravel()]
-            np.testing.assert_allclose(got.ravel(), expect, rtol=1e-14, atol=0)
-        assert np.ndim(hermite(3, 0.2 + 0.1j)) == 0
 
 
 class TestSpecialFunctions:

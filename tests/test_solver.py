@@ -210,6 +210,20 @@ class TestPipeline:
         assert shift < 5e-3
 
 
+    def test_no_descent_stalls_uncertified(self, monkeypatch):
+        # A line objective that never descends ends the run at its first
+        # step, with a gap far above GAP_TOL: "stalled", the one exit that
+        # withdraws the certificate.  The state returned still meets the rows.
+        cs, maps = setup_problem(cutoff=5)
+        monkeypatch.setattr(solver, "line_objective", lambda rho, delta, maps: lambda t: np.inf)
+        res = solve(cs, maps)
+        assert res.status == "stalled"
+        assert res.iterations == 1
+        assert not res.certified
+        assert res.constraint_residual <= 1e-12
+        assert res.lower_bound <= res.primal_value
+
+
 class TestFeasibleStart:
     def test_scaled_correction_on_thin_set(self):
         # A thin feasible set: X >= 0 on 2 x 2 with X_11 = 0.99 and trace 1,
@@ -225,6 +239,13 @@ class TestFeasibleStart:
         assert start is not None
         assert solver._residual(ops, start, b) <= 1e-13
         assert np.linalg.eigvalsh(start).min() >= 0.0
+
+    def test_scaled_correction_from_zero(self):
+        # A zero sigma makes the scaled Gram matrix zero, so its linear
+        # solve is singular: the correction reports None instead of raising.
+        ops = np.array([np.eye(2)[None], np.diag([1.0, 0.0])[None]])
+        b = np.array([1.0, 0.99])
+        assert solver._scaled_correction(np.zeros((1, 2, 2)), ops, b) is None
 
     @pytest.mark.parametrize("mode", ["trusted", "untrusted"])
     def test_start_meets_the_stated_values(self, monkeypatch, mode):
