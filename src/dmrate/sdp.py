@@ -120,11 +120,11 @@ def solve_sdp(c_mat: np.ndarray, ops: np.ndarray, b: np.ndarray) -> SdpResult:
         return (vec @ ops_flat).reshape(n_blocks, n, n)
 
     def newton_step(x, y, s, r_p, r_d, mu, pinf, pobj):
-        # One predictor-corrector step.  Each Cholesky factor is inverted
-        # once; L^-1 whitens the step-length tests and gives S^-1 = L^-T L^-1.
-        x_chol_inv = np.linalg.inv(np.linalg.cholesky(x))
-        s_chol_inv = np.linalg.inv(np.linalg.cholesky(s))
-        s_inv = hermitize(s_chol_inv.swapaxes(-1, -2) @ s_chol_inv)
+        # One predictor-corrector step.  The stack [X; S] is factorized and
+        # inverted once; its L^-1 whitens the one step-length test per phase
+        # of [dX; dS], and its lower half gives S^-1 = L^-T L^-1.
+        chol_inv = np.linalg.inv(np.linalg.cholesky(np.concatenate([x, s])))
+        s_inv = hermitize(chol_inv[n_blocks:].swapaxes(-1, -2) @ chol_inv[n_blocks:])
 
         # Schur complement M[i,j] = sum_k Tr(A_ik X_k A_jk S_k^-1).
         t_ops = x @ ops @ s_inv
@@ -146,7 +146,7 @@ def solve_sdp(c_mat: np.ndarray, ops: np.ndarray, b: np.ndarray) -> SdpResult:
         # the dual race ahead collapses mu while the primal is still
         # infeasible, which is exactly the stall this avoids.
         dx_a, dy_a, ds_a = direction(np.zeros_like(x))
-        a_aff = min(1.0, _max_step(x_chol_inv, dx_a), _max_step(s_chol_inv, ds_a))
+        a_aff = min(1.0, _max_step(chol_inv, np.concatenate([dx_a, ds_a])))
         mu_aff = float(np.vdot(x + a_aff * dx_a, s + a_aff * ds_a)) / dim
         sigma = min(1.0, max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-8))
         if pinf > 10 * mu / (1 + abs(pobj)):
@@ -156,7 +156,7 @@ def solve_sdp(c_mat: np.ndarray, ops: np.ndarray, b: np.ndarray) -> SdpResult:
         comp = sigma * mu * eye - dx_a @ ds_a
         dx, dy, ds = direction(comp)
         tau = 0.9 if mu > 1e-4 else 0.98
-        alpha = min(1.0, tau * _max_step(x_chol_inv, dx), tau * _max_step(s_chol_inv, ds))
+        alpha = min(1.0, tau * _max_step(chol_inv, np.concatenate([dx, ds])))
         return x + alpha * dx, y + alpha * dy, hermitize(s + alpha * ds)
 
     x = max(1.0, float(np.max(np.abs(b))) * np.sqrt(dim)) * np.broadcast_to(eye, c_mat.shape)

@@ -238,7 +238,6 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
     best_lower = -np.inf
     gap = np.inf
     status = "max_iters"
-    certified = True
     iterations = 0
 
     for iterations in range(1, MAX_ITERS + 1):
@@ -275,7 +274,6 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
         t_step, f_step = _line_search(phi)
         if f_step >= f - 1e-14:
             status = "converged_approx" if gap < 1e3 * GAP_TOL else "stalled"
-            certified = certified and status == "converged_approx"
             break
         rho = rho + t_step * delta
         f, grad = objective_with_gradient(rho, maps)
@@ -300,7 +298,7 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
         constraint_residual=residual,
         gap=gap,
         status=status,
-        certified=certified and np.isfinite(lower),
+        certified=status != "stalled" and np.isfinite(lower),
         rho=rho,
         primal_history=tuple(history),
     )

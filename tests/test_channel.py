@@ -261,6 +261,14 @@ class TestDiscretization:
         with pytest.raises(RuntimeError, match="sector quadrature did not converge"):
             discretization_distribution(self.CH, DET, ProtocolParams(alpha=0.75))
 
+    def test_negative_sector_mass_raises(self, monkeypatch):
+        # A mass below -1e-10 is a failed quadrature, not rounding to clip.
+        mass = np.full((4, 4), 0.25)
+        mass[1, 2] = -1e-6
+        monkeypatch.setattr(channel, "_sector_mass", lambda c, s, delta_a: mass)
+        with pytest.raises(RuntimeError, match=r"negative sector mass -1e-06 at \(x=1, z=2\)"):
+            discretization_distribution(self.CH, DET, ProtocolParams(alpha=0.75))
+
 
 class TestEcCost:
     def test_perfect_correlation(self):

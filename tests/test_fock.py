@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from dmrate import fock
 from dmrate.fock import (
     check_hermitian,
     coherent_overlap,
@@ -109,6 +110,13 @@ class TestSpecialFunctions:
                 arr[0] = 0.0
         with pytest.raises(ValueError):
             gauss_legendre(0)
+
+    def test_gauss_legendre_unconverged_raises(self, monkeypatch):
+        # One Newton step leaves Tricomi's guesses short of _NODE_TOL;
+        # __wrapped__ bypasses the cache.
+        monkeypatch.setattr(fock, "_NODE_MAX_ITERS", 1)
+        with pytest.raises(RuntimeError, match="Gauss-Legendre nodes did not converge at n=64"):
+            gauss_legendre.__wrapped__(64)
 
 
 class TestRefined:

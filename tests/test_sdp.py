@@ -133,6 +133,55 @@ class TestDegenerate:
         assert res.primal_obj == pytest.approx(1.0, abs=1e-6)
 
 
+class TestStepLength:
+    # _max_step on the whitening of the stack [X; S] is the smaller of the two
+    # cones' steps, infinity included.
+    @pytest.mark.parametrize("case", ["x-limits", "s-limits", "s-unbounded", "both-unbounded"])
+    def test_stacked_step_is_the_smaller(self, case):
+        rng = np.random.default_rng(11)
+        x, s = random_state(rng, 3, 4), random_state(rng, 3, 4)
+        dx, ds = random_symmetric(rng, 3, 4, 4), random_symmetric(rng, 3, 4, 4)
+        if case == "x-limits":
+            ds *= 1e-3
+        elif case == "s-limits":
+            dx *= 1e-3
+        else:
+            ds = ds @ ds
+            if case == "both-unbounded":
+                dx = dx @ dx
+        step_x = sdp._max_step(np.linalg.inv(np.linalg.cholesky(x)), dx)
+        step_s = sdp._max_step(np.linalg.inv(np.linalg.cholesky(s)), ds)
+        expected = {
+            "x-limits": step_x < step_s,
+            "s-limits": step_s < step_x,
+            "s-unbounded": step_s == np.inf > step_x,
+            "both-unbounded": step_x == step_s == np.inf,
+        }
+        assert expected[case]
+        stacked = np.linalg.inv(np.linalg.cholesky(np.concatenate([x, s])))
+        assert sdp._max_step(stacked, np.concatenate([dx, ds])) == min(step_x, step_s)
+
+    def test_one_factorization_and_two_step_tests_per_iteration(self, monkeypatch):
+        calls = {"cholesky": 0, "max_step": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+        monkeypatch.setattr(sdp, "_max_step", counted("max_step", sdp._max_step))
+        rng = np.random.default_rng(3)
+        ops = np.concatenate([np.broadcast_to(np.eye(4), (2, 4, 4))[None], random_symmetric(rng, 3, 2, 4, 4)])
+        b = np.einsum("ikab,kba->i", ops, random_state(rng, 2, 4))
+        res = solve_sdp(random_symmetric(rng, 2, 4, 4), ops, b)
+        # The last iteration only finds the iterate optimal; every other steps.
+        assert res.converged
+        assert calls == {"cholesky": res.iterations - 1, "max_step": 2 * (res.iterations - 1)}
+
+
 class TestBudget:
     # Every solve has the fixed budget sdp.MAX_ITERS.
     def test_stops_at_the_budget(self, monkeypatch):
