@@ -28,8 +28,8 @@ __all__ = ["SdpResult", "solve_sdp", "independent_rows"]
 # Relative primal/dual infeasibility and gap at which an IPM solve is optimal.
 TOL = 1e-9
 MAX_ITERS = 100  # iteration budget of every IPM solve
-# A row is independent when its component orthogonal to the earlier kept
-# rows keeps more than this fraction of its norm.
+# A row is independent when its distance from the span of the rows before
+# it is more than this fraction of its norm.
 RANK_TOL = 1e-9
 
 
@@ -54,27 +54,21 @@ class SdpResult:
 def independent_rows(ops: np.ndarray) -> list[int]:
     """Indices of a maximal linearly independent subset of the real
     constraint operators (the first axis of ``ops``), chosen greedily in
-    order (earlier rows win ties)."""
+    order (earlier rows win ties).  One unpivoted Householder QR of the unit
+    rows, each extended by a coordinate of its own of size s = sqrt(eps *
+    RANK_TOL): |R_ii| is row i's distance from the span of the rows before it
+    there, at least that in the rows' own space, and at most s (1 + |c|^2)^1/2
+    for a zero row or a combination c of the unit rows before it.  Unextended,
+    a dependent row's step pivots on rounding and spends a direction of the
+    rows' space, so a later independent row can read as dependent."""
     if np.iscomplexobj(ops):
         raise TypeError("independent_rows takes real operators only")
-    m = ops.shape[0]
-    vecs = ops.reshape(m, -1)
-    kept: list[int] = []
-    basis: list[np.ndarray] = []
-    for i in range(m):
-        v = vecs[i].copy()
-        norm0 = np.linalg.norm(v)
-        if norm0 == 0.0:
-            continue
-        for b in basis:
-            v -= np.dot(b, v) * b
-        # Second pass for numerical orthogonality.
-        for b in basis:
-            v -= np.dot(b, v) * b
-        if np.linalg.norm(v) > RANK_TOL * norm0:
-            kept.append(i)
-            basis.append(v / np.linalg.norm(v))
-    return kept
+    m = len(ops)
+    ext = np.vstack([np.sqrt(np.finfo(float).eps * RANK_TOL) * np.eye(m), ops.reshape(m, -1).T])
+    norms = np.linalg.norm(ext[m:], axis=0)
+    ext[m:] /= np.where(norms > 0.0, norms, 1.0)
+    r = np.linalg.qr(ext, mode="r")
+    return np.flatnonzero(np.abs(np.diag(r)) > RANK_TOL).tolist()
 
 
 def _max_step(chol_inv: np.ndarray, direction: np.ndarray) -> float:

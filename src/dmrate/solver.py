@@ -4,13 +4,13 @@ certified lower bound, on the symmetry-reduced state.
 The state is the stack of real blocks of `maps`.  Once per solve every
 constraint row Gamma_i = A_i (x) B_i is reduced to its blocks (those of its
 group average T(Gamma_i)) entrywise from its two factors, without forming
-the row on A (x) B, and the rows are checked to be closed under the group:
-every T(Gamma_i) must lie in the span of the rows, and every relation among
-the reduced rows must hold for the values.  Then the twirl of any feasible
-state is feasible, the objective is convex and invariant, and the minimum
-over invariant states is the minimum over all states; otherwise ValueError.
-Row 0 must reduce to exactly the identity blocks, the trace, which the start
-and the dual repair both rest on; otherwise ValueError.
+the row on A (x) B, and `_reduced_rows` makes every row check, once.  Every
+T(Gamma_i) must lie in the span of the rows and every relation among the
+reduced rows must hold for the values: then the twirl of any feasible state
+is feasible, the objective is convex and invariant, and the minimum over
+invariant states is the minimum over all states.  Of the independent rows
+kept, the first must reduce to exactly the identity blocks, the trace, which
+the start and the dual repair both rest on.  Otherwise ValueError.
 
 Each iteration linearizes the objective at `entropy.perturbed(rho)`, where f
 and its gradient are taken (Winick, Lutkenhaus, Coles, Quantum 2, 77 (2018)),
@@ -60,13 +60,12 @@ LINE_SEARCH_POINTS = 21
 # iterations past its plateau only polish the primal.
 BOUND_PLATEAU_TOL = 2.5e-7
 BOUND_PLATEAU_WINDOW = 15
-# Closure of the rows under the symmetry group, per unit-norm row: the
-# squared norm of its group average outside the row span (so a component of
-# norm up to ~3.2e-5 passes), and the mismatch of its value, that it accepts.
+# Per unit-norm row: the norm of a group average that counts as vanishing,
+# and the mismatch of a value that closure accepts.
 CLOSURE_TOL = 1e-9
 # Eigenvalues of the rows' normalized Gram matrix below this fraction of the
-# largest belong to exact dependencies (the trace is the sum of the
-# ptrace-d rows).
+# largest belong to exact dependencies (the trace is the sum of the ptrace-d
+# rows); closure bounds a unit row's squared norm outside their span by it too.
 RANK_CUT = 1e-12
 
 
@@ -127,11 +126,11 @@ def _line_search(phi) -> tuple[float, float]:
     return (logistic(u1), f1) if f1 <= f2 else (logistic(u2), f2)
 
 
-def _reduced_rows(cs: ConstraintSet, maps: PostprocessingMaps) -> tuple[np.ndarray, list[int]]:
-    """The real blocks of every row and the indices of an independent subset;
-    ValueError unless the rows and values are closed under the symmetry
-    group of the maps.  The blocks and the Gram matrix of the rows both come
-    from the factors A_i and B_i; no row is formed on A (x) B."""
+def _reduced_rows(cs: ConstraintSet, maps: PostprocessingMaps) -> tuple[np.ndarray, np.ndarray]:
+    """(ops, b): the real blocks of an independent subset of the rows, and
+    their values.  ValueError unless the rows and values are closed under the
+    group of the maps and the first kept row is the trace.  The blocks and the
+    Gram matrix come from the factors A_i and B_i, not from A (x) B."""
     m = len(cs.labels)
     red = maps.reduce_products(cs.a_parts, cs.b_parts)
     gram = cs.gram()  # <Gamma_i, Gamma_j>
@@ -149,7 +148,7 @@ def _reduced_rows(cs: ConstraintSet, maps: PostprocessingMaps) -> tuple[np.ndarr
     w, v = np.linalg.eigh(gram)
     v = v[:, w > RANK_CUT * w[-1]] / np.sqrt(w[w > RANK_CUT * w[-1]])
     outside = np.diag(gram_red) - np.sum((v.T @ gram_red) ** 2, axis=0)
-    if np.max(outside) > CLOSURE_TOL:
+    if np.max(outside) > RANK_CUT:
         i = int(np.argmax(outside))
         raise ValueError(f"constraint rows are not closed under the symmetry group (row {cs.labels[i]!r})")
 
@@ -162,7 +161,9 @@ def _reduced_rows(cs: ConstraintSet, maps: PostprocessingMaps) -> tuple[np.ndarr
     if np.max(mismatch) > CLOSURE_TOL:
         i = int(np.argmax(mismatch))
         raise ValueError(f"constraint values are not invariant under the symmetry group (row {cs.labels[i]!r})")
-    return red, kept
+    if not np.array_equal(red[kept[0]], np.broadcast_to(np.eye(red.shape[-1]), red.shape[1:])):
+        raise ValueError("row 0 must be the trace, whose blocks are the identity")
+    return red[kept], cs.values[kept]
 
 
 def _residual(ops: np.ndarray, rho: np.ndarray, b: np.ndarray) -> float:
@@ -216,12 +217,7 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
     the rows or values are not closed under the group or row 0 is not the
     trace, and InfeasibleError if the feasibility solve gives no start.
     """
-    red, kept = _reduced_rows(cs, maps)
-    ops = red[kept]
-    b = cs.values[kept]
-    del red
-    if not np.array_equal(ops[0], np.broadcast_to(np.eye(ops.shape[-1]), ops.shape[1:])):
-        raise ValueError("row 0 must be the trace, whose blocks are the identity")
+    ops, b = _reduced_rows(cs, maps)
 
     # Tr rho is 1 on the feasible set, so this objective chooses nothing:
     # the solve finds a point that meets the rows to the IPM tolerance, and

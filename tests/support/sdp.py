@@ -1,4 +1,5 @@
-"""Complex Hermitian SDPs through the package's real solver.
+"""Complex Hermitian SDPs through the package's real solver, and the
+reference choice of independent rows.
 
 `dmrate.sdp` takes real symmetric blocks only.  The tests also solve on the
 full, complex space, so this embeds each Hermitian H as the real symmetric
@@ -12,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from dmrate.sdp import SdpResult, solve_sdp
+from dmrate.sdp import RANK_TOL, SdpResult, solve_sdp
 
 
 def embed(h: np.ndarray) -> np.ndarray:
@@ -36,3 +37,27 @@ def solve_hermitian_sdp(c_mat: np.ndarray, ops: np.ndarray, b: np.ndarray) -> Sd
     the embedding."""
     res = solve_sdp(embed(c_mat)[None], embed(ops)[:, None], b)
     return replace(res, x=_unembed(res.x[0]), s=0.5 * _unembed(res.s[0]))
+
+
+def greedy_rows(ops: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The reference for `dmrate.sdp.independent_rows`: double Gram-Schmidt
+    over the rows in order.  Returns the kept indices and each row's distance
+    from the span of the rows before it over its norm (0 for a zero row);
+    a row is kept when that ratio exceeds RANK_TOL."""
+    vecs = ops.reshape(len(ops), -1)
+    kept: list[int] = []
+    basis: list[np.ndarray] = []
+    ratios = np.zeros(len(ops))
+    for i, row in enumerate(vecs):
+        v = row.copy()
+        norm0 = np.linalg.norm(v)
+        if norm0 == 0.0:
+            continue
+        for _ in range(2):  # the second pass restores orthogonality
+            for b in basis:
+                v -= np.dot(b, v) * b
+        ratios[i] = np.linalg.norm(v) / norm0
+        if ratios[i] > RANK_TOL:
+            kept.append(i)
+            basis.append(v / np.linalg.norm(v))
+    return kept, ratios

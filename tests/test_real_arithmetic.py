@@ -22,7 +22,7 @@ from dmrate.pipeline import evaluate_point, point_artifacts
 
 DET = DetectorModel.simple(0.719, 0.01)
 GUARDED = (
-    (np.linalg, ("eigh", "eigvalsh", "cholesky", "solve", "inv")),
+    (np.linalg, ("eigh", "eigvalsh", "cholesky", "solve", "inv", "qr")),
     (np, ("dot", "vdot", "tensordot")),
 )
 
@@ -53,6 +53,6 @@ def test_identical_arm_point_is_real(mode, delta_a, monkeypatch):
 
     obs, maps = point_artifacts(DET, pp, mode)
     cs = build_constraints(simulate_statistics(ch, DET, pp), obs, pp, mode)
-    red, _ = solver._reduced_rows(cs, maps)
-    for arr in (maps.kraus_factor, maps.pinch_factors, red):
+    ops, _ = solver._reduced_rows(cs, maps)
+    for arr in (maps.kraus_factor, maps.pinch_factors, ops):
         assert arr.dtype == np.float64

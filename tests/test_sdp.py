@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dmrate import sdp
 from dmrate.sdp import independent_rows, solve_sdp
+from support.sdp import greedy_rows
 
 
 def random_symmetric(rng, *shape):
@@ -99,7 +102,39 @@ class TestRandomProblems:
         assert float(np.einsum("kab,kba->", c_mat, x_feas)) >= res.dual_obj - 1e-7
 
 
+@st.composite
+def row_stacks(draw):
+    # Rows of small integers, exact integer combinations of the rows before,
+    # copies scaled by powers of two, and zero rows, interleaved, with more
+    # rows than entries allowed.  Every row is exactly dependent on the rows
+    # before it or at least 6e-6 of its norm away from their span.
+    n = draw(st.integers(1, 6))
+    rows: list[np.ndarray] = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["fresh", "combination", "copy", "zero"] if rows else ["fresh", "zero"]))
+        if kind == "fresh":
+            rows.append(np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=float))
+        elif kind == "combination":
+            coef = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+            rows.append(np.array(coef, dtype=float) @ np.array(rows))
+        elif kind == "copy":
+            scale = draw(st.sampled_from([-1.0, 1.0])) * 2.0 ** draw(st.integers(-20, 20))
+            rows.append(scale * rows[draw(st.integers(0, len(rows) - 1))])
+        else:
+            rows.append(np.zeros(n))
+    return np.array(rows)
+
+
 class TestIndependentRows:
+    # A plain QR of e1, 2 e1 (or 0), e2, e3 spends a direction on the second
+    # row and keeps only the first.
+    @example(ops=np.array([[1.0, 0, 0], [2, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    @example(ops=np.array([[1.0, 0, 0], [0, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(ops=row_stacks())
+    def test_matches_gram_schmidt(self, ops):
+        assert independent_rows(ops) == greedy_rows(ops)[0]
+
     def test_detects_redundancy(self):
         eye = np.eye(3)
         e00 = np.zeros((3, 3))

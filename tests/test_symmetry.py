@@ -23,7 +23,7 @@ from dmrate.sdp import independent_rows
 from dmrate.solver import solve
 from support.constraints import full_operators
 from support.maps import _perturb, full_objective, full_objective_with_gradient, lift, reduce, roots
-from support.sdp import embed, solve_hermitian_sdp
+from support.sdp import embed, greedy_rows, solve_hermitian_sdp
 
 DET = DetectorModel.simple(0.719, 0.01)
 DISTINCT = DetectorModel(0.70, 0.74, 0.01, 0.02)
@@ -99,7 +99,7 @@ class TestEquivalence:
     def test_objective_gradient_and_residuals(self, case):
         cs, maps = problem(case)
         rng = np.random.default_rng(1)
-        red, _ = solver._reduced_rows(cs, maps)
+        red = maps.reduce_products(cs.a_parts, cs.b_parts)
         for _ in range(3):
             rho = twirl(random_state(rng, maps.dim_ab), maps)
             stack = reduce(maps, rho)
@@ -184,15 +184,22 @@ def test_weak_duality_at_non_symmetric_states(case):
 
 
 @pytest.mark.parametrize("case, rows", [("identical-d0", 7), ("identical-d0.5", 7), ("ideal-untrusted", 7), ("distinct", 12)])
-def test_reduced_row_count(case, rows):
+def test_reduced_row_count(case, rows, monkeypatch):
     # The 33 rows (rank 32) have group averages of rank 7 with identical
     # arms and 12 with distinct arms; their singular values drop from
-    # above 1 to below 1e-14 there.
+    # above 1 to below 1e-14 there.  Each kept reduced row is at least 0.1
+    # of its norm away from the span of the rows before it, and each dropped
+    # one at most 1e-12, so no choice rests on the exact value of RANK_TOL.
     cs, maps = problem(case)
-    red, kept = solver._reduced_rows(cs, maps)
-    assert len(kept) == rows
+    seen = []
+    monkeypatch.setattr(solver, "independent_rows", lambda red: seen.append(red) or independent_rows(red))
+    ops, _ = solver._reduced_rows(cs, maps)
+    assert len(ops) == rows
     twirled = np.array([twirl(op, maps) for op in full_operators(cs)]).reshape(len(cs.labels), -1)
     assert np.linalg.matrix_rank(np.hstack([twirled.real, twirled.imag]), tol=1e-9) == rows
+    kept, ratios = greedy_rows(seen[0])
+    dropped = np.delete(ratios, kept)
+    assert ratios[kept].min() >= 0.1 and dropped.max() <= 1e-12
 
 
 class TestTypedErrors:
@@ -202,6 +209,23 @@ class TestTypedErrors:
         values[cs.labels.index("moment-SQ-x1")] += 1e-6
         with pytest.raises(ValueError, match="values are not invariant"):
             solve(ConstraintSet(cs.a_parts, cs.b_parts, values, cs.labels), maps)
+
+    @pytest.mark.parametrize("bump, closed", [(3e-5, False), (1e-6, True)])
+    def test_rows_nearly_closed(self, bump, closed):
+        # Closure bounds the norm of a unit row's group average outside the
+        # row span by 1e-6: |2><2| added to the B factor of one S_Q row at
+        # 3e-5 of its norm leaves a component of norm 1.2e-5 outside, and at
+        # 1e-6, one of norm 3.9e-7.
+        cs, maps = problem("identical-d0", cutoff=4)
+        b_parts = cs.b_parts.copy()
+        i = cs.labels.index("moment-SQ-x1")
+        b_parts[i, 2, 2] += bump * np.linalg.norm(b_parts[i])
+        nudged = ConstraintSet(cs.a_parts, b_parts, cs.values, cs.labels)
+        if closed:
+            solver._reduced_rows(nudged, maps)
+        else:
+            with pytest.raises(ValueError, match="rows are not closed"):
+                solver._reduced_rows(nudged, maps)
 
     def test_rows_not_closed(self):
         # The S_P rows alone are dropped: V maps S_Q rows onto them.
