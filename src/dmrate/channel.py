@@ -1,18 +1,21 @@
-"""Honest-channel simulation: expectation values, discretized outcome
-distribution, and the error-correction cost.
+"""Honest-channel simulation: expectation values, the key map's joint
+distribution P(x, z), and the error-correction cost.
 
 The quantum channel is phase-invariant Gaussian: transmittance eta_t
 (10^(-0.02 L) for fiber of length L km at 0.2 dB/km) plus excess noise xi
 quoted in shot-noise units at the channel input.  A coherent signal |alpha>
 arrives as a displaced thermal state centered at sqrt(eta_t) alpha with
 per-quadrature variance (1 + eta_t xi)/2, built by the POVM kernel of
-`detector`.  `fock.refined` refines the key map's sector masses.
+`detector`.  `fock.refined` refines the key map's sector masses.  The key
+map's values take one path: `discretization_distribution` gives P(x, z),
+whose sum is p_pass, and `ec_cost` turns it into the pair (delta_EC,
+p_pass) that `solver.solve` charges as p_pass delta_EC.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -24,7 +27,6 @@ __all__ = [
     "ChannelModel",
     "ProtocolParams",
     "SimulatedStatistics",
-    "DiscretizedDistribution",
     "simulate_statistics",
     "simulated_conditional_state",
     "discretization_distribution",
@@ -153,42 +155,17 @@ def simulate_statistics(ch: ChannelModel, det: DetectorModel, pp: ProtocolParams
     return SimulatedStatistics(tuple(fq), tuple(fp), tuple(sq), tuple(sp))
 
 
-@dataclass(frozen=True)
-class DiscretizedDistribution:
-    """Joint distribution of (signal x, key symbol z) after postselection."""
-
-    ptilde: np.ndarray
-    p_pass: float
-    conditional: np.ndarray = field(repr=False)
-
-    def renormalized(self) -> np.ndarray:
-        if self.p_pass <= 0:
-            raise ValueError("degenerate distribution: p_pass = 0")
-        return self.ptilde / self.p_pass
-
-
-@lru_cache(maxsize=None)
-def _sector_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # n-point Gauss-Legendre angles and weights on each of the four key
-    # sectors [(2z-1)pi/4, (2z+1)pi/4), shape (4, n); read-only, since the
-    # cache hands out the same arrays every time.
-    x, w = gauss_legendre(n)
-    lo = (2 * np.arange(4)[:, None] - 1) * np.pi / 4
-    theta = lo + (x + 1.0) * np.pi / 4
-    weights = np.broadcast_to(w * np.pi / 4, theta.shape)
-    theta.setflags(write=False)
-    return theta, weights
-
-
 def _sector_integrals(c: np.ndarray, s: float, delta_a: float, n: int) -> np.ndarray:
-    # n-node rule for the angular integrals of every signal c[x] and sector z.
-    theta, weights = _sector_nodes(n)
+    # n-node Gauss-Legendre rule for the angular integrals of every signal
+    # c[x] over each key sector z, [(2z-1)pi/4, (2z+1)pi/4).
+    x, w = gauss_legendre(n)
+    theta = (2 * np.arange(4)[:, None] - 1) * np.pi / 4 + (x + 1.0) * np.pi / 4
     amp = np.abs(c)[:, None, None]
     mu = amp * np.cos(theta - np.angle(c)[:, None, None])
     tail = 0.5 * s * np.exp(-((delta_a - mu) ** 2) / s) + mu * 0.5 * np.sqrt(np.pi * s) * erfc(
         (delta_a - mu) / np.sqrt(s)
     )
-    return np.sum(weights * np.exp(-(amp * amp - mu * mu) / s) * tail, axis=-1)
+    return np.sum(w * np.pi / 4 * np.exp(-(amp * amp - mu * mu) / s) * tail, axis=-1)
 
 
 def _sector_mass(c: np.ndarray, s: float, delta_a: float) -> np.ndarray:
@@ -202,11 +179,11 @@ def _sector_mass(c: np.ndarray, s: float, delta_a: float) -> np.ndarray:
     return refined(rule, (32, 64, 128, 256, 512), SECTOR_TOL, "sector quadrature") / (np.pi * s)
 
 
-def discretization_distribution(
-    ch: ChannelModel, det: DetectorModel, pp: ProtocolParams
-) -> DiscretizedDistribution:
-    """P(x, z) over the four signals and four key symbols, with the central
-    disk of radius delta_a discarded; p_pass is the retained mass."""
+def discretization_distribution(ch: ChannelModel, det: DetectorModel, pp: ProtocolParams) -> np.ndarray:
+    """P(x, z), the (4, 4) joint probability of signal x (prior 1/4) and key
+    symbol z, the sector of the outcome's angle, over outcomes outside the
+    central disk of radius delta_a.  Its sum is p_pass, the probability that
+    a round passes postselection; 4 P(x, z) is that of z given signal x."""
     if not det.simple_case():
         raise ValueError("discretization implemented for identical detector arms")
     signals = np.sqrt(det.eta_d * ch.eta_t) * np.array([pp.signal(x) for x in range(4)])
@@ -214,9 +191,7 @@ def discretization_distribution(
     if cond.min() < -1e-10:
         x, z = np.unravel_index(np.argmin(cond), cond.shape)
         raise RuntimeError(f"negative sector mass {cond[x, z]} at (x={x}, z={z})")
-    cond = np.maximum(cond, 0.0)
-    joint = np.asarray(pp.PRIORS)[:, None] * cond
-    return DiscretizedDistribution(ptilde=joint, p_pass=float(joint.sum()), conditional=cond)
+    return np.asarray(pp.PRIORS)[:, None] * np.maximum(cond, 0.0)
 
 
 def _entropy_bits(p: np.ndarray) -> float:
@@ -224,18 +199,18 @@ def _entropy_bits(p: np.ndarray) -> float:
     return float(-np.sum(p * np.log2(p)))
 
 
-def ec_cost(dd: DiscretizedDistribution, beta: float) -> tuple[float, float, float, float]:
-    """Error-correction cost of reverse reconciliation at efficiency beta.
-
-    Returns (delta_EC, p_pass, H_Z, I_XZ), entropies in bits, computed on the
-    distribution renormalized by p_pass.
-    """
+def ec_cost(joint: np.ndarray, beta: float) -> tuple[float, float]:
+    """(delta_EC, p_pass) of reverse reconciliation at efficiency beta, from
+    the joint P(x, z) of `discretization_distribution`: p_pass is its sum,
+    and delta_EC = H(Z) - beta I(X:Z), in bits, is taken on the postselected
+    distribution P(x, z) / p_pass.  ValueError unless p_pass > 0 (a NaN
+    fails too)."""
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"reconciliation efficiency must be in (0, 1], got {beta}")
-    joint = dd.renormalized()
-    pz = joint.sum(axis=0)
-    px = joint.sum(axis=1)
-    h_z = _entropy_bits(pz)
-    mi = _entropy_bits(px) + h_z - _entropy_bits(joint.ravel())
-    delta_ec = h_z - beta * mi
-    return delta_ec, dd.p_pass, h_z, mi
+    p_pass = float(joint.sum())
+    if not p_pass > 0:
+        raise ValueError(f"degenerate distribution: p_pass = {p_pass}")
+    joint = joint / p_pass
+    h_z = _entropy_bits(joint.sum(axis=0))
+    mi = _entropy_bits(joint.sum(axis=1)) + h_z - _entropy_bits(joint.ravel())
+    return h_z - beta * mi, p_pass

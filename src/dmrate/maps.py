@@ -87,8 +87,8 @@ class PostprocessingMaps:
     identical detector arms), else the half turn (distinct arms), with the
     reflection in both.  ``columns[j]`` lists the basis vectors e_{k,n} (at
     index k (N+1) + n) of block j.  Raises ValueError if the regions are not
-    covariant under the half turn.  Every array is read-only, since cached
-    maps are shared."""
+    finite, all zero or not covariant under the half turn.  Every array is
+    read-only, since cached maps are shared."""
 
     regions: tuple[np.ndarray, ...] = field(repr=False)
     quarter_turn: bool = field(init=False)
@@ -99,6 +99,8 @@ class PostprocessingMaps:
 
     def __post_init__(self):
         regions = tuple(np.array(r, dtype=complex) for r in self.regions)
+        if not (np.isfinite(regions).all() and np.any(regions)):
+            raise ValueError("regions must be finite and not all zero")
         quarter_turn = _covariance_deviation(regions, 1) <= COVARIANCE_TOL
         if not quarter_turn and (dev := _covariance_deviation(regions, 2)) > COVARIANCE_TOL:
             raise ValueError(f"regions are not covariant under the half turn and the reflection (deviation {dev:.3e})")

@@ -1,17 +1,19 @@
 """End-to-end evaluation of one protocol point: simulate, build operators,
-assemble constraints, solve, and fold in the error-correction cost."""
+assemble constraints, take the key map's P(x, z) to the error-correction
+pair (delta_EC, p_pass), and solve, which charges that pair to the rate."""
 
 from __future__ import annotations
 
 from dataclasses import replace
 from functools import lru_cache
 
+from . import solver
 from .channel import ChannelModel, ProtocolParams, discretization_distribution, ec_cost, simulate_statistics
 from .constraints import build_constraints, check_mode
 from .detector import DetectorModel
 from .maps import PostprocessingMaps, build_postprocessing_maps
 from .observables import ObservableSet, observable_set
-from .solver import KeyRateResult, key_rate
+from .solver import KeyRateResult
 
 __all__ = ["evaluate_point", "cutoff_stability", "point_artifacts"]
 
@@ -44,9 +46,8 @@ def evaluate_point(
     stats = simulate_statistics(ch, det, pp)
     obs, maps = point_artifacts(det, pp, mode)
     cs = build_constraints(stats, obs, pp, mode)
-    dd = discretization_distribution(ch, det, pp)
-    delta_ec, p_pass, _, _ = ec_cost(dd, pp.beta)
-    return key_rate(cs, maps, (delta_ec, p_pass))
+    # Looked up per call, so a rebinding of dmrate.solver.solve reaches here.
+    return solver.solve(cs, maps, ec_cost(discretization_distribution(ch, det, pp), pp.beta))
 
 
 def cutoff_stability(

@@ -39,7 +39,7 @@ back to A (x) B, and its residual is taken against the original rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from .fock import hermitize
 from .maps import PostprocessingMaps
 from .sdp import independent_rows, solve_sdp
 
-__all__ = ["KeyRateResult", "InfeasibleError", "solve", "key_rate"]
+__all__ = ["KeyRateResult", "InfeasibleError", "solve"]
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 GAP_TOL = 1e-6  # bits
@@ -83,14 +83,16 @@ class InfeasibleError(RuntimeError):
 
 @dataclass(frozen=True)
 class KeyRateResult:
-    """One solve, in bits.  `rate` follows from `lower_bound`, the best
-    certified bound of the run.  `rho` is the last iterate on A (x) B after
-    the closing correction onto the rows, or the start where that correction
-    fails; `primal_value` is its objective.
-    `status`: "converged" (gap below GAP_TOL), "converged_bound" (bound
-    plateau), "converged_approx" or the uncertified "stalled" (no descent at
-    a small or a large gap), "rate_zero" (primal below the error-correction
-    cost), "subproblem_failure" or "max_iters"."""
+    """One solve, in bits.  `rate` is max(0, lower_bound - p_pass delta_ec),
+    or 0 without a bound, with `lower_bound` the best certified bound of the
+    run and (`delta_ec`, `p_pass`) the solve's `ec` pair: (0, 1) by default,
+    `channel.ec_cost` of the key map's P(x, z) in `evaluate_point`.  `rho`
+    is the last iterate on A (x) B after the closing correction onto the
+    rows, or the start where that correction fails; `primal_value` is its
+    objective.  `status`: "converged" (gap below GAP_TOL), "converged_bound"
+    (bound plateau), "converged_approx" or the uncertified "stalled" (no
+    descent at a small or a large gap), "rate_zero" (primal below p_pass
+    delta_ec), "subproblem_failure" or "max_iters"."""
 
     primal_value: float
     lower_bound: float
@@ -205,18 +207,25 @@ def _repaired_dual(grad: np.ndarray, ops: np.ndarray, y: np.ndarray) -> np.ndarr
     return y
 
 
-def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = None) -> KeyRateResult:
-    """Minimize the pinched relative entropy over the constrained state set.
+def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec: tuple[float, float] = (0.0, 1.0)) -> KeyRateResult:
+    """Minimize the pinched relative entropy over the constrained state set
+    and charge the error-correction pair `ec` = (delta_EC, p_pass).
 
-    Returns the primal value at the returned state and a certified lower bound
-    (both in bits).  `ec_floor` enables an early exit: once the primal drops
-    below it the final key rate is taken to be zero, since the primal only
+    Returns the primal value at the returned state, a certified lower bound
+    and rate = max(0, lower_bound - p_pass delta_EC), all in bits; the
+    default (0, 1) leaves the bound clipped at 0.  Once the primal f drops
+    below p_pass delta_EC the solve exits early ("rate_zero"), since f only
     decreases and dominates the minimum.  That test reads f at an iterate
     that meets the rows only to the interior-point tolerance; the reported
-    rate still comes from the certified bound alone.  Raises ValueError if
-    the rows or values are not closed under the group or row 0 is not the
-    trace, and InfeasibleError if the feasibility solve gives no start.
+    rate still comes from the certified bound alone.  Raises ValueError
+    unless delta_EC >= 0 and p_pass > 0, both finite (p_pass is not capped
+    at 1, which quadrature overshoots by ulps), or if the rows or values are
+    not closed under the group or row 0 is not the trace, and
+    InfeasibleError if the feasibility solve gives no start.
     """
+    delta_ec, p_pass = ec
+    if not (0.0 <= delta_ec < math.inf and 0.0 < p_pass < math.inf):
+        raise ValueError(f"error-correction cost needs delta_EC >= 0 and p_pass > 0, both finite, got {ec}")
     ops, b = _reduced_rows(cs, maps)
 
     # Tr rho is 1 on the feasible set, so this objective chooses nothing:
@@ -254,7 +263,7 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
         gap = max(gap, 0.0)
         lower_history.append(best_lower)
 
-        if ec_floor is not None and f < ec_floor:
+        if f < p_pass * delta_ec:
             status = "rate_zero"
             break
         if gap < GAP_TOL:
@@ -287,9 +296,9 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
     return KeyRateResult(
         primal_value=f,
         lower_bound=lower,
-        delta_ec=0.0,
-        p_pass=1.0,
-        rate=max(0.0, lower) if np.isfinite(lower) else 0.0,
+        delta_ec=delta_ec,
+        p_pass=p_pass,
+        rate=max(0.0, lower - p_pass * delta_ec) if np.isfinite(lower) else 0.0,
         iterations=iterations,
         constraint_residual=residual,
         gap=gap,
@@ -299,10 +308,3 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec_floor: float | None = 
         primal_history=tuple(history),
     )
 
-
-def key_rate(cs: ConstraintSet, maps: PostprocessingMaps, ec: tuple[float, float]) -> KeyRateResult:
-    """Certified key rate max(0, lower_bound - p_pass * delta_EC)."""
-    delta_ec, p_pass = ec
-    res = solve(cs, maps, ec_floor=p_pass * delta_ec)
-    rate = max(0.0, res.lower_bound - p_pass * delta_ec) if np.isfinite(res.lower_bound) else 0.0
-    return replace(res, delta_ec=delta_ec, p_pass=p_pass, rate=rate)

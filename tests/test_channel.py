@@ -5,7 +5,6 @@ from scipy import integrate
 from dmrate import channel
 from dmrate.channel import (
     ChannelModel,
-    DiscretizedDistribution,
     ProtocolParams,
     SimulatedStatistics,
     discretization_distribution,
@@ -82,7 +81,7 @@ def test_inputs_checked_at_construction(cls, field, value):
         cls(**{**VALID[cls], field: value})
 
 
-UNIFORM = DiscretizedDistribution(ptilde=np.full((4, 4), 1 / 16), p_pass=1.0, conditional=np.full((4, 4), 1 / 4))
+UNIFORM = np.full((4, 4), 1 / 16)
 
 
 @pytest.mark.parametrize(
@@ -212,28 +211,25 @@ class TestDiscretization:
     CH = ChannelModel.from_distance(20.0, 0.01)
 
     def test_no_postselection_partition(self):
-        dd = discretization_distribution(self.CH, DET, ProtocolParams(alpha=0.75))
-        assert dd.conditional.sum(axis=1) == pytest.approx(np.ones(4), abs=1e-9)
-        assert dd.p_pass == pytest.approx(1.0, abs=1e-9)
+        joint = discretization_distribution(self.CH, DET, ProtocolParams(alpha=0.75))
+        assert (4 * joint).sum(axis=1) == pytest.approx(np.ones(4), abs=1e-9)
+        assert joint.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_rotational_symmetry(self):
-        dd = discretization_distribution(self.CH, DET, ProtocolParams(alpha=0.7, delta_a=0.4))
+        cond = 4 * discretization_distribution(self.CH, DET, ProtocolParams(alpha=0.7, delta_a=0.4))
         for x in range(4):
             for z in range(4):
-                assert dd.conditional[x, z] == pytest.approx(
-                    dd.conditional[(x + 1) % 4, (z + 1) % 4], abs=1e-10
-                )
+                assert cond[x, z] == pytest.approx(cond[(x + 1) % 4, (z + 1) % 4], abs=1e-10)
 
     def test_strong_signal_limit(self):
         ch = ChannelModel(eta_t=1.0, xi=0.0)
-        dd = discretization_distribution(ch, DetectorModel.ideal(), ProtocolParams(alpha=6.0))
-        assert np.all(np.diag(dd.conditional) > 1 - 1e-6)
+        joint = discretization_distribution(ch, DetectorModel.ideal(), ProtocolParams(alpha=6.0))
+        assert np.all(np.diag(4 * joint) > 1 - 1e-6)
 
     def test_p_pass_monotone_in_radius(self):
         vals = []
         for da in (0.0, 0.3, 0.6, 0.9, 1.2):
-            dd = discretization_distribution(self.CH, DET, ProtocolParams(alpha=0.75, delta_a=da))
-            vals.append(dd.p_pass)
+            vals.append(discretization_distribution(self.CH, DET, ProtocolParams(alpha=0.75, delta_a=da)).sum())
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_against_raw_2d_quadrature(self):
@@ -243,7 +239,7 @@ class TestDiscretization:
         cases = [(self.CH, DET, ProtocolParams(alpha=0.75, delta_a=da), 10.0) for da in (0.0, 0.5, 1.5)]
         cases.append((ChannelModel(eta_t=1.0, xi=0.0), DetectorModel.ideal(), ProtocolParams(alpha=6.0), 13.0))
         for ch, det, pp, r_max in cases:
-            dd = discretization_distribution(ch, det, pp)
+            cond = 4 * discretization_distribution(ch, det, pp)
             for (x, z) in [(0, 0), (0, 1), (2, 0)]:
                 ref, _ = integrate.dblquad(
                     lambda r, th: pdf_outcome(r * np.exp(1j * th), x, ch, det, pp) * r,
@@ -253,7 +249,7 @@ class TestDiscretization:
                     r_max,
                     epsabs=1e-11,
                 )
-                assert dd.conditional[x, z] == pytest.approx(ref, abs=1e-9)
+                assert cond[x, z] == pytest.approx(ref, abs=1e-9)
 
     def test_unconverged_rule_raises(self, monkeypatch):
         # No two Gauss-Legendre levels agree to a zero tolerance.
@@ -270,34 +266,42 @@ class TestDiscretization:
             discretization_distribution(self.CH, DET, ProtocolParams(alpha=0.75))
 
 
+def entropies(joint):
+    """(H_Z, I_XZ) in bits from the package's delta_EC = H_Z - beta I_XZ,
+    which is affine in beta: H_Z = 2 delta(1/2) - delta(1) and
+    I_XZ = 2 (delta(1/2) - delta(1))."""
+    d_one, d_half = ec_cost(joint, 1.0)[0], ec_cost(joint, 0.5)[0]
+    return 2 * d_half - d_one, 2 * (d_half - d_one)
+
+
 class TestEcCost:
     def test_perfect_correlation(self):
         joint = np.eye(4) / 4
-        dd = DiscretizedDistribution(ptilde=joint, p_pass=1.0, conditional=joint * 4)
-        delta, p_pass, h_z, mi = ec_cost(dd, 1.0)
+        delta, p_pass = ec_cost(joint, 1.0)
+        h_z, mi = entropies(joint)
         assert h_z == pytest.approx(2.0)
         assert mi == pytest.approx(2.0)
         assert delta == pytest.approx(0.0, abs=1e-12)
+        assert p_pass == 1.0
 
     def test_independent_uniform(self):
         joint = np.full((4, 4), 1 / 16)
-        dd = DiscretizedDistribution(ptilde=joint, p_pass=1.0, conditional=joint * 4)
-        delta, _, h_z, mi = ec_cost(dd, 0.95)
+        delta, _ = ec_cost(joint, 0.95)
+        _, mi = entropies(joint)
         assert mi == pytest.approx(0.0, abs=1e-12)
         assert delta == pytest.approx(2.0)
 
     def test_mutual_information_bounds(self):
-        dd = discretization_distribution(
+        joint = discretization_distribution(
             ChannelModel.from_distance(30.0, 0.02), DET, ProtocolParams(alpha=0.8, delta_a=0.5)
         )
-        _, _, h_z, mi = ec_cost(dd, 0.95)
+        h_z, mi = entropies(joint)
         assert 0.0 <= mi <= min(2.0, h_z) + 1e-12
 
     def test_against_brute_force_oracle(self):
         # Independent oracle: entropies from the raw 2-D quadrature masses.
         ch = ChannelModel.from_distance(20.0, 0.01)
         pp = ProtocolParams(alpha=0.75, delta_a=0.3)
-        dd = discretization_distribution(ch, DET, pp)
         cond = np.zeros((4, 4))
         for x in range(4):
             for z in range(4):
@@ -320,15 +324,20 @@ class TestEcCost:
         h_z = ent(joint.sum(axis=0))
         mi = ent(joint.sum(axis=1)) + h_z - ent(joint.ravel())
         ref_delta = h_z - 0.95 * mi
-        delta, got_pass, _, _ = ec_cost(dd, 0.95)
+        delta, got_pass = ec_cost(discretization_distribution(ch, DET, pp), 0.95)
         assert delta == pytest.approx(ref_delta, abs=1e-6)
         assert got_pass == pytest.approx(p_pass, abs=1e-8)
 
     def test_degenerate_rejected(self):
-        joint = np.zeros((4, 4))
-        dd = DiscretizedDistribution(ptilde=joint, p_pass=0.0, conditional=joint)
-        with pytest.raises(ValueError):
-            ec_cost(dd, 0.95)
+        with pytest.raises(ValueError, match="p_pass = 0.0"):
+            ec_cost(np.zeros((4, 4)), 0.95)
+
+    def test_nan_rejected(self):
+        # A NaN sum compares False with 0, so it is refused with the zero sum.
+        joint = np.full((4, 4), 1 / 16)
+        joint[2, 1] = np.nan
+        with pytest.raises(ValueError, match="p_pass = nan"):
+            ec_cost(joint, 0.95)
 
 
 class TestEffectiveNoise:
@@ -345,6 +354,6 @@ class TestEffectiveNoise:
         got, want = simulate_statistics(eff, ideal, pp), simulate_statistics(ch, DET, pp)
         for field in ("fq", "fp", "sq", "sp"):
             assert np.max(np.abs(np.subtract(getattr(got, field), getattr(want, field)))) <= 1e-12
-        got_cond = discretization_distribution(eff, ideal, pp).conditional
-        want_cond = discretization_distribution(ch, DET, pp).conditional
+        got_cond = 4 * discretization_distribution(eff, ideal, pp)
+        want_cond = 4 * discretization_distribution(ch, DET, pp)
         assert np.max(np.abs(got_cond - want_cond)) <= 1e-12

@@ -52,6 +52,6 @@ def test_import_loads_no_scipy(module):
     assert loaded == [], f"import {module} loads {loaded}"
 
 
-def test_key_rate_point_loads_no_polynomial_or_scipy():
+def test_rate_point_loads_no_polynomial_or_scipy():
     loaded = _loaded(_POINT)
     assert loaded == [], f"a cutoff-4 key-rate point loads {loaded}"

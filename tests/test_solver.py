@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from dmrate.maps import build_postprocessing_maps
 from dmrate.observables import observable_set
 from dmrate.pipeline import cutoff_stability, evaluate_point, point_artifacts
 from dmrate.sdp import independent_rows, solve_sdp
-from dmrate.solver import InfeasibleError, KeyRateResult, key_rate, solve
+from dmrate.solver import InfeasibleError, KeyRateResult, solve
 from support.constraints import full_operators
 from support.maps import full_objective_with_gradient, roots
 from support.sdp import embed, solve_hermitian_sdp
@@ -167,18 +167,45 @@ class TestSanityRuns:
 class TestKeyRate:
     def test_rate_floor(self):
         cs, maps = setup_problem(cutoff=5)
-        res = key_rate(cs, maps, (5.0, 1.0))
+        res = solve(cs, maps, (5.0, 1.0))
         assert res.rate == 0.0
         assert res.status == "rate_zero"
 
     def test_zero_ec_cost_gives_lower_bound(self):
         cs, maps = setup_problem(cutoff=5)
-        res = key_rate(cs, maps, (0.0, 1.0))
+        res = solve(cs, maps, (0.0, 1.0))
         assert res.rate == pytest.approx(res.lower_bound)
+
+    def test_default_ec_is_zero_cost(self):
+        # solve(cs, maps) is the same solve as an explicit zero cost, field
+        # for field, the state and the primal history included.
+        cs, maps = setup_problem(cutoff=4)
+        default, explicit = solve(cs, maps), solve(cs, maps, (0.0, 1.0))
+        for f in fields(KeyRateResult):
+            assert np.array_equal(getattr(default, f.name), getattr(explicit, f.name)), f.name
+
+    @pytest.mark.parametrize(
+        "ec",
+        [(-1.0, 1.0), (np.nan, 1.0), (np.inf, 1.0), (0.5, 0.0), (0.5, -0.2), (0.5, np.nan), (0.5, np.inf)],
+        ids=["negative-cost", "nan-cost", "inf-cost", "zero-pass", "negative-pass", "nan-pass", "inf-pass"],
+    )
+    def test_uncertifiable_ec_rejected(self, ec):
+        # A negative cost would lift the rate above the bound, and a NaN one
+        # would read as rate 0; neither may come back certified.
+        cs, maps = setup_problem(cutoff=4)
+        with pytest.raises(ValueError, match="error-correction cost"):
+            solve(cs, maps, ec)
+
+    def test_p_pass_not_capped_at_one(self):
+        # At delta_a = 0 the sector quadrature's p_pass overshoots 1 by ulps.
+        cs, maps = setup_problem(cutoff=4)
+        res = solve(cs, maps, (0.0, 1.0000000000000027))
+        assert res.p_pass == 1.0000000000000027
+        assert res.rate == max(0.0, res.lower_bound)
 
     def test_fields_recorded(self):
         cs, maps = setup_problem(cutoff=5)
-        res = key_rate(cs, maps, (1.5, 0.8))
+        res = solve(cs, maps, (1.5, 0.8))
         assert res.delta_ec == 1.5
         assert res.p_pass == 0.8
         assert isinstance(res, KeyRateResult)
@@ -201,6 +228,8 @@ class TestPipeline:
         res = evaluate_point(ch, DET, pp, "trusted")
         assert res.certified
         assert 0.5 < res.p_pass < 1.0
+        # One rate formula, in solve, for the pair evaluate_point passes.
+        assert res.rate == max(0.0, res.lower_bound - res.p_pass * res.delta_ec)
 
     def test_cutoff_stability_helper(self):
         ch = ChannelModel.from_distance(10.0, 0.01)

@@ -248,6 +248,26 @@ class TestTypedErrors:
         with pytest.raises(ValueError, match="not covariant"):
             build_postprocessing_maps(tuple(regions))
 
+    def test_nan_in_uniform_regions(self):
+        # A NaN compares False with COVARIANCE_TOL, so both covariance tests
+        # would pass it into the Kraus factor.
+        regions = [np.eye(CUTOFF + 1) / 4 for _ in range(4)]
+        regions[0][0, 0] = np.nan
+        with pytest.raises(ValueError, match="regions must be finite"):
+            build_postprocessing_maps(tuple(regions))
+
+    def test_nan_in_detector_regions(self):
+        # Here the NaN would reach the eigendecomposition of a pinch factor.
+        regions = [np.array(r) for r in region_operators(DET, 0.0, 4)]
+        regions[0][1, 1] = np.nan
+        with pytest.raises(ValueError, match="regions must be finite"):
+            build_postprocessing_maps(tuple(regions))
+
+    def test_all_zero_regions(self):
+        # No largest entry to measure covariance against, and no Cholesky factor.
+        with pytest.raises(ValueError, match="not all zero"):
+            build_postprocessing_maps(tuple(np.zeros((CUTOFF + 1, CUTOFF + 1)) for _ in range(4)))
+
     @pytest.mark.parametrize("delta_a", [0.0, 0.5])
     @pytest.mark.parametrize(
         "det",
