@@ -5,8 +5,10 @@ The quantum channel is phase-invariant Gaussian: transmittance eta_t
 (10^(-0.02 L) for fiber of length L km at 0.2 dB/km) plus excess noise xi
 quoted in shot-noise units at the channel input.  A coherent signal |alpha>
 arrives as a displaced thermal state centered at sqrt(eta_t) alpha with
-per-quadrature variance (1 + eta_t xi)/2, built by the POVM kernel of
-`detector`.  `fock.refined` refines the key map's sector masses.  The key
+per-quadrature variance (1 + eta_t xi)/2.  Its quadrature means are closed
+forms, and `simulate_statistics` reads them through the detector's per-arm
+moment form, the one that builds the observables, so the data carry no
+truncation.  `fock.refined` refines the key map's sector masses.  The key
 map's values take one path: `discretization_distribution` gives P(x, z),
 whose sum is p_pass, and `ec_cost` turns it into the pair (delta_EC,
 p_pass) that `solver.solve` charges as p_pass delta_EC.
@@ -19,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .detector import DetectorModel, povm_weighted_sum
+from .detector import DetectorModel
 from .fock import erfc, gauss_legendre, refined
 from .observables import moment_observables
 
@@ -28,7 +30,6 @@ __all__ = [
     "ProtocolParams",
     "SimulatedStatistics",
     "simulate_statistics",
-    "simulated_conditional_state",
     "discretization_distribution",
     "ec_cost",
 ]
@@ -108,50 +109,17 @@ class SimulatedStatistics:
                 raise ValueError("second moments must dominate squared first moments")
 
 
-def simulated_conditional_state(ch: ChannelModel, x: int, pp: ProtocolParams, N: int) -> np.ndarray:
-    """Bob's conditional state D(beta) rho_th(nbar) D(beta)+ for signal x,
-    truncated at N, with beta = sqrt(eta_t) alpha_x and nbar = eta_t xi/2.
-    A heterodyne element of unit efficiency and noise nbar is
-    G_y = D(y) rho_th(nbar) D(y)+ / pi, so the state is pi G_beta."""
-    nbar = ch.eta_t * ch.xi / 2.0
-    det = DetectorModel(1.0, 1.0, nbar, nbar)
-    return np.pi * povm_weighted_sum([np.sqrt(ch.eta_t) * pp.signal(x)], [1.0], det, N)
-
-
-def _noise_variance(ch: ChannelModel, det: DetectorModel) -> float:
-    # Per-outcome-quadrature noise 1 + eta_d eta_t xi/2 + nu_el of the
-    # identical-arm detector on the simulated state, in SNU.
-    return 1.0 + 0.5 * (det.eta_d * ch.eta_t) * ch.xi + det.nu_el
-
-
 def simulate_statistics(ch: ChannelModel, det: DetectorModel, pp: ProtocolParams) -> SimulatedStatistics:
-    """Expectation values of F_Q, F_P, S_Q, S_P for each signal.
-
-    Identical detector arms have closed forms; distinct arms take traces of
-    the per-arm closed-form observables against the conditional states, both
-    truncated at the protocol cutoff.
-    """
-    if det.simple_case():
-        eta = det.eta_d * ch.eta_t
-        noise = _noise_variance(ch, det)
-        fq, fp, sq, sp = [], [], [], []
-        for x in range(4):
-            a = pp.signal(x)
-            fq.append(np.sqrt(2.0 * eta) * a.real)
-            fp.append(np.sqrt(2.0 * eta) * a.imag)
-            sq.append(2.0 * eta * a.real**2 + noise)
-            sp.append(2.0 * eta * a.imag**2 + noise)
-        return SimulatedStatistics(tuple(fq), tuple(fp), tuple(sq), tuple(sp))
-
-    N = pp.cutoff
-    fq_op, fp_op, sq_op, sp_op = moment_observables(det, N)
-    fq, fp, sq, sp = [], [], [], []
-    for x in range(4):
-        sigma = simulated_conditional_state(ch, x, pp, N)
-        fq.append(float(np.trace(sigma @ fq_op).real))
-        fp.append(float(np.trace(sigma @ fp_op).real))
-        sq.append(float(np.trace(sigma @ sq_op).real))
-        sp.append(float(np.trace(sigma @ sp_op).real))
+    """Expectation values of F_Q, F_P, S_Q, S_P for each signal: the
+    detector's per-arm moment form (`observables.moment_observables`) on the
+    untruncated means of Bob's conditional state D(beta) rho_th(nbar)
+    D(beta)+, beta = sqrt(eta_t) alpha_x and nbar = eta_t xi/2:
+    <q> = sqrt(2) Re beta, <p> = sqrt(2) Im beta, <n> = |beta|^2 + nbar and
+    <d> = 2 Re beta^2.  Any pair of arms, and no cutoff."""
+    beta = np.sqrt(ch.eta_t) * np.array([pp.signal(x) for x in range(4)])
+    q, p = np.sqrt(2.0) * beta.real, np.sqrt(2.0) * beta.imag
+    n = np.abs(beta) ** 2 + ch.eta_t * ch.xi / 2.0
+    fq, fp, sq, sp = moment_observables(det, q, p, n, 2.0 * (beta * beta).real, 1.0)
     return SimulatedStatistics(tuple(fq), tuple(fp), tuple(sq), tuple(sp))
 
 
@@ -187,7 +155,9 @@ def discretization_distribution(ch: ChannelModel, det: DetectorModel, pp: Protoc
     if not det.simple_case():
         raise ValueError("discretization implemented for identical detector arms")
     signals = np.sqrt(det.eta_d * ch.eta_t) * np.array([pp.signal(x) for x in range(4)])
-    cond = _sector_mass(signals, _noise_variance(ch, det), pp.delta_a)
+    # Per-quadrature outcome noise 1 + eta_d eta_t xi/2 + nu_el, in SNU.
+    noise = 1.0 + 0.5 * (det.eta_d * ch.eta_t) * ch.xi + det.nu_el
+    cond = _sector_mass(signals, noise, pp.delta_a)
     if cond.min() < -1e-10:
         x, z = np.unravel_index(np.argmin(cond), cond.shape)
         raise RuntimeError(f"negative sector mass {cond[x, z]} at (x={x}, z={z})")
@@ -203,13 +173,14 @@ def ec_cost(joint: np.ndarray, beta: float) -> tuple[float, float]:
     """(delta_EC, p_pass) of reverse reconciliation at efficiency beta, from
     the joint P(x, z) of `discretization_distribution`: p_pass is its sum,
     and delta_EC = H(Z) - beta I(X:Z), in bits, is taken on the postselected
-    distribution P(x, z) / p_pass.  ValueError unless p_pass > 0 (a NaN
-    fails too)."""
+    distribution P(x, z) / p_pass.  ValueError unless every entry is finite
+    and >= 0 and p_pass > 0: a NaN, an inf or a negative entry fails."""
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"reconciliation efficiency must be in (0, 1], got {beta}")
     p_pass = float(joint.sum())
-    if not p_pass > 0:
-        raise ValueError(f"degenerate distribution: p_pass = {p_pass}")
+    # A finite sum of entries >= 0 has every entry finite; a NaN fails both.
+    if not (0.0 < p_pass < np.inf and joint.min() >= 0.0):
+        raise ValueError(f"cannot price the joint: p_pass = {p_pass}, smallest entry {joint.min()}")
     joint = joint / p_pass
     h_z = _entropy_bits(joint.sum(axis=0))
     mi = _entropy_bits(joint.sum(axis=1)) + h_z - _entropy_bits(joint.ravel())

@@ -6,7 +6,8 @@ noisy detector's F_Q, F_P, S_Q, S_P.  Untrusted noise hands the detector
 noise to Eve, so the same data are read as the output of an ideal heterodyne
 detector: the builder is given the ideal detector's observables q, p,
 n + d/2 + 1 and n - d/2 + 1 (`observables.moment_observables`) and the same
-simulated values.  Since each ``ptrace-d*`` row already pins
+simulated values, which that per-arm form gives on the untruncated means of
+the conditional states.  Since each ``ptrace-d*`` row already pins
 Tr[(|x><x| (x) 1) rho] = p_x, these rows span the same set as constraints on
 q, p, n and d with the data recast to (s_Q + s_P)/2 - 1 and s_Q - s_P.
 

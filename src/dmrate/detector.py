@@ -8,12 +8,12 @@ elements.  The package needs G_y only inside integrals over the outcome
 plane, so it has one POVM kernel: `povm_weighted_sum` builds a weighted sum
 of G_y over many outcomes y at once, by one recurrence for any pair of arms
 (equal arms included), and the distinct-arm quadrature of the region
-operators calls it.  It also builds the channel's conditional states: a
-displaced thermal state is pi G_y of a detector of unit efficiency
-(`channel.simulated_conditional_state`).  Single elements G_y (the
-identical-arm closed form and the one-node kernel call) live with the tests
-in `tests/support/detector.py`, which check them against an independent
-Wigner-quadrature oracle in `tests/support/wigner.py`.
+operators calls it.  Single elements G_y (the identical-arm closed form and
+the one-node kernel call) live with the tests in
+`tests/support/detector.py`, which check them against an independent
+Wigner-quadrature oracle in `tests/support/wigner.py`; so does the
+channel's truncated conditional state, a displaced thermal state that is
+pi G_y of a detector of unit efficiency (`tests/support/channel.py`).
 """
 
 from __future__ import annotations

@@ -4,8 +4,10 @@ Region operator R_j integrates the POVM over the angular sector
 [(2j-1)pi/4, (2j+1)pi/4) outside a central disk of radius delta_a; the
 first/second-moment observables integrate the POVM against
 sqrt(2)Re(y), sqrt(2)Im(y) and their squares.  Each moment reads one
-homodyne arm, so every detector's moments are one per-arm closed form in the
-quadrature operators (`moment_observables`).  The regions of identical arms,
+homodyne arm, so every detector's moments are one per-arm linear form in q,
+p, n and d (`moment_observables`): on the truncated operators it gives the
+observables, and on a state's means the channel's simulated data
+(`channel.simulate_statistics`).  The regions of identical arms,
 the ideal detector included, and their central-disk complement are one
 closed form: the angular integrals are elementary, and each radial integral
 is a finite sum of positive terms, a gamma function times a regularized
@@ -160,8 +162,8 @@ def region_operators(det: DetectorModel, delta_a: float, N: int) -> tuple[np.nda
     With delta_a = 0 the four operators resolve the identity exactly at every
     truncation (diagonals are 1/4 each; off-diagonal sector phases telescope).
     """
-    if delta_a < 0:
-        raise ValueError(f"postselection radius must be >= 0, got {delta_a}")
+    if not 0.0 <= delta_a < np.inf:
+        raise ValueError(f"postselection radius must be finite and >= 0, got {delta_a}")
     if N < 1:
         raise ValueError("cutoff N must be >= 1")
     if det.simple_case():
@@ -169,8 +171,11 @@ def region_operators(det: DetectorModel, delta_a: float, N: int) -> tuple[np.nda
     return _general_regions(det, delta_a, N)
 
 
-def moment_observables(det: DetectorModel, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """First-moment (F_Q, F_P) and second-moment (S_Q, S_P) observables.
+def moment_observables(det: DetectorModel, q, p, n, d, one):
+    """First-moment (F_Q, F_P) and second-moment (S_Q, S_P) forms, linear in
+    the quadratures q, p, the photon number n, d = a^2 + a+^2 and the unit
+    ``one``: operators (`observable_set`) or their means on a state
+    (`channel.simulate_statistics`).
 
     F_Q and S_Q integrate the POVM against sqrt(2) Re(y) and 2 Re(y)^2, so
     they read arm 1 alone; F_P and S_P read arm 2 alone.  Integrating out the
@@ -183,18 +188,17 @@ def moment_observables(det: DetectorModel, N: int) -> tuple[np.ndarray, np.ndarr
     for any pair of arms.  The ideal detector gives exactly the operators that
     the untrusted scenario constrains.
     """
-    if N < 2:
-        raise ValueError("cutoff N must be >= 2 for second-moment observables")
-    q, p, n_op, d = quadrature_operators(N)
-    eye = np.eye(N + 1)
     return (
         np.sqrt(det.eta1) * q,
         np.sqrt(det.eta2) * p,
-        det.eta1 * (n_op + d / 2) + (1 + det.nu1) * eye,
-        det.eta2 * (n_op - d / 2) + (1 + det.nu2) * eye,
+        det.eta1 * (n + d / 2) + (1 + det.nu1) * one,
+        det.eta2 * (n - d / 2) + (1 + det.nu2) * one,
     )
 
 
 def observable_set(det: DetectorModel, delta_a: float, N: int) -> ObservableSet:
     """Moment observables plus region operators for one detector and radius."""
-    return ObservableSet(*moment_observables(det, N), region_operators(det, delta_a, N), det)
+    if N < 2:
+        raise ValueError("cutoff N must be >= 2 for second-moment observables")
+    moments = moment_observables(det, *quadrature_operators(N), np.eye(N + 1))
+    return ObservableSet(*moments, region_operators(det, delta_a, N), det)

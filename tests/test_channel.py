@@ -10,14 +10,15 @@ from dmrate.channel import (
     discretization_distribution,
     ec_cost,
     simulate_statistics,
-    simulated_conditional_state,
 )
 from dmrate.detector import DetectorModel
+from dmrate.fock import quadrature_operators
 from dmrate.observables import moment_observables
-from support.channel import pdf_outcome
+from support.channel import pdf_outcome, simulated_conditional_state
 from support.fock import displaced_thermal_matrix
 
 DET = DetectorModel.simple(0.719, 0.01)
+DISTINCT = DetectorModel(0.70, 0.74, 0.01, 0.02)
 
 
 class TestChannelModel:
@@ -82,6 +83,12 @@ def test_inputs_checked_at_construction(cls, field, value):
 
 
 UNIFORM = np.full((4, 4), 1 / 16)
+# A uniform joint with a negative P(0, 1), its mass moved to P(0, 0), and
+# one with an infinite entry.
+NEGATIVE = UNIFORM.copy()
+NEGATIVE[0, 1], NEGATIVE[0, 0] = -0.02, UNIFORM[0, 0] + 0.02
+INFINITE = UNIFORM.copy()
+INFINITE[1, 2] = np.inf
 
 
 @pytest.mark.parametrize(
@@ -96,8 +103,10 @@ UNIFORM = np.full((4, 4), 1 / 16)
         ),
         (lambda: ec_cost(UNIFORM, 0.0), "reconciliation efficiency"),
         (lambda: ec_cost(UNIFORM, 1.5), "reconciliation efficiency"),
+        (lambda: ec_cost(NEGATIVE, 0.95), "cannot price the joint"),
+        (lambda: ec_cost(INFINITE, 0.95), "cannot price the joint"),
     ],
-    ids=["moments", "distinct-arms-discretization", "beta-0", "beta-1.5"],
+    ids=["moments", "distinct-arms-discretization", "beta-0", "beta-1.5", "negative-joint", "infinite-joint"],
 )
 def test_inputs_outside_the_model_raise(call, match):
     with pytest.raises(ValueError, match=match):
@@ -125,17 +134,19 @@ class TestSimulatedStatistics:
             assert stats.fq[x] ** 2 + stats.fp[x] ** 2 == pytest.approx(target)
 
     def test_consistency_bridge(self):
-        # Truncated-operator traces against the analytic statistics at N=20.
+        # Truncated-operator traces against the analytic statistics at N=20,
+        # for identical and for distinct arms.
         ch = ChannelModel.from_distance(10.0, 0.01)
         pp = ProtocolParams(alpha=0.75, cutoff=20)
-        stats = simulate_statistics(ch, DET, pp)
-        fq, fp, sq, sp = moment_observables(DET, 20)
-        for x in range(4):
-            sigma = simulated_conditional_state(ch, x, pp, 20)
-            assert np.trace(sigma @ fq).real == pytest.approx(stats.fq[x], abs=1e-6)
-            assert np.trace(sigma @ fp).real == pytest.approx(stats.fp[x], abs=1e-6)
-            assert np.trace(sigma @ sq).real == pytest.approx(stats.sq[x], abs=1e-6)
-            assert np.trace(sigma @ sp).real == pytest.approx(stats.sp[x], abs=1e-6)
+        for det in (DET, DISTINCT):
+            stats = simulate_statistics(ch, det, pp)
+            fq, fp, sq, sp = moment_observables(det, *quadrature_operators(20), np.eye(21))
+            for x in range(4):
+                sigma = simulated_conditional_state(ch, x, pp, 20)
+                assert np.trace(sigma @ fq).real == pytest.approx(stats.fq[x], abs=1e-6)
+                assert np.trace(sigma @ fp).real == pytest.approx(stats.fp[x], abs=1e-6)
+                assert np.trace(sigma @ sq).real == pytest.approx(stats.sq[x], abs=1e-6)
+                assert np.trace(sigma @ sp).real == pytest.approx(stats.sp[x], abs=1e-6)
 
     @pytest.mark.parametrize("xi", [0.0, 1e-4, 0.01, 1.0])
     def test_conditional_state_against_laguerre_form(self, xi):
@@ -158,15 +169,15 @@ class TestSimulatedStatistics:
         got = simulate_statistics(ch, det, pp)
         ref = simulate_statistics(ch, DetectorModel.simple(0.7, 0.02), pp)
         for x in range(4):
-            assert got.fq[x] == pytest.approx(ref.fq[x], abs=2e-4)
-            assert got.sq[x] == pytest.approx(ref.sq[x], abs=2e-4)
+            assert got.fq[x] == pytest.approx(ref.fq[x], abs=1e-8)
+            assert got.sq[x] == pytest.approx(ref.sq[x], abs=1e-8)
 
     def test_distinct_arms_match_per_arm_closed_form(self):
         # Independent physics check of the numeric observables: each
         # homodyne arm sees its own efficiency and electronic noise, so
         # F_Q/S_Q follow the identical-arm closed form with (eta1, nu1) and
         # F_P/S_P with (eta2, nu2).
-        det = DetectorModel(0.70, 0.74, 0.01, 0.02)
+        det = DISTINCT
         ch = ChannelModel.from_distance(5.0, 0.01)
         pp = ProtocolParams(alpha=0.75, cutoff=10)
         stats = simulate_statistics(ch, det, pp)
@@ -177,8 +188,18 @@ class TestSimulatedStatistics:
                 (det.eta2, det.nu2, stats.fp, stats.sp, a.imag),
             ):
                 t = eta * ch.eta_t
-                assert f[x] == pytest.approx(np.sqrt(2 * t) * amp, abs=1e-8)
-                assert s[x] == pytest.approx(2 * t * amp**2 + 1 + 0.5 * t * ch.xi + nu, abs=1e-8)
+                assert f[x] == pytest.approx(np.sqrt(2 * t) * amp, abs=1e-12)
+                assert s[x] == pytest.approx(2 * t * amp**2 + 1 + 0.5 * t * ch.xi + nu, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "det", [DET, DISTINCT, DetectorModel(0.74, 0.70, 0.02, 0.01)], ids=["identical", "distinct", "swapped"]
+    )
+    def test_independent_of_cutoff(self, det):
+        # The data are expectations on the untruncated conditional states, so
+        # the protocol cutoff does not enter them.
+        ch = ChannelModel.from_distance(5.0, 0.01)
+        low, high = (simulate_statistics(ch, det, ProtocolParams(alpha=1.0, cutoff=N)) for N in (6, 12))
+        assert low == high
 
 
 class TestPdfOutcome:

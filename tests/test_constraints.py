@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from dmrate.channel import ChannelModel, ProtocolParams, simulate_statistics, simulated_conditional_state
+from dmrate.channel import ChannelModel, ProtocolParams, simulate_statistics
 from dmrate.constraints import DIM_A, ConstraintSet, alice_gram, build_constraints
 from dmrate.detector import DetectorModel
 from dmrate.fock import quadrature_operators
 from dmrate.maps import build_postprocessing_maps
 from dmrate.observables import observable_set
 from dmrate.solver import solve
+from support.channel import simulated_conditional_state
 from support.constraints import full_operators
 
 DET = DetectorModel.simple(0.719, 0.01)

@@ -143,6 +143,13 @@ class TestRegionOperators:
         with pytest.raises(ValueError):
             region_operators(SIMPLE, 0.0, 0)
 
+    @pytest.mark.parametrize("delta_a", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("det", [SIMPLE, DetectorModel(0.72, 0.6, 0.01, 0.03)], ids=["identical", "distinct"])
+    def test_non_finite_radius_rejected(self, det, delta_a):
+        # Refused at the boundary, not deep in the lattice sums or the grid.
+        with pytest.raises(ValueError, match="postselection radius must be finite and >= 0"):
+            region_operators(det, delta_a, 4)
+
 
 class TestDiskIntegral:
     @pytest.mark.parametrize("det", [SIMPLE, NOISY], ids=["simple", "noisy"])
@@ -210,11 +217,16 @@ def polar_moment_quadrature(det, N, n_r=120, n_th=60, r_hi=12.0):
     return tuple(povm_weighted_sum(y, base * w, det, N) for w in weights)
 
 
+def moments(det, N):
+    """The per-arm moment form on the truncated operators at cutoff N."""
+    return moment_observables(det, *quadrature_operators(N), np.eye(N + 1))
+
+
 class TestMomentObservables:
     def test_ideal_reductions(self):
         q, p, n_op, d = quadrature_operators(10)
         eye = np.eye(11)
-        fq, fp, sq, sp = moment_observables(IDEAL, 10)
+        fq, fp, sq, sp = moments(IDEAL, 10)
         assert np.array_equal(fq, q)
         assert np.array_equal(fp, p)
         assert np.array_equal(sq, n_op + d / 2 + eye)
@@ -222,18 +234,18 @@ class TestMomentObservables:
 
     def test_continuity_toward_ideal(self):
         q, p, *_ = quadrature_operators(8)
-        fq, fp, _, _ = moment_observables(DetectorModel.simple(1 - 1e-7, 1e-9), 8)
+        fq, fp, _, _ = moments(DetectorModel.simple(1 - 1e-7, 1e-9), 8)
         assert np.max(np.abs(fq - q)) < 1e-5
         assert np.max(np.abs(fp - p)) < 1e-5
 
     def test_vacuum_second_moment(self):
-        _, _, sq, sp = moment_observables(SIMPLE, 6)
+        _, _, sq, sp = moments(SIMPLE, 6)
         assert sq[0, 0].real == pytest.approx(1.01, abs=1e-12)
         assert sp[0, 0].real == pytest.approx(1.01, abs=1e-12)
 
     def test_diagonal_closed_form(self):
         # <m|S_Q|m> = eta_d (m + 1 + nbar_d)
-        _, _, sq, _ = moment_observables(SIMPLE, 9)
+        _, _, sq, _ = moments(SIMPLE, 9)
         eta, nbar = SIMPLE.eta_d, SIMPLE.nbar_d
         for m in range(10):
             assert sq[m, m].real == pytest.approx(eta * (m + 1 + nbar), rel=1e-12)
@@ -248,12 +260,12 @@ class TestMomentObservables:
             DetectorModel(0.70, 0.74, 0.01, 0.02),
             DetectorModel(0.74, 0.70, 0.02, 0.01),
         ):
-            for got, ref in zip(moment_observables(det, N), polar_moment_quadrature(det, N)):
+            for got, ref in zip(moments(det, N), polar_moment_quadrature(det, N)):
                 assert np.max(np.abs(got - ref)) < 1e-12
 
     def test_minimum_cutoff(self):
-        with pytest.raises(ValueError):
-            moment_observables(SIMPLE, 1)
+        with pytest.raises(ValueError, match="cutoff N must be >= 2"):
+            observable_set(SIMPLE, 0.0, 1)
 
 
 class TestGeneralNumericPath:
