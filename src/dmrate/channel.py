@@ -50,6 +50,8 @@ class ChannelModel:
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if self.distance_km is not None and self.distance_km < 0:
+            raise ValueError(f"distance_km must be >= 0, got {self.distance_km}")
         if not 0.0 < self.eta_t <= 1.0:
             raise ValueError(f"transmittance must be in (0, 1], got {self.eta_t}")
         if self.xi < 0.0:
@@ -57,8 +59,6 @@ class ChannelModel:
 
     @classmethod
     def from_distance(cls, distance_km: float, xi: float) -> "ChannelModel":
-        if distance_km < 0:
-            raise ValueError(f"distance must be >= 0, got {distance_km}")
         eta_t = 10.0 ** (-ATTENUATION_DB_PER_KM * distance_km / 10.0)
         return cls(eta_t=eta_t, xi=xi, distance_km=distance_km)
 

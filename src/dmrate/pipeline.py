@@ -1,6 +1,9 @@
-"""End-to-end evaluation of one protocol point: simulate, build operators,
-assemble constraints, take the key map's P(x, z) to the error-correction
-pair (delta_EC, p_pass), and solve, which charges that pair to the rate."""
+"""End-to-end evaluation of one protocol point.  The observables and the
+solver's `Problem`, whose rows are built, reduced and checked once, are
+cached per artifact key (effective detector, delta_a, cutoff).  A point
+simulates the statistics, gives the rows their values, takes the key map's
+P(x, z) to the error-correction pair (delta_EC, p_pass), and solves, which
+charges that pair to the rate."""
 
 from __future__ import annotations
 
@@ -9,26 +12,26 @@ from functools import lru_cache
 
 from . import solver
 from .channel import ChannelModel, ProtocolParams, discretization_distribution, ec_cost, simulate_statistics
-from .constraints import build_constraints, check_mode
+from .constraints import build_constraints, check_mode, constraint_rows
 from .detector import DetectorModel
-from .maps import PostprocessingMaps, build_postprocessing_maps
+from .maps import build_postprocessing_maps
 from .observables import ObservableSet, observable_set
-from .solver import KeyRateResult
+from .solver import KeyRateResult, Problem
 
 __all__ = ["evaluate_point", "cutoff_stability", "point_artifacts"]
 
 
 @lru_cache(maxsize=32)
-def _cached_artifacts(det: DetectorModel, delta_a: float, cutoff: int) -> tuple[ObservableSet, PostprocessingMaps]:
+def _cached_artifacts(det: DetectorModel, delta_a: float, cutoff: int) -> tuple[ObservableSet, Problem]:
     obs = observable_set(det, delta_a, cutoff)
-    return obs, build_postprocessing_maps(obs.regions)
+    return obs, Problem(build_postprocessing_maps(obs.regions), *constraint_rows(obs))
 
 
-def point_artifacts(det: DetectorModel, pp: ProtocolParams, mode: str):
-    """Observables and postprocessing maps for one grid point.  This is where
-    the scenario is decided: untrusted noise reads the data as an ideal
-    detector's, so it takes the ideal detector's observables and regions.
-    The maps read the symmetry group of the solve from those regions."""
+def point_artifacts(det: DetectorModel, pp: ProtocolParams, mode: str) -> tuple[ObservableSet, Problem]:
+    """Observables and problem for one grid point, shared by every point of
+    its artifact key.  This is where the scenario is decided: untrusted noise
+    reads the data as an ideal detector's, so it takes the ideal detector's
+    observables and regions, from which the maps read the symmetry group."""
     check_mode(mode)
     eff_det = det if mode == "trusted" else DetectorModel.ideal()
     return _cached_artifacts(eff_det, pp.delta_a, pp.cutoff)
@@ -44,10 +47,10 @@ def evaluate_point(
     Raises InfeasibleError where the truncated problem has no start point,
     e.g. xi = 0 with trusted noise."""
     stats = simulate_statistics(ch, det, pp)
-    obs, maps = point_artifacts(det, pp, mode)
-    cs = build_constraints(stats, obs, pp, mode)
+    obs, problem = point_artifacts(det, pp, mode)
+    values = build_constraints(stats, obs, pp, mode)
     # Looked up per call, so a rebinding of dmrate.solver.solve reaches here.
-    return solver.solve(cs, maps, ec_cost(discretization_distribution(ch, det, pp), pp.beta))
+    return solver.solve(values, problem, ec_cost(discretization_distribution(ch, det, pp), pp.beta))
 
 
 def cutoff_stability(

@@ -1,16 +1,17 @@
 """Frank-Wolfe minimization of the relative-entropy objective with a
 certified lower bound, on the symmetry-reduced state.
 
-The state is the stack of real blocks of `maps`.  Once per solve every
-constraint row Gamma_i = A_i (x) B_i is reduced to its blocks (those of its
+The state is the stack of real blocks of `maps`.  Only the values change
+from point to point, so a `Problem`, built once per artifact key, reduces
+every constraint row Gamma_i = A_i (x) B_i to its blocks (those of its
 group average T(Gamma_i)) entrywise from its two factors, without forming
-the row on A (x) B, and `_reduced_rows` makes every row check, once.  Every
-T(Gamma_i) must lie in the span of the rows and every relation among the
-reduced rows must hold for the values: then the twirl of any feasible state
-is feasible, the objective is convex and invariant, and the minimum over
-invariant states is the minimum over all states.  Of the independent rows
-kept, the first must reduce to exactly the identity blocks, the trace, which
-the start and the dual repair both rest on.  Otherwise ValueError.
+the row on A (x) B, and makes every row check, once: every T(Gamma_i) must
+lie in the span of the rows, and the first independent row kept must reduce
+to exactly the identity blocks, the trace, which the start and the dual
+repair both rest on.  `solve` checks that every relation among the reduced
+rows holds for the values.  Then the twirl of any feasible state is
+feasible, the objective is convex and invariant, and the minimum over
+invariant states is the minimum over all states.  Otherwise ValueError.
 
 Each iteration linearizes the objective at `entropy.perturbed(rho)`, where f
 and its gradient are taken (Winick, Lutkenhaus, Coles, Quantum 2, 77 (2018)),
@@ -33,7 +34,8 @@ value is taken at a state that meets the rows exactly and stays above the
 bound.  Atoms are used as the subproblem returns them.  If no PSD state near
 the feasibility solve's point meets the kept rows (the closure check covers
 the rest), the solve raises InfeasibleError.  The returned state is lifted
-back to A (x) B, and its residual is taken against the original rows.
+back to A (x) B, and its residual is taken against every row of the
+problem, from the factors.
 """
 
 from __future__ import annotations
@@ -43,13 +45,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import ConstraintSet
+from .constraints import DIM_A
 from .entropy import line_objective, objective_with_gradient, perturbed
 from .fock import hermitize
 from .maps import PostprocessingMaps
 from .sdp import independent_rows, solve_sdp
 
-__all__ = ["KeyRateResult", "InfeasibleError", "solve"]
+__all__ = ["KeyRateResult", "InfeasibleError", "Problem", "solve"]
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 GAP_TOL = 1e-6  # bits
@@ -92,7 +94,8 @@ class KeyRateResult:
     objective.  `status`: "converged" (gap below GAP_TOL), "converged_bound"
     (bound plateau), "converged_approx" or the uncertified "stalled" (no
     descent at a small or a large gap), "rate_zero" (primal below p_pass
-    delta_ec), "subproblem_failure" or "max_iters"."""
+    delta_ec), "subproblem_failure" or "max_iters".  `constraint_residual`
+    is the largest |Tr(rho Gamma_i) - c_i| over every row of the problem."""
 
     primal_value: float
     lower_bound: float
@@ -106,6 +109,79 @@ class KeyRateResult:
     certified: bool
     rho: np.ndarray | None = field(default=None, repr=False, compare=False)
     primal_history: tuple[float, ...] = field(default=(), repr=False, compare=False)
+
+
+@dataclass(frozen=True)
+class Problem:
+    """The operators of one artifact key: ``maps``, and the rows
+    Gamma_i = A_i (x) B_i as their factors, ``a_parts`` (m, 4, 4) and
+    ``b_parts`` (m, N+1, N+1), one label each (`constraints.constraint_rows`).
+    Every row check runs here, once: ValueError unless the factors are finite
+    and fit the maps, the rows are closed under the maps' group and the first
+    kept row is the trace.  ``kept`` indexes independent reduced rows, ``ops``
+    holds their blocks, ``scale`` the rows' norms and ``coef`` each unit
+    reduced row as a combination of the kept ones.  The factors are copied;
+    every array is read-only, since cached problems are shared by every point."""
+
+    maps: PostprocessingMaps = field(repr=False)
+    a_parts: np.ndarray = field(repr=False)
+    b_parts: np.ndarray = field(repr=False)
+    labels: tuple[str, ...]
+    kept: np.ndarray = field(init=False)
+    ops: np.ndarray = field(init=False, repr=False)
+    scale: np.ndarray = field(init=False, repr=False)
+    coef: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        a, b = np.array(self.a_parts, dtype=complex), np.array(self.b_parts, dtype=complex)
+        m, n_b = len(self.labels), self.maps.dim_ab // DIM_A
+        if a.shape != (m, DIM_A, DIM_A) or b.shape != (m, n_b, n_b):
+            raise ValueError(f"factors of shapes {a.shape} and {b.shape} do not fit {m} rows on Bob dimension {n_b}")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("constraint factors must be finite")
+        for name, arr in (("a_parts", a), ("b_parts", b)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        red = self.maps.reduce_products(a, b)
+        gram = self.gram()
+        scale = np.sqrt(np.diag(gram))
+        scale[scale == 0.0] = 1.0
+        red_flat = red.reshape(m, -1)
+        # Rows whose group average vanishes constrain no invariant state.
+        red_flat[np.linalg.norm(red_flat, axis=1) <= CLOSURE_TOL * scale] = 0.0
+        unit = np.outer(scale, scale)
+        gram, gram_red = gram / unit, (red_flat @ red_flat.T) / unit
+
+        # T(Gamma_i) in the span of the rows: its component outside the span,
+        # |T Gamma_i|^2 - h_i G^+ h_i with h_ij = <Gamma_j, T Gamma_i>
+        # = <T Gamma_j, T Gamma_i>, vanishes.
+        w, v = np.linalg.eigh(gram)
+        v = v[:, w > RANK_CUT * w[-1]] / np.sqrt(w[w > RANK_CUT * w[-1]])
+        outside = np.diag(gram_red) - np.sum((v.T @ gram_red) ** 2, axis=0)
+        if np.max(outside) > RANK_CUT:
+            i = int(np.argmax(outside))
+            raise ValueError(f"constraint rows are not closed under the symmetry group (row {self.labels[i]!r})")
+        # Looked up per call, so a rebinding of dmrate.solver.independent_rows reaches here.
+        kept = np.array(independent_rows(red))
+        if not np.array_equal(red[kept[0]], np.broadcast_to(np.eye(red.shape[-1]), red.shape[1:])):
+            raise ValueError("row 0 must be the trace, whose blocks are the identity")
+        coef = np.linalg.solve(gram_red[np.ix_(kept, kept)], gram_red[kept])
+        for name, arr in (("kept", kept), ("ops", red[kept]), ("scale", scale), ("coef", coef)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def gram(self) -> np.ndarray:
+        """The real Gram matrix <Gamma_i, Gamma_j> = Re(<A_i, A_j><B_i, B_j>)
+        of the rows from the factors alone, by einsum without path
+        optimization, which hands no complex product to BLAS."""
+        a, b = self.a_parts.conj(), self.b_parts.conj()
+        return (np.einsum("ixy,jxy->ij", a, self.a_parts) * np.einsum("inm,jnm->ij", b, self.b_parts)).real
+
+    def residuals(self, rho: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Tr(rho Gamma_i) - values_i for an operator rho on A (x) B, entrywise."""
+        n_b = self.b_parts.shape[1]
+        blocks = rho.reshape(DIM_A, n_b, DIM_A, n_b)
+        return np.einsum("iyx,imn,xnym->i", self.a_parts, self.b_parts, blocks).real - values
 
 
 def _line_search(phi) -> tuple[float, float]:
@@ -128,46 +204,6 @@ def _line_search(phi) -> tuple[float, float]:
     return (logistic(u1), f1) if f1 <= f2 else (logistic(u2), f2)
 
 
-def _reduced_rows(cs: ConstraintSet, maps: PostprocessingMaps) -> tuple[np.ndarray, np.ndarray]:
-    """(ops, b): the real blocks of an independent subset of the rows, and
-    their values.  ValueError unless the rows and values are closed under the
-    group of the maps and the first kept row is the trace.  The blocks and the
-    Gram matrix come from the factors A_i and B_i, not from A (x) B."""
-    m = len(cs.labels)
-    red = maps.reduce_products(cs.a_parts, cs.b_parts)
-    gram = cs.gram()  # <Gamma_i, Gamma_j>
-    scale = np.sqrt(np.diag(gram))
-    scale[scale == 0.0] = 1.0
-    red_flat = red.reshape(m, -1)
-    # Rows whose group average vanishes constrain no invariant state.
-    red_flat[np.linalg.norm(red_flat, axis=1) <= CLOSURE_TOL * scale] = 0.0
-    unit = np.outer(scale, scale)
-    gram, gram_red = gram / unit, (red_flat @ red_flat.T) / unit
-
-    # T(Gamma_i) in the span of the rows: its component outside the span,
-    # |T Gamma_i|^2 - h_i G^+ h_i with h_ij = <Gamma_j, T Gamma_i>
-    # = <T Gamma_j, T Gamma_i>, vanishes.
-    w, v = np.linalg.eigh(gram)
-    v = v[:, w > RANK_CUT * w[-1]] / np.sqrt(w[w > RANK_CUT * w[-1]])
-    outside = np.diag(gram_red) - np.sum((v.T @ gram_red) ** 2, axis=0)
-    if np.max(outside) > RANK_CUT:
-        i = int(np.argmax(outside))
-        raise ValueError(f"constraint rows are not closed under the symmetry group (row {cs.labels[i]!r})")
-
-    kept = independent_rows(red)
-    # Every reduced row is a combination of the kept ones; its value must be
-    # the same combination of theirs.
-    values = cs.values / scale
-    coef = np.linalg.solve(gram_red[np.ix_(kept, kept)], gram_red[kept])
-    mismatch = np.abs(values - values[kept] @ coef)
-    if np.max(mismatch) > CLOSURE_TOL:
-        i = int(np.argmax(mismatch))
-        raise ValueError(f"constraint values are not invariant under the symmetry group (row {cs.labels[i]!r})")
-    if not np.array_equal(red[kept[0]], np.broadcast_to(np.eye(red.shape[-1]), red.shape[1:])):
-        raise ValueError("row 0 must be the trace, whose blocks are the identity")
-    return red[kept], cs.values[kept]
-
-
 def _residual(ops: np.ndarray, rho: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(ops.reshape(len(b), -1) @ rho.ravel() - b)))
 
@@ -179,10 +215,13 @@ def _scaled_correction(sigma: np.ndarray, ops: np.ndarray, b: np.ndarray) -> np.
     correction small against the state keeps it PSD; a plain projection
     leaves the cone near a face, and alternating projection crawls back
     only slowly.  A second step removes what rounding leaves of the first,
-    whose linear system is ill-conditioned near a face."""
+    whose linear system is ill-conditioned near a face; on a thin set up to
+    two more follow while the residual is above 1e-13."""
     m = len(b)
     flat = ops.reshape(m, -1)
-    for _ in range(2):
+    for step in range(4):
+        if step >= 2 and _residual(ops, sigma, b) <= 1e-13:
+            break
         scaled = sigma @ ops @ sigma
         try:
             z = np.linalg.solve(scaled.reshape(m, -1) @ flat.T, b - flat @ sigma.ravel())
@@ -207,9 +246,10 @@ def _repaired_dual(grad: np.ndarray, ops: np.ndarray, y: np.ndarray) -> np.ndarr
     return y
 
 
-def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec: tuple[float, float] = (0.0, 1.0)) -> KeyRateResult:
-    """Minimize the pinched relative entropy over the constrained state set
-    and charge the error-correction pair `ec` = (delta_EC, p_pass).
+def solve(values: np.ndarray, problem: Problem, ec: tuple[float, float] = (0.0, 1.0)) -> KeyRateResult:
+    """Minimize the pinched relative entropy over the states that meet the
+    rows of `problem` at `values`, one per row, and charge the
+    error-correction pair `ec` = (delta_EC, p_pass).
 
     Returns the primal value at the returned state, a certified lower bound
     and rate = max(0, lower_bound - p_pass delta_EC), all in bits; the
@@ -219,15 +259,24 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec: tuple[float, float] =
     that meets the rows only to the interior-point tolerance; the reported
     rate still comes from the certified bound alone.  Raises ValueError
     unless delta_EC >= 0 and p_pass > 0, both finite (p_pass is not capped
-    at 1, which quadrature overshoots by ulps), or if the rows or values are
-    not closed under the group or row 0 is not the trace, and
-    InfeasibleError if the feasibility solve gives no start.
+    at 1, which quadrature overshoots by ulps), or unless `values` is a
+    finite (m,) array that keeps the relations among the problem's reduced
+    rows, and InfeasibleError if the feasibility solve gives no start.
     """
     delta_ec, p_pass = ec
     if not (0.0 <= delta_ec < math.inf and 0.0 < p_pass < math.inf):
         raise ValueError(f"error-correction cost needs delta_EC >= 0 and p_pass > 0, both finite, got {ec}")
-    ops, b = _reduced_rows(cs, maps)
-
+    values = np.asarray(values, dtype=float)
+    if values.shape != (len(problem.labels),) or not np.isfinite(values).all():
+        raise ValueError(f"constraint values must be finite, one per row ({len(problem.labels)}), got {values}")
+    # Every reduced row is a combination of the kept ones; its value must be
+    # the same combination of theirs.
+    unit = values / problem.scale
+    mismatch = np.abs(unit - unit[problem.kept] @ problem.coef)
+    if np.max(mismatch) > CLOSURE_TOL:
+        i = int(np.argmax(mismatch))
+        raise ValueError(f"constraint values are not invariant under the symmetry group (row {problem.labels[i]!r})")
+    maps, ops, b = problem.maps, problem.ops, values[problem.kept]
     # Tr rho is 1 on the feasible set, so this objective chooses nothing:
     # the solve finds a point that meets the rows to the IPM tolerance, and
     # the scaled correction makes it exact and PSD.
@@ -291,7 +340,7 @@ def solve(cs: ConstraintSet, maps: PostprocessingMaps, ec: tuple[float, float] =
     exact = _scaled_correction(rho, ops, b)
     rho, f = start if exact is None else (exact, objective_with_gradient(exact, maps)[0])
     rho = maps.lift(rho)
-    residual = float(np.max(np.abs(cs.residuals(rho))))
+    residual = float(np.max(np.abs(problem.residuals(rho, values))))
     lower = best_lower if best_lower > -np.inf else np.nan
     return KeyRateResult(
         primal_value=f,

@@ -65,6 +65,7 @@ VALID = {
         (ChannelModel, "xi", np.nan),
         (ChannelModel, "xi", np.inf),
         (ChannelModel, "distance_km", np.nan),
+        (ChannelModel, "distance_km", -5.0),
         (DetectorModel, "nu1", np.nan),
         (DetectorModel, "nu2", np.inf),
         (ProtocolParams, "alpha", np.nan),

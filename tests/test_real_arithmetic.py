@@ -14,9 +14,8 @@ benchmark's peak RSS covers it.
 import numpy as np
 import pytest
 
-from dmrate import pipeline, solver
-from dmrate.channel import ChannelModel, ProtocolParams, simulate_statistics
-from dmrate.constraints import build_constraints
+from dmrate import pipeline
+from dmrate.channel import ChannelModel, ProtocolParams
 from dmrate.detector import DetectorModel
 from dmrate.pipeline import evaluate_point, point_artifacts
 
@@ -51,8 +50,6 @@ def test_identical_arm_point_is_real(mode, delta_a, monkeypatch):
     res = evaluate_point(ch, DET, pp, mode)
     assert res.certified
 
-    obs, maps = point_artifacts(DET, pp, mode)
-    cs = build_constraints(simulate_statistics(ch, DET, pp), obs, pp, mode)
-    ops, _ = solver._reduced_rows(cs, maps)
-    for arr in (maps.kraus_factor, maps.pinch_factors, ops):
+    _, problem = point_artifacts(DET, pp, mode)
+    for arr in (problem.maps.kraus_factor, problem.maps.pinch_factors, problem.ops):
         assert arr.dtype == np.float64

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from dmrate import solver
 from dmrate.channel import ChannelModel, ProtocolParams, simulate_statistics
-from dmrate.constraints import ConstraintSet, build_constraints
+from dmrate.constraints import build_constraints, constraint_rows
 from dmrate.detector import DetectorModel
 from dmrate.maps import build_postprocessing_maps
 from dmrate.observables import observable_set
 from dmrate.pipeline import cutoff_stability, evaluate_point, point_artifacts
 from dmrate.sdp import independent_rows, solve_sdp
-from dmrate.solver import InfeasibleError, KeyRateResult, solve
-from support.constraints import full_operators
+from dmrate.solver import InfeasibleError, KeyRateResult, Problem, solve
+from support.constraints import full_operators, rebuilt
 from support.maps import full_objective_with_gradient, roots
 from support.sdp import embed, solve_hermitian_sdp
 
@@ -28,16 +28,15 @@ def setup_problem(L=10.0, cutoff=6, mode="trusted", alpha=0.75, delta_a=0.0, xi=
     stats = simulate_statistics(ch, DET, pp)
     det_eff = DET if mode == "trusted" else DetectorModel.ideal()
     obs = observable_set(det_eff, delta_a, cutoff)
-    cs = build_constraints(stats, obs, pp, mode)
-    maps = build_postprocessing_maps(obs.regions)
-    return cs, maps
+    values = build_constraints(stats, obs, pp, mode)
+    return values, Problem(build_postprocessing_maps(obs.regions), *constraint_rows(obs))
 
 
 class TestSolve:
     @pytest.fixture(scope="class")
     def solved(self):
-        cs, maps = setup_problem()
-        return cs, maps, solve(cs, maps)
+        values, problem = setup_problem()
+        return values, problem, solve(values, problem)
 
     def test_certification_contract(self, solved):
         _, _, res = solved
@@ -65,15 +64,16 @@ class TestSolve:
         # At the returned iterate, feasible directions cannot decrease the
         # linearized objective by more than the residual gap; the feasible
         # states come from full-space solves, so they are not symmetric.
-        cs, maps, res = solved
-        _, grad = full_objective_with_gradient(res.rho, roots(maps))
-        ops = full_operators(cs)
+        values, problem, res = solved
+        _, grad = full_objective_with_gradient(res.rho, roots(problem.maps))
+        ops = full_operators(problem)
         kept = independent_rows(embed(ops))
+        dim = problem.maps.dim_ab
         for seed in range(3):
             rng = np.random.default_rng(seed)
-            c_rand = rng.normal(size=(cs.dim, cs.dim)) + 1j * rng.normal(size=(cs.dim, cs.dim))
+            c_rand = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             c_rand = c_rand + c_rand.conj().T
-            feas = solve_hermitian_sdp(c_rand, ops[kept], cs.values[kept])
+            feas = solve_hermitian_sdp(c_rand, ops[kept], values[kept])
             slack = float(np.einsum("ab,ba->", feas.x - res.rho, grad).real)
             assert slack >= -max(10 * res.gap, 1e-5)
 
@@ -85,7 +85,7 @@ class TestFailedChecks:
     # makes the start), so the start is returned in place of the iterate.
     @pytest.mark.parametrize("loosen", [{"status": "stalled", "primal_residual": 1e-3}], ids=["subproblem"])
     def test_bound_survives_failed_check(self, monkeypatch, loosen):
-        cs, maps = setup_problem(cutoff=5)
+        values, problem = setup_problem(cutoff=5)
         solve_sdp_exact = solver.solve_sdp
         scaled_correction = solver._scaled_correction
         calls = []
@@ -99,7 +99,7 @@ class TestFailedChecks:
 
         monkeypatch.setattr(solver, "solve_sdp", loose_solve_sdp)
         monkeypatch.setattr(solver, "_scaled_correction", start_only)
-        res = solve(cs, maps)
+        res = solve(values, problem)
         assert res.status == "subproblem_failure"
         assert res.iterations == 1
         assert np.isfinite(res.lower_bound)
@@ -132,11 +132,22 @@ class TestSanityRuns:
         assert res.lower_bound <= res.primal_value + 1e-10
         assert res.constraint_residual <= 1e-12
 
+    def test_thin_set_start_takes_a_third_correction_step(self):
+        # At xi = 1e-4, 50 km, cutoff 8 the feasibility solve stalls 4.5e-7
+        # off the rows, and two correction steps leave 1.9e-13, above the
+        # 1e-13 the start must meet; a third leaves 2.2e-16, and the point
+        # is certified.  With two steps it raised InfeasibleError.
+        pp = ProtocolParams(alpha=0.75, cutoff=8)
+        res = evaluate_point(ChannelModel.from_distance(50.0, 1e-4), DET, pp, "trusted")
+        assert res.certified
+        assert res.lower_bound <= res.primal_value + 1e-10
+        assert res.constraint_residual <= 1e-12
+
     def test_trusted_and_untrusted_both_certified(self):
         results = []
         for mode in ("trusted", "untrusted"):
-            cs, maps = setup_problem(L=10.0, cutoff=6, mode=mode)
-            res = solve(cs, maps)
+            values, problem = setup_problem(L=10.0, cutoff=6, mode=mode)
+            res = solve(values, problem)
             results.append(res)
             assert res.certified
             assert res.lower_bound <= res.primal_value + 1e-8
@@ -146,41 +157,52 @@ class TestSanityRuns:
         # Keep the trace and partial-trace rows and only the 8 first-moment
         # rows; dropping a set the symmetry group maps to itself keeps the
         # rows closed under it.
-        cs, maps = setup_problem(L=5.0, cutoff=5)
-        moments = [i for i, label in enumerate(cs.labels) if label.startswith("moment")]
-        keep = [i for i in range(len(cs.labels)) if i not in moments[8:]]
-        fewer = ConstraintSet(cs.a_parts[keep], cs.b_parts[keep], cs.values[keep], tuple(cs.labels[i] for i in keep))
-        full = solve(cs, maps)
-        dropped = solve(fewer, maps)
+        values, problem = setup_problem(L=5.0, cutoff=5)
+        moments = [i for i, label in enumerate(problem.labels) if label.startswith("moment")]
+        keep = [i for i in range(len(problem.labels)) if i not in moments[8:]]
+        full = solve(values, problem)
+        dropped = solve(values[keep], rebuilt(problem, keep))
         assert dropped.primal_value <= full.primal_value + 1e-5
 
     def test_infeasible_constraints_detected(self):
         # Every moment value scaled up by the same factor stays invariant
         # under the group, but asks for more photons than the cutoff holds.
-        cs, maps = setup_problem(cutoff=5)
-        values = cs.values.copy()
+        values, problem = setup_problem(cutoff=5)
         values[17:] *= 99.0
         with pytest.raises(InfeasibleError):
-            solve(ConstraintSet(cs.a_parts, cs.b_parts, values, cs.labels), maps)
+            solve(values, problem)
+
+
+class TestProblem:
+    @pytest.mark.parametrize("rows_cutoff, maps_cutoff", [(6, 8), (8, 6)])
+    def test_cutoff_mismatch_names_both_dimensions(self, rows_cutoff, maps_cutoff):
+        # Rows and maps of different cutoffs are refused by their dimensions,
+        # not by a closure or trace check that happens to fail on them.
+        rows = constraint_rows(observable_set(DET, 0.0, rows_cutoff))
+        maps = point_artifacts(DET, ProtocolParams(alpha=0.75, cutoff=maps_cutoff), "trusted")[1].maps
+        n_rows, n_maps = rows_cutoff + 1, maps_cutoff + 1
+        message = rf"\(33, {n_rows}, {n_rows}\) do not fit 33 rows on Bob dimension {n_maps}$"
+        with pytest.raises(ValueError, match=message):
+            Problem(maps, *rows)
 
 
 class TestKeyRate:
     def test_rate_floor(self):
-        cs, maps = setup_problem(cutoff=5)
-        res = solve(cs, maps, (5.0, 1.0))
+        values, problem = setup_problem(cutoff=5)
+        res = solve(values, problem, (5.0, 1.0))
         assert res.rate == 0.0
         assert res.status == "rate_zero"
 
     def test_zero_ec_cost_gives_lower_bound(self):
-        cs, maps = setup_problem(cutoff=5)
-        res = solve(cs, maps, (0.0, 1.0))
+        values, problem = setup_problem(cutoff=5)
+        res = solve(values, problem, (0.0, 1.0))
         assert res.rate == pytest.approx(res.lower_bound)
 
     def test_default_ec_is_zero_cost(self):
-        # solve(cs, maps) is the same solve as an explicit zero cost, field
-        # for field, the state and the primal history included.
-        cs, maps = setup_problem(cutoff=4)
-        default, explicit = solve(cs, maps), solve(cs, maps, (0.0, 1.0))
+        # solve(values, problem) is the same solve as an explicit zero cost,
+        # field for field, the state and the primal history included.
+        values, problem = setup_problem(cutoff=4)
+        default, explicit = solve(values, problem), solve(values, problem, (0.0, 1.0))
         for f in fields(KeyRateResult):
             assert np.array_equal(getattr(default, f.name), getattr(explicit, f.name)), f.name
 
@@ -192,20 +214,20 @@ class TestKeyRate:
     def test_uncertifiable_ec_rejected(self, ec):
         # A negative cost would lift the rate above the bound, and a NaN one
         # would read as rate 0; neither may come back certified.
-        cs, maps = setup_problem(cutoff=4)
+        values, problem = setup_problem(cutoff=4)
         with pytest.raises(ValueError, match="error-correction cost"):
-            solve(cs, maps, ec)
+            solve(values, problem, ec)
 
     def test_p_pass_not_capped_at_one(self):
         # At delta_a = 0 the sector quadrature's p_pass overshoots 1 by ulps.
-        cs, maps = setup_problem(cutoff=4)
-        res = solve(cs, maps, (0.0, 1.0000000000000027))
+        values, problem = setup_problem(cutoff=4)
+        res = solve(values, problem, (0.0, 1.0000000000000027))
         assert res.p_pass == 1.0000000000000027
         assert res.rate == max(0.0, res.lower_bound)
 
     def test_fields_recorded(self):
-        cs, maps = setup_problem(cutoff=5)
-        res = solve(cs, maps, (1.5, 0.8))
+        values, problem = setup_problem(cutoff=5)
+        res = solve(values, problem, (1.5, 0.8))
         assert res.delta_ec == 1.5
         assert res.p_pass == 0.8
         assert isinstance(res, KeyRateResult)
@@ -243,9 +265,9 @@ class TestPipeline:
         # A line objective that never descends ends the run at its first
         # step, with a gap far above GAP_TOL: "stalled", the one exit that
         # withdraws the certificate.  The state returned still meets the rows.
-        cs, maps = setup_problem(cutoff=5)
+        values, problem = setup_problem(cutoff=5)
         monkeypatch.setattr(solver, "line_objective", lambda rho, delta, maps: lambda t: np.inf)
-        res = solve(cs, maps)
+        res = solve(values, problem)
         assert res.status == "stalled"
         assert res.iterations == 1
         assert not res.certified
@@ -281,7 +303,7 @@ class TestFeasibleStart:
         # The subproblems read the stated values of the kept rows, which is
         # sound because the start point meets them to rounding.  The first
         # scaled correction of a solve makes the start, the last closes it.
-        cs, maps = setup_problem(cutoff=5, mode=mode)
+        values, problem = setup_problem(cutoff=5, mode=mode)
         scaled_correction = solver._scaled_correction
         calls = []
 
@@ -291,7 +313,7 @@ class TestFeasibleStart:
             return exact
 
         monkeypatch.setattr(solver, "_scaled_correction", traced_correction)
-        solve(cs, maps)
+        solve(values, problem)
         ops, start, b = calls[0]
         assert start is not None
         assert solver._residual(ops, start, b) <= 1e-13
@@ -304,13 +326,13 @@ class TestFeasibleStart:
         # solve of `solve`, whose objective is that row, only finds a point
         # that meets the rows.  The row reduces to exactly the identity blocks.
         pp = ProtocolParams(alpha=0.75, delta_a=0.5, cutoff=5)
-        obs, maps = point_artifacts(det, pp, "trusted")
+        obs, problem = point_artifacts(det, pp, "trusted")
         stats = simulate_statistics(ChannelModel.from_distance(20.0, 0.01), det, pp)
-        cs = build_constraints(stats, obs, pp, "trusted")
-        ops, b = solver._reduced_rows(cs, maps)
+        values = build_constraints(stats, obs, pp, "trusted")
+        ops = problem.ops
         identity = np.broadcast_to(np.eye(ops.shape[-1]), ops.shape[1:])
-        assert maps.quarter_turn == (det == DET)
-        assert cs.labels[0] == "trace" and b[0] == cs.values[0]
+        assert problem.maps.quarter_turn == (det == DET)
+        assert problem.labels[0] == "trace" and problem.kept[0] == 0 and values[0] == 1.0
         assert np.array_equal(ops[0], identity)
 
         solve_sdp_exact = solver.solve_sdp
@@ -321,7 +343,7 @@ class TestFeasibleStart:
             return solve_sdp_exact(c_mat, ops, b)
 
         monkeypatch.setattr(solver, "solve_sdp", recorded)
-        solve(cs, maps)
+        solve(values, problem)
         assert np.array_equal(objectives[0], identity)
 
 
@@ -349,9 +371,9 @@ class TestProperties:
         try:
             res = evaluate_point(ch, det, pp, mode)
         except InfeasibleError:
-            obs, maps = point_artifacts(det, pp, mode)
-            cs = build_constraints(simulate_statistics(ch, det, pp), obs, pp, mode)
-            ops, b = solver._reduced_rows(cs, maps)
+            obs, problem = point_artifacts(det, pp, mode)
+            values = build_constraints(simulate_statistics(ch, det, pp), obs, pp, mode)
+            ops, b = problem.ops, values[problem.kept]
             y = solver._repaired_dual(ops[0], ops, solve_sdp(ops[0], ops, b).y)
             assert b @ y > 1.0 + 1e-9
             return
@@ -404,14 +426,16 @@ class TestLineSearch:
 class TestRegressionGuards:
     def test_build_constraints_memory_peak(self):
         # The rows are kept as their factors: a (33, 4, 4) and a (33, 11, 11)
-        # complex stack, 0.07 MiB, and their copies.  The full-space
-        # (33, 44, 44) complex stack alone would take 1 MiB.
+        # complex stack, 0.07 MiB, and their copies; a point adds its (33,)
+        # values.  The full-space (33, 44, 44) complex stack alone would take
+        # 1 MiB.
         pp = ProtocolParams(alpha=0.75, cutoff=10)
         stats = simulate_statistics(ChannelModel.from_distance(50.0, 0.01), DET, pp)
         obs = observable_set(DET, 0.0, 10)
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
+            constraint_rows(obs)
             build_constraints(stats, obs, pp, "trusted")
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -422,11 +446,11 @@ class TestRegressionGuards:
         # The solve holds a few small stacks of real blocks and takes the
         # blocks of every row entrywise from its factors; a stack of the
         # (33, 44, 44) complex full-space rows alone would take 1 MiB.
-        cs, maps = setup_problem(L=50.0, cutoff=10)
+        values, problem = setup_problem(L=50.0, cutoff=10)
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            res = solve(cs, maps)
+            res = solve(values, problem)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -13,7 +13,7 @@ import pytest
 
 from dmrate import solver
 from dmrate.channel import ChannelModel, ProtocolParams, simulate_statistics
-from dmrate.constraints import DIM_A, ConstraintSet, build_constraints
+from dmrate.constraints import DIM_A, build_constraints
 from dmrate.detector import DetectorModel
 from dmrate.entropy import line_objective, objective_with_gradient
 from dmrate.maps import build_postprocessing_maps
@@ -21,7 +21,7 @@ from dmrate.observables import observable_set, region_operators
 from dmrate.pipeline import point_artifacts
 from dmrate.sdp import independent_rows
 from dmrate.solver import solve
-from support.constraints import full_operators
+from support.constraints import full_operators, rebuilt
 from support.maps import _perturb, full_objective, full_objective_with_gradient, lift, reduce, roots
 from support.sdp import embed, greedy_rows, solve_hermitian_sdp
 
@@ -40,9 +40,9 @@ CASES = {
 def problem(case, cutoff=CUTOFF, distance=20.0):
     det, delta_a, mode = CASES[case]
     pp = ProtocolParams(alpha=0.75, delta_a=delta_a, cutoff=cutoff)
-    obs, maps = point_artifacts(det, pp, mode)
+    obs, prob = point_artifacts(det, pp, mode)
     stats = simulate_statistics(ChannelModel.from_distance(distance, 0.01), det, pp)
-    return build_constraints(stats, obs, pp, mode), maps
+    return build_constraints(stats, obs, pp, mode), prob
 
 
 def group(maps):
@@ -74,7 +74,7 @@ class TestEquivalence:
     """On twirled random states, the reduced evaluation is the full one."""
 
     def test_reduce_and_lift_are_the_twirl(self, case):
-        cs, maps = problem(case)
+        maps = problem(case)[1].maps
         rho = random_state(np.random.default_rng(0), maps.dim_ab)
         stack = reduce(maps, rho)
         assert np.max(np.abs(maps.lift(stack) - twirl(rho, maps))) < 1e-14
@@ -90,16 +90,18 @@ class TestEquivalence:
         # The blocks of every row, taken entrywise from its factors, are those
         # of U+ (A_i (x) B_i) U; the ptrace-im rows (imaginary A_i) and the
         # moment-FP rows (imaginary B_i) included.
-        cs, maps = problem(case, cutoff)
-        red = maps.reduce_products(cs.a_parts, cs.b_parts)
+        _, prob = problem(case, cutoff)
+        maps = prob.maps
+        red = maps.reduce_products(prob.a_parts, prob.b_parts)
         assert red.dtype == np.float64
-        oracle = np.array([reduce(maps, op) for op in full_operators(cs)])
+        oracle = np.array([reduce(maps, op) for op in full_operators(prob)])
         assert np.max(np.abs(red - oracle)) < 1e-14
 
     def test_objective_gradient_and_residuals(self, case):
-        cs, maps = problem(case)
+        values, prob = problem(case)
+        maps = prob.maps
         rng = np.random.default_rng(1)
-        red = maps.reduce_products(cs.a_parts, cs.b_parts)
+        red = maps.reduce_products(prob.a_parts, prob.b_parts)
         for _ in range(3):
             rho = twirl(random_state(rng, maps.dim_ab), maps)
             stack = reduce(maps, rho)
@@ -107,11 +109,11 @@ class TestEquivalence:
             f_full, grad_full = full_objective_with_gradient(rho, roots(maps))
             assert abs(f - f_full) < 1e-12
             assert np.max(np.abs(maps.lift(grad) - grad_full)) < 1e-12
-            residuals = red.reshape(len(cs.labels), -1) @ stack.ravel() - cs.values
-            assert np.max(np.abs(residuals - cs.residuals(rho))) < 1e-12
+            residuals = red.reshape(len(prob.labels), -1) @ stack.ravel() - values
+            assert np.max(np.abs(residuals - prob.residuals(rho, values))) < 1e-12
 
     def test_line_objective(self, case):
-        _, maps = problem(case)
+        maps = problem(case)[1].maps
         rng = np.random.default_rng(2)
         rho, sigma = (twirl(random_state(rng, maps.dim_ab), maps) for _ in range(2))
         phi = line_objective(reduce(maps, rho), reduce(maps, sigma - rho), maps)
@@ -127,9 +129,10 @@ def test_full_space_certificate(case, monkeypatch):
     # reported bound.  The oracle's own gradient agrees with the lifted one
     # as far as the log's conditioning allows: the iterates are nearly rank
     # deficient, with eigenvalues down to PERTURBATION / dim.
-    cs, maps = problem(case, cutoff=4)
-    gradient, repaired, rows = solver.objective_with_gradient, solver._repaired_dual, solver.independent_rows
-    last, certificates, kept = [], [], []
+    values, prob = problem(case, cutoff=4)
+    maps, kept = prob.maps, prob.kept
+    gradient, repaired = solver.objective_with_gradient, solver._repaired_dual
+    last, certificates = [], []
 
     def traced_gradient(rho, maps):
         out = gradient(rho, maps)
@@ -141,17 +144,12 @@ def test_full_space_certificate(case, monkeypatch):
         certificates.append((*last, y_rep))
         return y_rep
 
-    def traced_rows(ops):
-        kept[:] = rows(ops)
-        return kept
-
     monkeypatch.setattr(solver, "objective_with_gradient", traced_gradient)
     monkeypatch.setattr(solver, "_repaired_dual", traced_dual)
-    monkeypatch.setattr(solver, "independent_rows", traced_rows)
-    res = solve(cs, maps)
+    res = solve(values, prob)
     assert res.certified and certificates
 
-    ops = full_operators(cs)
+    ops = full_operators(prob)
     twirled = np.array([twirl(ops[i], maps) for i in kept])
     bounds = []
     for stack, grad, y in certificates:
@@ -162,7 +160,7 @@ def test_full_space_certificate(case, monkeypatch):
         assert np.linalg.eigvalsh(0.5 * (slack + slack.conj().T)).min() >= -1e-12
         # f and its gradient are taken at the perturbed state, and so is
         # the linearization.
-        bounds.append(f - np.vdot(_perturb(rho), grad).real + cs.values[kept] @ y)
+        bounds.append(f - np.vdot(_perturb(rho), grad).real + values[kept] @ y)
     assert max(bounds) == pytest.approx(res.lower_bound, abs=1e-10)
 
 
@@ -170,16 +168,17 @@ def test_full_space_certificate(case, monkeypatch):
 def test_weak_duality_at_non_symmetric_states(case):
     # Feasible states from full-space solves with random objectives are not
     # symmetric; the objective there is never below the certified bound.
-    cs, maps = problem(case)
-    res = solve(cs, maps)
-    ops = full_operators(cs)
+    values, prob = problem(case)
+    maps, dim = prob.maps, prob.maps.dim_ab
+    res = solve(values, prob)
+    ops = full_operators(prob)
     kept = independent_rows(embed(ops))
     for seed in range(3):
         rng = np.random.default_rng(seed)
-        c_rand = rng.normal(size=(cs.dim, cs.dim)) + 1j * rng.normal(size=(cs.dim, cs.dim))
-        feas = solve_hermitian_sdp(c_rand + c_rand.conj().T, ops[kept], cs.values[kept])
+        c_rand = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        feas = solve_hermitian_sdp(c_rand + c_rand.conj().T, ops[kept], values[kept])
         assert np.max(np.abs(feas.x - twirl(feas.x, maps))) > 1e-3
-        assert np.max(np.abs(cs.residuals(feas.x))) < 1e-7
+        assert np.max(np.abs(prob.residuals(feas.x, values))) < 1e-7
         assert full_objective(feas.x, roots(maps)) >= res.lower_bound - 1e-7
 
 
@@ -190,12 +189,11 @@ def test_reduced_row_count(case, rows, monkeypatch):
     # above 1 to below 1e-14 there.  Each kept reduced row is at least 0.1
     # of its norm away from the span of the rows before it, and each dropped
     # one at most 1e-12, so no choice rests on the exact value of RANK_TOL.
-    cs, maps = problem(case)
+    _, prob = problem(case)
     seen = []
     monkeypatch.setattr(solver, "independent_rows", lambda red: seen.append(red) or independent_rows(red))
-    ops, _ = solver._reduced_rows(cs, maps)
-    assert len(ops) == rows
-    twirled = np.array([twirl(op, maps) for op in full_operators(cs)]).reshape(len(cs.labels), -1)
+    assert len(rebuilt(prob).ops) == rows
+    twirled = np.array([twirl(op, prob.maps) for op in full_operators(prob)]).reshape(len(prob.labels), -1)
     assert np.linalg.matrix_rank(np.hstack([twirled.real, twirled.imag]), tol=1e-9) == rows
     kept, ratios = greedy_rows(seen[0])
     dropped = np.delete(ratios, kept)
@@ -204,11 +202,10 @@ def test_reduced_row_count(case, rows, monkeypatch):
 
 class TestTypedErrors:
     def test_nudged_value(self):
-        cs, maps = problem("identical-d0")
-        values = cs.values.copy()
-        values[cs.labels.index("moment-SQ-x1")] += 1e-6
+        values, prob = problem("identical-d0")
+        values[prob.labels.index("moment-SQ-x1")] += 1e-6
         with pytest.raises(ValueError, match="values are not invariant"):
-            solve(ConstraintSet(cs.a_parts, cs.b_parts, values, cs.labels), maps)
+            solve(values, prob)
 
     @pytest.mark.parametrize("bump, closed", [(3e-5, False), (1e-6, True)])
     def test_rows_nearly_closed(self, bump, closed):
@@ -216,24 +213,22 @@ class TestTypedErrors:
         # row span by 1e-6: |2><2| added to the B factor of one S_Q row at
         # 3e-5 of its norm leaves a component of norm 1.2e-5 outside, and at
         # 1e-6, one of norm 3.9e-7.
-        cs, maps = problem("identical-d0", cutoff=4)
-        b_parts = cs.b_parts.copy()
-        i = cs.labels.index("moment-SQ-x1")
+        _, prob = problem("identical-d0", cutoff=4)
+        b_parts = prob.b_parts.copy()
+        i = prob.labels.index("moment-SQ-x1")
         b_parts[i, 2, 2] += bump * np.linalg.norm(b_parts[i])
-        nudged = ConstraintSet(cs.a_parts, b_parts, cs.values, cs.labels)
         if closed:
-            solver._reduced_rows(nudged, maps)
+            rebuilt(prob, b_parts=b_parts)
         else:
             with pytest.raises(ValueError, match="rows are not closed"):
-                solver._reduced_rows(nudged, maps)
+                rebuilt(prob, b_parts=b_parts)
 
     def test_rows_not_closed(self):
         # The S_P rows alone are dropped: V maps S_Q rows onto them.
-        cs, maps = problem("identical-d0")
-        keep = [i for i, label in enumerate(cs.labels) if not label.startswith("moment-SP")]
-        fewer = ConstraintSet(cs.a_parts[keep], cs.b_parts[keep], cs.values[keep], tuple(cs.labels[i] for i in keep))
+        _, prob = problem("identical-d0")
+        keep = [i for i, label in enumerate(prob.labels) if not label.startswith("moment-SP")]
         with pytest.raises(ValueError, match="rows are not closed"):
-            solve(fewer, maps)
+            rebuilt(prob, keep)
 
     @pytest.mark.parametrize("quarter_turn", [True, False])
     def test_non_covariant_regions(self, quarter_turn):
@@ -283,10 +278,9 @@ class TestTypedErrors:
     @pytest.mark.parametrize("case", ["identical-d0", "distinct"])
     def test_row_zero_must_be_the_trace(self, case):
         # The start's objective and the dual repair's shift are both row 0,
-        # so a constraint set whose first row is not the trace is refused.
-        cs, maps = problem(case)
-        first = cs.labels.index("ptrace-d0")
-        order = [first] + [i for i in range(len(cs.labels)) if i != first]
-        moved = ConstraintSet(cs.a_parts[order], cs.b_parts[order], cs.values[order], tuple(cs.labels[i] for i in order))
+        # so a problem whose first row is not the trace is refused.
+        _, prob = problem(case)
+        first = prob.labels.index("ptrace-d0")
+        order = [first] + [i for i in range(len(prob.labels)) if i != first]
         with pytest.raises(ValueError, match="row 0 must be the trace"):
-            solve(moved, maps)
+            rebuilt(prob, order)
