@@ -3,8 +3,8 @@
 Everything here is pure and deterministic.  Factorial ratios downstream go
 through log-gamma, since their factorial forms overflow past degree ~20.  The
 special functions are log-gamma (`gammaln`) and erfc, elementwise through
-`math`, and Gauss-Legendre rules (`gauss_legendre`), from Newton's method on
-the Legendre three-term recurrence.  `refined` is the one
+`math`, and Gauss-Legendre rules (`gauss_legendre`), from Golub and Welsch's
+eigenproblem of the Legendre three-term recurrence.  `refined` is the one
 refine-until-two-levels-agree loop of the numeric quadratures (the key
 sectors and the distinct-arm regions).
 """
@@ -33,11 +33,6 @@ __all__ = [
 # relative entropies of rank-deficient states.
 CLAMP_REL = 1e-12
 
-# Newton steps on the Legendre nodes stop once the largest step is below
-# this; Tricomi's guesses are close enough that a handful suffice.
-_NODE_TOL = 1e-15
-_NODE_MAX_ITERS = 100
-
 _lgamma = np.frompyfunc(math.lgamma, 1, 1)
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
@@ -52,37 +47,20 @@ def erfc(x):
     return np.asarray(_erfc(x), dtype=float)[()]
 
 
-def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # P_n(x) and P_{n-1}(x) by the three-term recurrence.
-    prev, cur = np.ones_like(x), x
-    for j in range(1, n):
-        prev, cur = cur, ((2 * j + 1) * x * cur - j * prev) / (j + 1)
-    return cur, prev
-
-
 @lru_cache(maxsize=None)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
     [-1, 1], read-only, since the cache hands out the same arrays every time.
 
-    Newton's method on P_n, evaluated by its recurrence, from Tricomi's
-    guesses; w = 2 (1 - x)(1 + x) / (n P_{n-1}(x))^2.  O(n^2) time and O(n)
-    memory: no companion matrix is formed."""
+    Golub and Welsch (Math. Comp. 23, 221 (1969)): the nodes are the
+    eigenvalues of the Jacobi matrix of the Legendre recurrence (zero
+    diagonal, off-diagonal k / sqrt(4k^2 - 1) for k = 1..n-1), and the
+    weights twice the squared first entries of its unit eigenvectors."""
     if n < 1:
         raise ValueError(f"gauss_legendre needs n >= 1, got {n}")
-    k = np.arange(n, 0, -1)
-    x = (1.0 - 1.0 / (8.0 * n**2) + 1.0 / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
-    for _ in range(_NODE_MAX_ITERS):
-        p, p_prev = _legendre_pair(n, x)
-        # P_n' = n (x P_n - P_{n-1}) / (x^2 - 1)
-        step = p * (x * x - 1.0) / (n * (x * p - p_prev))
-        x = x - step
-        if np.max(np.abs(step)) < _NODE_TOL:
-            break
-    else:
-        raise RuntimeError(f"Gauss-Legendre nodes did not converge at n={n}")
-    p_prev = _legendre_pair(n, x)[1]
-    w = 2.0 * (1.0 - x) * (1.0 + x) / (n * p_prev) ** 2
+    k = np.arange(1.0, n)
+    x, v = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    w = 2.0 * v[0] ** 2
     # The rule is symmetric about 0; make it so exactly.
     x = 0.5 * (x - x[::-1])
     w = 0.5 * (w + w[::-1])

@@ -37,6 +37,8 @@ the half turn leaves two orbits of weight 2.  Each F_r takes one real
 eigendecomposition: R_0 is real, and so is S+ R_1 S with S = diag(i^n).
 G, the register pinching and the basis change as a matrix product are
 never formed here (the tests form them, in ``tests/support/maps.py``).
+Regions whose sum is not positive definite, as at a postselection radius
+that leaves them no resolvable mass, raise ValueError.
 """
 
 from __future__ import annotations
@@ -80,15 +82,16 @@ def _covariance_deviation(regions: tuple[np.ndarray, ...], turn: int) -> float:
     return float(dev / np.max(np.abs(stack)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PostprocessingMaps:
     """The maps of the key regions R_0..R_3 on the state reduced under the
     quarter turn where the regions are covariant under it (``quarter_turn``;
     identical detector arms), else the half turn (distinct arms), with the
     reflection in both.  ``columns[j]`` lists the basis vectors e_{k,n} (at
     index k (N+1) + n) of block j.  Raises ValueError if the regions are not
-    finite, all zero or not covariant under the half turn.  Every array is
-    read-only, since cached maps are shared."""
+    finite, all zero, not covariant under the half turn or of a sum that is
+    not positive definite.  Every array is read-only, since cached maps are
+    shared; maps compare and hash by identity."""
 
     regions: tuple[np.ndarray, ...] = field(repr=False)
     quarter_turn: bool = field(init=False)
@@ -113,7 +116,10 @@ class PostprocessingMaps:
         eye_t = np.eye(DIM_A)  # F+ 1 F
         region_sum = sum(regions).real
         gram = _product_entries(eye_t, region_sum, columns[:, :, None], columns[:, None, :], n_b)
-        kraus_factor = np.linalg.cholesky(gram).transpose(0, 2, 1)
+        try:
+            kraus_factor = np.linalg.cholesky(gram).transpose(0, 2, 1)
+        except np.linalg.LinAlgError:
+            raise ValueError(f"the region sum is not positive definite at cutoff {n_b - 1}") from None
 
         # E_r is invariant under the antiunitary V^{2r} Theta, which acts as
         # conjugation after i^{2rk}: so i^{-rk} E_r i^{rk} is real.  Its

@@ -18,6 +18,10 @@ regions of distinct arms are numeric: they integrate the POVM over a tensor
 Gauss-Legendre grid in polar coordinates (radius times angle), refined by
 `fock.refined` until two levels agree.  Each grid is one call of the batched
 kernel `detector.povm_weighted_sum`, one matmul whatever the number of nodes.
+A radius the regions cannot resolve raises ValueError, before any work that
+grows with it: for identical arms where the vacuum's mass outside the disk,
+e^{-x}, is at most `fock.CLAMP_REL`, and for distinct arms where it reaches
+the polar grid's outer radius.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from functools import partial
 import numpy as np
 
 from .detector import DetectorModel, povm_weighted_sum
-from .fock import erfc, gammaln, gauss_legendre, hermitize, quadrature_operators, refined
+from .fock import CLAMP_REL, erfc, gammaln, gauss_legendre, hermitize, quadrature_operators, refined
 
 __all__ = [
     "ObservableSet",
@@ -42,12 +46,12 @@ __all__ = [
 POLAR_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservableSet:
     """First/second-moment observables and region operators for ``detector``,
     all read-only (cached sets are shared).  The regions are the closed form
     for identical arms, the ideal detector included, and the polar quadrature
-    for distinct arms."""
+    for distinct arms.  A set compares and hashes by identity."""
 
     fq: np.ndarray
     fp: np.ndarray
@@ -102,7 +106,10 @@ def _identical_arm_operators(det: DetectorModel, delta_a: float, N: int) -> tupl
     """
     nbar = det.nbar_d
     s = np.arange(2 * N + 1) / 2 + 1
-    P, Q = _lattice_gamma(delta_a * delta_a / (det.eta_d * (1 + nbar)), N)
+    x = delta_a * delta_a / (det.eta_d * (1 + nbar))
+    if math.exp(-x) <= CLAMP_REL:  # the vacuum's mass outside the disk; the lattices grow with x
+        raise ValueError(f"delta_a = {delta_a} leaves the vacuum no resolvable mass (e^-{x:.4g}) at cutoff {N}")
+    P, Q = _lattice_gamma(x, N)
     log_fact = gammaln(np.arange(N + 1) + 1.0)
     m, n, i = np.indices((N + 1,) * 3).reshape(3, -1)
     keep = (i <= m) & (m <= n)
@@ -147,6 +154,8 @@ def _polar_grid_integral(det: DetectorModel, N: int, r_lo, r_hi, th_lo, th_hi, n
 def _general_regions(det: DetectorModel, delta_a: float, N: int) -> tuple[np.ndarray, ...]:
     # Each sector's patch is refined from 48 x 24 to 120 x 60 nodes until two levels agree to POLAR_TOL.
     r_hi = 6.0 * np.sqrt(1.0 + max(det.nu1, det.nu2)) + 4.0
+    if delta_a >= r_hi:
+        raise ValueError(f"delta_a = {delta_a} reaches the polar quadrature's outer radius {r_hi:.4g} at cutoff {N}")
     levels = ((48, 24), (72, 36), (96, 48), (120, 60))
     ops = []
     for j in range(4):
@@ -158,6 +167,7 @@ def _general_regions(det: DetectorModel, delta_a: float, N: int) -> tuple[np.nda
 def region_operators(det: DetectorModel, delta_a: float, N: int) -> tuple[np.ndarray, ...]:
     """Key-map region operators R_0..R_3 in the truncated photon-number basis:
     the closed form for identical arms, the polar quadrature for distinct arms.
+    ValueError unless delta_a is finite, >= 0 and resolvable (module docstring).
 
     With delta_a = 0 the four operators resolve the identity exactly at every
     truncation (diagonals are 1/4 each; off-diagonal sector phases telescope).

@@ -111,7 +111,7 @@ class KeyRateResult:
     primal_history: tuple[float, ...] = field(default=(), repr=False, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Problem:
     """The operators of one artifact key: ``maps``, and the rows
     Gamma_i = A_i (x) B_i as their factors, ``a_parts`` (m, 4, 4) and
@@ -121,7 +121,8 @@ class Problem:
     kept row is the trace.  ``kept`` indexes independent reduced rows, ``ops``
     holds their blocks, ``scale`` the rows' norms and ``coef`` each unit
     reduced row as a combination of the kept ones.  The factors are copied;
-    every array is read-only, since cached problems are shared by every point."""
+    every array is read-only, since cached problems are shared by every point.
+    A problem compares and hashes by identity."""
 
     maps: PostprocessingMaps = field(repr=False)
     a_parts: np.ndarray = field(repr=False)

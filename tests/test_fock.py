@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy import special
 
-from dmrate import fock
 from dmrate.fock import (
     check_hermitian,
     coherent_overlap,
@@ -111,12 +110,15 @@ class TestSpecialFunctions:
         with pytest.raises(ValueError):
             gauss_legendre(0)
 
-    def test_gauss_legendre_unconverged_raises(self, monkeypatch):
-        # One Newton step leaves Tricomi's guesses short of _NODE_TOL;
-        # __wrapped__ bypasses the cache.
-        monkeypatch.setattr(fock, "_NODE_MAX_ITERS", 1)
-        with pytest.raises(RuntimeError, match="Gauss-Legendre nodes did not converge at n=64"):
-            gauss_legendre.__wrapped__(64)
+    @pytest.mark.parametrize("n", [1, 2, 3, 24, 32, 36, 48, 60, 64, 72, 96, 120, 128, 256, 512])
+    def test_gauss_legendre_exact_on_polynomials(self, n):
+        # An n-point rule integrates every x^j with j <= 2n - 1 exactly:
+        # 2 / (j + 1) for even j, 0 for odd j.
+        x, w = gauss_legendre(n)
+        j = np.arange(2 * n)
+        moments = x ** j[:, None] @ w
+        exact = np.where(j % 2 == 0, 2.0 / (j + 1), 0.0)
+        np.testing.assert_allclose(moments, exact, rtol=0, atol=5e-15)
 
 
 class TestRefined:

@@ -3,7 +3,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from dmrate import solver
@@ -348,7 +348,14 @@ class TestFeasibleStart:
 
 
 class TestProperties:
+    # derandomize alone would seed the draw from a hash of this test's source,
+    # so any edit here would reshuffle the examples; @seed fixes them, and
+    # derandomize keeps the example database out.  The pinned thin-set input
+    # needs the start's third correction step.
     @settings(max_examples=20, deadline=None, derandomize=True)
+    @seed(0)
+    @example(alpha=0.6379, distance=0.0, xi=0.001, delta_a=0.0, mode="trusted", eta_d=1.0, nu_el=0.0)
+    @example(alpha=0.6379, distance=0.0, xi=0.001, delta_a=0.0, mode="untrusted", eta_d=1.0, nu_el=0.0)
     @given(
         alpha=st.floats(0.5, 1.0),
         distance=st.floats(0.0, 100.0),

@@ -263,6 +263,15 @@ class TestTypedErrors:
         with pytest.raises(ValueError, match="not all zero"):
             build_postprocessing_maps(tuple(np.zeros((CUTOFF + 1, CUTOFF + 1)) for _ in range(4)))
 
+    @pytest.mark.parametrize("last", [0.0, -1e-15], ids=["singular", "negative"])
+    def test_region_sum_not_positive_definite(self, last):
+        # The Kraus factor is the Cholesky factor of the region sum; a radius
+        # the regions cannot resolve leaves it singular or, after rounding,
+        # indefinite.
+        region = np.diag([0.25] * CUTOFF + [last])
+        with pytest.raises(ValueError, match=f"region sum is not positive definite at cutoff {CUTOFF}"):
+            build_postprocessing_maps((region,) * 4)
+
     @pytest.mark.parametrize("delta_a", [0.0, 0.5])
     @pytest.mark.parametrize(
         "det",
