@@ -18,10 +18,11 @@ regions of distinct arms are numeric: they integrate the POVM over a tensor
 Gauss-Legendre grid in polar coordinates (radius times angle), refined by
 `fock.refined` until two levels agree.  Each grid is one call of the batched
 kernel `detector.povm_weighted_sum`, one matmul whatever the number of nodes.
-A radius the regions cannot resolve raises ValueError, before any work that
-grows with it: for identical arms where the vacuum's mass outside the disk,
-e^{-x}, is at most `fock.CLAMP_REL`, and for distinct arms where it reaches
-the polar grid's outer radius.
+One rule refuses a radius the regions cannot resolve, with ValueError and
+before any work that grows with it: e^{-delta_a^2/(1 + max(nu1, nu2))} at
+most `fock.CLAMP_REL`.  That is the vacuum's mass outside the disk for
+identical arms and an upper bound on it for distinct arms, and any radius
+the rule admits lies inside the polar grid's outer radius.
 """
 
 from __future__ import annotations
@@ -65,11 +66,6 @@ class ObservableSet:
             m.setflags(write=False)
 
 
-def _sector_phase(k: int, j: int) -> complex:
-    # Integral of e^{ik theta} over [(2j-1)pi/4, (2j+1)pi/4), k != 0.
-    return 1j * (np.exp(1j * k * (2 * j - 1) * np.pi / 4) - np.exp(1j * k * (2 * j + 1) * np.pi / 4)) / k
-
-
 def _lattice_gamma(x: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     """The regularized incomplete gamma pair P(s, x), Q(s, x) at s = 1, 3/2,
     ..., N + 1, from the positive terms t_j = e^{-x} x^j / Gamma(j + 1),
@@ -100,15 +96,20 @@ def _identical_arm_operators(det: DetectorModel, delta_a: float, N: int) -> tupl
     with P, Q the regularized incomplete gamma pair (`_lattice_gamma`) and
     0^0 = 1, so nbar = 0 is the ideal detector.  Every term is positive, and
     writing nbar^{m-i} as t^{m-i} (1+nbar)^{m-i} keeps every factor below
-    overflow.  R_j[m, n] is W_Q[m, n] times the sector phase over 2 pi for
-    m < n, and 1/4 - W_P[m, m]/4 on the diagonal, exactly 1/4 at
-    delta_a = 0.  The disk complement is the diagonal W_P[m, m].
+    overflow.  With k = m - n, the sector's angular integral
+    (1/2pi) int e^{ik theta} d theta is i^{jk} sinc(k/4)/4, so every entry is
+        R_j[m, n] = i^{jk} sinc(k/4)/4 W[m, n],
+    with W the symmetric W_Q whose diagonal entries are each divided by
+    their computed whole-plane mass W_Q[m, m] + W_P[m, m], 1 up to rounding.
+    The diagonal is thus a ratio of sums of positive terms, accurate however
+    small e^{-x} is, and exactly 1/4 at delta_a = 0, where P = 0.  i^{jk} is
+    read from the exact table (1, i, -1, -i) and sinc(k/4) is an exact 0 at
+    k = 0 mod 4, k != 0, so the regions are exactly covariant under the
+    quarter turn and the reflection, and their sum is exactly diagonal.  The disk complement is the diagonal W_P[m, m].
     """
     nbar = det.nbar_d
     s = np.arange(2 * N + 1) / 2 + 1
     x = delta_a * delta_a / (det.eta_d * (1 + nbar))
-    if math.exp(-x) <= CLAMP_REL:  # the vacuum's mass outside the disk; the lattices grow with x
-        raise ValueError(f"delta_a = {delta_a} leaves the vacuum no resolvable mass (e^-{x:.4g}) at cutoff {N}")
     P, Q = _lattice_gamma(x, N)
     log_fact = gammaln(np.arange(N + 1) + 1.0)
     m, n, i = np.indices((N + 1,) * 3).reshape(3, -1)
@@ -128,14 +129,11 @@ def _identical_arm_operators(det: DetectorModel, delta_a: float, N: int) -> tupl
         return np.bincount(m * (N + 1) + n, weights=terms * F[h], minlength=(N + 1) ** 2).reshape(N + 1, N + 1)
 
     w_q, disk = radial(Q), np.diag(radial(P))
-    upper = np.triu_indices(N + 1, 1)
-    ops = []
-    for j in range(4):
-        R = np.diag(0.25 - disk / 4).astype(complex)
-        R[upper] = _sector_phase(upper[0] - upper[1], j) / (2 * np.pi) * w_q[upper]
-        R[upper[::-1]] = np.conj(R[upper])
-        ops.append(R)
-    return tuple(ops), disk
+    w = w_q + np.triu(w_q, 1).T
+    np.fill_diagonal(w, np.diag(w_q) / (np.diag(w_q) + disk))
+    k = np.subtract.outer(np.arange(N + 1), np.arange(N + 1))
+    sector = np.where(k % 4 == 0, k == 0, np.sinc(k / 4)) / 4 * w
+    return tuple(np.array([1, 1j, -1, -1j])[j * k % 4] * sector for j in range(4)), disk
 
 
 def _polar_grid_integral(det: DetectorModel, N: int, r_lo, r_hi, th_lo, th_hi, nodes):
@@ -154,8 +152,6 @@ def _polar_grid_integral(det: DetectorModel, N: int, r_lo, r_hi, th_lo, th_hi, n
 def _general_regions(det: DetectorModel, delta_a: float, N: int) -> tuple[np.ndarray, ...]:
     # Each sector's patch is refined from 48 x 24 to 120 x 60 nodes until two levels agree to POLAR_TOL.
     r_hi = 6.0 * np.sqrt(1.0 + max(det.nu1, det.nu2)) + 4.0
-    if delta_a >= r_hi:
-        raise ValueError(f"delta_a = {delta_a} reaches the polar quadrature's outer radius {r_hi:.4g} at cutoff {N}")
     levels = ((48, 24), (72, 36), (96, 48), (120, 60))
     ops = []
     for j in range(4):
@@ -169,13 +165,17 @@ def region_operators(det: DetectorModel, delta_a: float, N: int) -> tuple[np.nda
     the closed form for identical arms, the polar quadrature for distinct arms.
     ValueError unless delta_a is finite, >= 0 and resolvable (module docstring).
 
-    With delta_a = 0 the four operators resolve the identity exactly at every
-    truncation (diagonals are 1/4 each; off-diagonal sector phases telescope).
+    With delta_a = 0 the closed form resolves the identity exactly at every
+    truncation: each diagonal is 1/4, and the off-diagonal entries of the
+    sum are exact zeros (`_identical_arm_operators`).
     """
     if not 0.0 <= delta_a < np.inf:
         raise ValueError(f"postselection radius must be finite and >= 0, got {delta_a}")
     if N < 1:
         raise ValueError("cutoff N must be >= 1")
+    x = delta_a * delta_a / (1 + max(det.nu1, det.nu2))
+    if math.exp(-x) <= CLAMP_REL:
+        raise ValueError(f"delta_a = {delta_a} leaves the vacuum at most e^-{x:.4g} outside the disk at cutoff {N}")
     if det.simple_case():
         return _identical_arm_operators(det, delta_a, N)[0]
     return _general_regions(det, delta_a, N)

@@ -9,6 +9,7 @@ from scipy import integrate
 from dmrate import observables
 from dmrate.detector import DetectorModel, povm_weighted_sum
 from dmrate.fock import quadrature_operators
+from dmrate.maps import _covariance_deviation
 from dmrate.observables import (
     _general_regions,
     moment_observables,
@@ -43,6 +44,28 @@ class TestRegionOperators:
             regions = region_operators(det, 0.0, 8)
             for R in regions:
                 assert np.all(np.diag(R).real == 0.25)
+
+    @pytest.mark.parametrize("delta_a", [4.0, 5.0, 5.2])
+    def test_vacuum_outside_mass_to_relative_accuracy(self, delta_a):
+        # The vacuum's mass outside the disk is e^{-x}, x = delta_a^2/(1 +
+        # nu_el), from 1e-7 down to 1e-12 here; taken as one quarter minus
+        # the mass inside, it would cancel to a relative error of up to 1e-4.
+        R0 = region_operators(SIMPLE, delta_a, 6)[0]
+        assert 4 * R0[0, 0].real == pytest.approx(math.exp(-(delta_a**2) / (1 + SIMPLE.nu_el)), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("det", [SIMPLE, IDEAL], ids=["trusted", "ideal"])
+    @pytest.mark.parametrize("delta_a", [0.0, 0.5, 3.0])
+    def test_exactly_covariant(self, det, delta_a):
+        # Each entry is one real magnitude times i^{jk} from an exact table,
+        # so the quarter turn and the reflection map the regions onto each
+        # other without rounding, and the phases cancel exactly in their sum
+        # (k != 0 mod 4), as does sinc(k/4) (k = 0 mod 4, k != 0).
+        regions = region_operators(det, delta_a, 12)
+        assert _covariance_deviation(regions, 1) == 0.0
+        total = sum(regions)
+        assert np.all(total == np.diag(np.diag(total)))
+        if delta_a == 0.0:
+            assert np.all(total == np.eye(13))
 
     def test_resolution_of_identity(self):
         for det in (SIMPLE, IDEAL):

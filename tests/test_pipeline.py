@@ -72,13 +72,13 @@ RADIUS_CASES = {
     "kind, delta_a",
     [("trusted", d) for d in (6.0, 8.0, 10.0, 12.0, 20.0, 50.0, 300.0, 1e3, 1e4)]
     + [("ideal", d) for d in (6.0, 8.0, 12.0, 15.0)]
-    + [("distinct", 15.0)],
+    + [("distinct", d) for d in (10.0, 15.0)],
 )
 def test_unresolvable_radius_raises(kind, delta_a):
-    # Past these radii the regions' smallest mass outside the disk is lost to
-    # rounding (identical arms: the vacuum's e^{-x} <= CLAMP_REL) or the polar
-    # grid ends inside the disk (distinct arms), so the point is refused
-    # before the region sums, whose lattices grow with delta_a.
+    # Past these radii the vacuum keeps at most e^{-delta_a^2/(1 + max(nu1,
+    # nu2))} <= CLAMP_REL of its mass outside the disk (exactly that for
+    # identical arms), which rounding loses, so the point is refused before
+    # the region sums, whose lattices and polar grid grow with delta_a.
     det, mode = RADIUS_CASES[kind]
     pp = ProtocolParams(alpha=0.75, delta_a=delta_a, cutoff=6)
     with pytest.raises(ValueError, match=f"delta_a = {delta_a} .* at cutoff 6"):
