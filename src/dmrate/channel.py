@@ -8,7 +8,7 @@ arrives as a displaced thermal state centered at sqrt(eta_t) alpha with
 per-quadrature variance (1 + eta_t xi)/2.  Its quadrature means are closed
 forms, and `simulate_statistics` reads them through the detector's per-arm
 moment form, the one that builds the observables, so the data carry no
-truncation.  `fock.refined` refines the key map's sector masses.  The key
+truncation.  The key map's sector masses are closed forms too.  The key
 map's values take one path: `discretization_distribution` gives P(x, z),
 whose sum is p_pass, and `ec_cost` turns it into the pair (delta_EC,
 p_pass) that `solver.solve` charges as p_pass delta_EC.
@@ -16,14 +16,14 @@ p_pass) that `solver.solve` charges as p_pass delta_EC.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .detector import DetectorModel
-from .fock import erfc, gauss_legendre, refined
-from .observables import moment_observables
+from .fock import POWERS_OF_I, erfc, gammaln, lattice_gamma
+from .observables import check_radius, moment_observables, sector_harmonic
 
 __all__ = [
     "ChannelModel",
@@ -35,8 +35,6 @@ __all__ = [
 ]
 
 ATTENUATION_DB_PER_KM = 0.2
-# Two successive Gauss-Legendre levels of the sector masses agree to this.
-SECTOR_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -123,41 +121,58 @@ def simulate_statistics(ch: ChannelModel, det: DetectorModel, pp: ProtocolParams
     return SimulatedStatistics(tuple(fq), tuple(fp), tuple(sq), tuple(sp))
 
 
-def _sector_integrals(c: np.ndarray, s: float, delta_a: float, n: int) -> np.ndarray:
-    # n-node Gauss-Legendre rule for the angular integrals of every signal
-    # c[x] over each key sector z, [(2z-1)pi/4, (2z+1)pi/4).
-    x, w = gauss_legendre(n)
-    theta = (2 * np.arange(4)[:, None] - 1) * np.pi / 4 + (x + 1.0) * np.pi / 4
-    amp = np.abs(c)[:, None, None]
-    mu = amp * np.cos(theta - np.angle(c)[:, None, None])
-    tail = 0.5 * s * np.exp(-((delta_a - mu) ** 2) / s) + mu * 0.5 * np.sqrt(np.pi * s) * erfc(
-        (delta_a - mu) / np.sqrt(s)
-    )
-    return np.sum(w * np.pi / 4 * np.exp(-(amp * amp - mu * mu) / s) * tail, axis=-1)
-
-
-def _sector_mass(c: np.ndarray, s: float, delta_a: float) -> np.ndarray:
-    # Mass of each sector z at radii >= delta_a under the Gaussian centered at
-    # each c[x] with per-component variance s/2 (density
-    # exp(-|y-c|^2/s)/(pi s)), shape (len(c), 4).  The radial integral is
-    # analytic per angle; the angle takes one Gauss-Legendre rule for all
-    # signals and sectors, doubled from 32 to 512 nodes until two levels
-    # agree to SECTOR_TOL.
-    rule = partial(_sector_integrals, c, s, delta_a)
-    return refined(rule, (32, 64, 128, 256, 512), SECTOR_TOL, "sector quadrature") / (np.pi * s)
+def _sector_mass(a: float, s: float, delta_a: float) -> np.ndarray:
+    # Mass at radii >= delta_a of sector z under signal x, (4, 4), for the
+    # Gaussian exp(-|y - a i^x|^2/s)/(pi s), a >= 0.  It is m_d, d = z - x
+    # mod 4, and d = 1, 3 take the same operations on the same numbers, so
+    # the table is exactly circulant and mirror-symmetric.  The whole plane
+    # gives (p^2, pq, q^2, pq), as each sector is a quadrant in axes turned
+    # by pi/4, with p, q = erfc(-/+a/sqrt(2s))/2.  Expanding e^{2ar cos(theta)/s}
+    # in Bessel functions I_k, the disk holds sum_k Re(i^{kd}) sinc(k/4)/4 C_|k|
+    # of sector d, with u = a^2/s, x = delta_a^2/s and h = j + k/2:
+    #   C_k = int_0^x e^{-u-t} I_k(2 sqrt(ut)) dt,  0 <= C_k <= C_0 <= 1,
+    #       = e^{-u} sum_j u^h Gamma(h+1) P(h+1, x)/(j! (j+k)!).
+    # Truncation, w = sqrt(ux): at each t <= x the terms of I_k shrink by
+    # ut/((j+1)(j+k+1)) <= 1/4 per j from j = ceil(2w), and I_{k+1} <=
+    # sqrt(ut)/(k+1) I_k termwise, so C_k shrinks by <= 1/4 per k from
+    # k = ceil(4w).  32 more of each leave < 4^-32 C_0 per C_k, < 2e-19 in
+    # all, as the kept |sinc(k/4)/4| sum to < 3.2.  Skip: I_0(z) <= e^z bounds
+    # C_0 by e^{-(sqrt(u) - sqrt(x))^2} sqrt(x)/(sqrt(u) - sqrt(x)) < e^-746,
+    # which rounds to 0, once sqrt(u) - sqrt(x) > 27.3, as `check_radius`
+    # keeps x < 27.64.  So w < 172: at most 376 x 718 terms.
+    u, x = a * a / s, delta_a * delta_a / s
+    p, q = 0.5 * erfc(-a / math.sqrt(2 * s)), 0.5 * erfc(a / math.sqrt(2 * s))
+    share = np.zeros(4)
+    if x > 0 and math.sqrt(u) - math.sqrt(x) <= 27.3:
+        w = math.sqrt(u * x)
+        j = np.arange(math.ceil(2 * w) + 33)[:, None]
+        k = np.arange(math.ceil(4 * w) + 33)
+        h2 = 2 * j + k  # 2h
+        lg = gammaln(np.arange(2 * (j[-1, 0] + k[-1]) + 1) / 2 + 1)  # log Gamma(i/2 + 1)
+        if u > 0:
+            t = np.exp(h2 / 2 * math.log(u) - u + lg[h2] - lg[2 * j] - lg[2 * (j + k)])
+        else:  # a^2 underflowed: only u^0 = 1 survives
+            t = (h2 == 0).astype(float)
+        c = (t * lattice_gamma(x, (h2[-1, -1] + 1) // 2)[0][h2]).sum(axis=0)  # C_k
+        harmonic = np.where(k == 0, 1, 2) * sector_harmonic(k) * c  # k and -k
+        share = np.array([POWERS_OF_I[k * d % 4].real @ harmonic for d in range(4)])
+    mass = np.array([p * p, p * q, q * q, p * q]) - share
+    return mass[(np.arange(4) - np.arange(4)[:, None]) % 4]
 
 
 def discretization_distribution(ch: ChannelModel, det: DetectorModel, pp: ProtocolParams) -> np.ndarray:
     """P(x, z), the (4, 4) joint probability of signal x (prior 1/4) and key
     symbol z, the sector of the outcome's angle, over outcomes outside the
     central disk of radius delta_a.  Its sum is p_pass, the probability that
-    a round passes postselection; 4 P(x, z) is that of z given signal x."""
+    a round passes postselection; 4 P(x, z) is that of z given signal x.
+    The table is circulant and mirror-symmetric, exactly.  ValueError for
+    distinct arms or for a radius `observables.check_radius` refuses."""
     if not det.simple_case():
         raise ValueError("discretization implemented for identical detector arms")
-    signals = np.sqrt(det.eta_d * ch.eta_t) * np.array([pp.signal(x) for x in range(4)])
+    check_radius(det, pp.delta_a, pp.cutoff)
     # Per-quadrature outcome noise 1 + eta_d eta_t xi/2 + nu_el, in SNU.
     noise = 1.0 + 0.5 * (det.eta_d * ch.eta_t) * ch.xi + det.nu_el
-    cond = _sector_mass(signals, noise, pp.delta_a)
+    cond = _sector_mass(np.sqrt(det.eta_d * ch.eta_t) * pp.alpha, noise, pp.delta_a)
     if cond.min() < -1e-10:
         x, z = np.unravel_index(np.argmin(cond), cond.shape)
         raise RuntimeError(f"negative sector mass {cond[x, z]} at (x={x}, z={z})")

@@ -3,10 +3,10 @@
 Everything here is pure and deterministic.  Factorial ratios downstream go
 through log-gamma, since their factorial forms overflow past degree ~20.  The
 special functions are log-gamma (`gammaln`) and erfc, elementwise through
-`math`, and Gauss-Legendre rules (`gauss_legendre`), from Golub and Welsch's
-eigenproblem of the Legendre three-term recurrence.  `refined` is the one
-refine-until-two-levels-agree loop of the numeric quadratures (the key
-sectors and the distinct-arm regions).
+`math`, the incomplete gamma lattices of both key-map closed forms, regions
+and P(x, z) (`lattice_gamma`), and, for the distinct-arm polar grid alone,
+Gauss-Legendre rules (`gauss_legendre`, from Golub and Welsch's eigenproblem)
+refined until two levels agree (`refined`).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 __all__ = [
     "gammaln",
     "erfc",
+    "lattice_gamma",
     "gauss_legendre",
     "refined",
     "hermitize",
@@ -33,6 +34,9 @@ __all__ = [
 # relative entropies of rank-deficient states.
 CLAMP_REL = 1e-12
 
+POWERS_OF_I = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^k at k mod 4, exact
+POWERS_OF_I.setflags(write=False)
+
 _lgamma = np.frompyfunc(math.lgamma, 1, 1)
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
@@ -45,6 +49,24 @@ def gammaln(x):
 def erfc(x):
     """Complementary error function, elementwise; a scalar for scalar x."""
     return np.asarray(_erfc(x), dtype=float)[()]
+
+
+def lattice_gamma(x: float, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The regularized incomplete gamma pair P(s, x), Q(s, x) at s = 1, 3/2,
+    ..., N + 1, from the positive terms t_j = e^{-x} x^j / Gamma(j + 1),
+    j = 0, 1/2, 1, ...  On each lattice (integer j, half-integer j) Q(s) sums
+    the terms below s, plus Q(1/2, x) = erfc(sqrt(x)) on the half-integer one,
+    and P(s) the terms from s on.  Past j = max(2x, N + 1) each term is at
+    most half the one before, so 64 more take the tail below rounding.  At
+    x = 0, P = 0 and Q = 1 exactly."""
+    top = math.ceil(max(2 * x, N + 1)) + 64
+    j = np.arange(2 * top + 2).reshape(-1, 2) / 2  # columns: the two lattices
+    t = np.exp(j * math.log(x) - x - gammaln(j + 1)) if x > 0 else (j == 0).astype(float)
+    below = np.cumsum(t, axis=0)  # up to and including j
+    below[:, 1] += erfc(math.sqrt(x))
+    above = np.cumsum(t[::-1], axis=0)[::-1]  # from j on
+    # s runs over the flat positions 2 .. 2N + 2 of j; Q(s) sums up to s - 1.
+    return above.ravel()[2 : 2 * N + 3], below.ravel()[: 2 * N + 1]
 
 
 @lru_cache(maxsize=None)

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import DIM_A
-from .fock import hermitian_sqrt
+from .fock import POWERS_OF_I, hermitian_sqrt
 
 __all__ = ["PostprocessingMaps", "build_postprocessing_maps"]
 
@@ -56,9 +56,8 @@ __all__ = ["PostprocessingMaps", "build_postprocessing_maps"]
 # a region operator, that the maps accept.
 COVARIANCE_TOL = 1e-10
 
-_POWERS_OF_I = np.array([1.0, 1.0j, -1.0, -1.0j])
 # F[x, q] = i^{qx}/2, the register part of the basis change.
-_F = 0.5 * _POWERS_OF_I[np.outer(np.arange(DIM_A), np.arange(DIM_A)) % 4]
+_F = 0.5 * POWERS_OF_I[np.outer(np.arange(DIM_A), np.arange(DIM_A)) % 4]
 
 
 def _product_entries(a_t: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray, n_b: int) -> np.ndarray:
@@ -76,7 +75,7 @@ def _covariance_deviation(regions: tuple[np.ndarray, ...], turn: int) -> float:
     e^{-i turn pi n/2} and from the mirror image conj(R_z) = R_{-z},
     relative to the largest entry of a region operator."""
     stack = np.stack(regions)
-    phase = _POWERS_OF_I[(turn * np.arange(stack.shape[1])) % 4]
+    phase = POWERS_OF_I[(turn * np.arange(stack.shape[1])) % 4]
     turned = phase[:, None] * stack * phase.conj()[None, :]
     dev = max(np.max(np.abs(turned - np.roll(stack, -turn, axis=0))), np.max(np.abs(stack.conj() - stack[[0, 3, 2, 1]])))
     return float(dev / np.max(np.abs(stack)))
@@ -130,7 +129,7 @@ class PostprocessingMaps:
         reps = (0,) if quarter_turn else (0, 1)
         factors = []
         for r in reps:
-            turn = _POWERS_OF_I[(r * np.arange(n_b)) % 4]
+            turn = POWERS_OF_I[(r * np.arange(n_b)) % 4]
             root = hermitian_sqrt((turn.conj()[:, None] * regions[r] * turn[None, :]).real)
             e = _product_entries(eye_t, root, np.arange(DIM_A * n_b)[None, :, None], columns[:, None, :], n_b)
             sign = np.where((k[columns] - np.arange(n_blocks)[:, None]) % 4 == 2, (-1.0) ** r, 1.0)
@@ -171,7 +170,7 @@ class PostprocessingMaps:
         n_b = n // DIM_A
         m = np.zeros((n, n))
         m[self.columns[:, :, None], self.columns[:, None, :]] = blocks
-        d = _POWERS_OF_I[np.outer(np.arange(DIM_A), np.arange(n_b)) % 4]
+        d = POWERS_OF_I[np.outer(np.arange(DIM_A), np.arange(n_b)) % 4]
         t = np.einsum("xk,knlm,yl->xnym", _F.conj(), m.reshape(DIM_A, n_b, DIM_A, n_b), _F)
         return (t * (d[:, :, None, None] * d.conj()[None, None, :, :])).reshape(n, n)
 

@@ -12,17 +12,18 @@ the ideal detector included, and their central-disk complement are one
 closed form: the angular integrals are elementary, and each radial integral
 is a finite sum of positive terms, a gamma function times a regularized
 incomplete gamma function Q (outside the disk) or P (inside it), summed on
-the lattices of its orders 1, 3/2, ..., N + 1 (`_lattice_gamma`).  The ideal
+the lattices of its orders 1, 3/2, ..., N + 1 (`fock.lattice_gamma`).  The ideal
 detector is thermal occupation 0 of that sum, not a separate path.  Only the
 regions of distinct arms are numeric: they integrate the POVM over a tensor
 Gauss-Legendre grid in polar coordinates (radius times angle), refined by
 `fock.refined` until two levels agree.  Each grid is one call of the batched
 kernel `detector.povm_weighted_sum`, one matmul whatever the number of nodes.
-One rule refuses a radius the regions cannot resolve, with ValueError and
-before any work that grows with it: e^{-delta_a^2/(1 + max(nu1, nu2))} at
-most `fock.CLAMP_REL`.  That is the vacuum's mass outside the disk for
-identical arms and an upper bound on it for distinct arms, and any radius
-the rule admits lies inside the polar grid's outer radius.
+One rule (`check_radius`, which the channel's P(x, z) applies too) refuses a
+radius the regions cannot resolve, with ValueError and before any work that
+grows with it: e^{-delta_a^2/(1 + max(nu1, nu2))} at most `fock.CLAMP_REL`.
+That is the vacuum's mass outside the disk for identical arms and an upper
+bound on it for distinct arms, and any radius the rule admits lies inside
+the polar grid's outer radius.
 """
 
 from __future__ import annotations
@@ -34,11 +35,15 @@ from functools import partial
 import numpy as np
 
 from .detector import DetectorModel, povm_weighted_sum
-from .fock import CLAMP_REL, erfc, gammaln, gauss_legendre, hermitize, quadrature_operators, refined
+from .fock import (
+    CLAMP_REL, POWERS_OF_I, gammaln, gauss_legendre, hermitize, lattice_gamma, quadrature_operators, refined
+)
 
 __all__ = [
     "ObservableSet",
     "region_operators",
+    "sector_harmonic",
+    "check_radius",
     "moment_observables",
     "observable_set",
 ]
@@ -66,22 +71,10 @@ class ObservableSet:
             m.setflags(write=False)
 
 
-def _lattice_gamma(x: float, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """The regularized incomplete gamma pair P(s, x), Q(s, x) at s = 1, 3/2,
-    ..., N + 1, from the positive terms t_j = e^{-x} x^j / Gamma(j + 1),
-    j = 0, 1/2, 1, ...  On each lattice (integer j, half-integer j) Q(s) sums
-    the terms below s, plus Q(1/2, x) = erfc(sqrt(x)) on the half-integer one,
-    and P(s) the terms from s on.  Past j = max(2x, N + 1) each term is at
-    most half the one before, so 64 more take the tail below rounding.  At
-    x = 0, P = 0 and Q = 1 exactly."""
-    top = math.ceil(max(2 * x, N + 1)) + 64
-    j = np.arange(2 * top + 2).reshape(-1, 2) / 2  # columns: the two lattices
-    t = np.exp(j * math.log(x) - x - gammaln(j + 1)) if x > 0 else (j == 0).astype(float)
-    below = np.cumsum(t, axis=0)  # up to and including j
-    below[:, 1] += erfc(math.sqrt(x))
-    above = np.cumsum(t[::-1], axis=0)[::-1]  # from j on
-    # s runs over the flat positions 2 .. 2N + 2 of j; Q(s) sums up to s - 1.
-    return above.ravel()[2 : 2 * N + 3], below.ravel()[: 2 * N + 1]
+def sector_harmonic(k: np.ndarray) -> np.ndarray:
+    """sinc(k/4)/4 = (1/2pi) int_{|theta| < pi/4} e^{ik theta} d theta at
+    integers k: an exact 0 at k = 0 mod 4, k != 0."""
+    return np.where(k % 4 == 0, k == 0, np.sinc(k / 4)) / 4
 
 
 def _identical_arm_operators(det: DetectorModel, delta_a: float, N: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -93,7 +86,7 @@ def _identical_arm_operators(det: DetectorModel, delta_a: float, N: int) -> tupl
     |y| < delta_a (F = P) are, for m <= n,
         W_F[m, n] = sum_{i=0}^{m} sqrt(m!/n!) C(n, m-i) t^{m-i}
                     (1+nbar)^{-h/2} Gamma(h/2+1)/i! F(h/2+1, x),
-    with P, Q the regularized incomplete gamma pair (`_lattice_gamma`) and
+    with P, Q the regularized incomplete gamma pair (`fock.lattice_gamma`) and
     0^0 = 1, so nbar = 0 is the ideal detector.  Every term is positive, and
     writing nbar^{m-i} as t^{m-i} (1+nbar)^{m-i} keeps every factor below
     overflow.  With k = m - n, the sector's angular integral
@@ -103,14 +96,15 @@ def _identical_arm_operators(det: DetectorModel, delta_a: float, N: int) -> tupl
     their computed whole-plane mass W_Q[m, m] + W_P[m, m], 1 up to rounding.
     The diagonal is thus a ratio of sums of positive terms, accurate however
     small e^{-x} is, and exactly 1/4 at delta_a = 0, where P = 0.  i^{jk} is
-    read from the exact table (1, i, -1, -i) and sinc(k/4) is an exact 0 at
-    k = 0 mod 4, k != 0, so the regions are exactly covariant under the
-    quarter turn and the reflection, and their sum is exactly diagonal.  The disk complement is the diagonal W_P[m, m].
+    read from the exact table `fock.POWERS_OF_I` and sinc(k/4)/4 from
+    `sector_harmonic`, an exact 0 at k = 0 mod 4, k != 0, so the regions are
+    exactly covariant under the quarter turn and the reflection, and their
+    sum is exactly diagonal.  The disk complement is the diagonal W_P[m, m].
     """
     nbar = det.nbar_d
     s = np.arange(2 * N + 1) / 2 + 1
     x = delta_a * delta_a / (det.eta_d * (1 + nbar))
-    P, Q = _lattice_gamma(x, N)
+    P, Q = lattice_gamma(x, N)
     log_fact = gammaln(np.arange(N + 1) + 1.0)
     m, n, i = np.indices((N + 1,) * 3).reshape(3, -1)
     keep = (i <= m) & (m <= n)
@@ -132,8 +126,8 @@ def _identical_arm_operators(det: DetectorModel, delta_a: float, N: int) -> tupl
     w = w_q + np.triu(w_q, 1).T
     np.fill_diagonal(w, np.diag(w_q) / (np.diag(w_q) + disk))
     k = np.subtract.outer(np.arange(N + 1), np.arange(N + 1))
-    sector = np.where(k % 4 == 0, k == 0, np.sinc(k / 4)) / 4 * w
-    return tuple(np.array([1, 1j, -1, -1j])[j * k % 4] * sector for j in range(4)), disk
+    sector = sector_harmonic(k) * w
+    return tuple(POWERS_OF_I[j * k % 4] * sector for j in range(4)), disk
 
 
 def _polar_grid_integral(det: DetectorModel, N: int, r_lo, r_hi, th_lo, th_hi, nodes):
@@ -160,22 +154,28 @@ def _general_regions(det: DetectorModel, delta_a: float, N: int) -> tuple[np.nda
     return tuple(ops)
 
 
+def check_radius(det: DetectorModel, delta_a: float, N: int) -> None:
+    """ValueError unless delta_a is finite, >= 0 and resolvable at cutoff N
+    (module docstring)."""
+    if not 0.0 <= delta_a < np.inf:
+        raise ValueError(f"postselection radius must be finite and >= 0, got {delta_a}")
+    x = delta_a * delta_a / (1 + max(det.nu1, det.nu2))
+    if math.exp(-x) <= CLAMP_REL:
+        raise ValueError(f"delta_a = {delta_a} leaves the vacuum at most e^-{x:.4g} outside the disk at cutoff {N}")
+
+
 def region_operators(det: DetectorModel, delta_a: float, N: int) -> tuple[np.ndarray, ...]:
     """Key-map region operators R_0..R_3 in the truncated photon-number basis:
     the closed form for identical arms, the polar quadrature for distinct arms.
-    ValueError unless delta_a is finite, >= 0 and resolvable (module docstring).
+    ValueError unless delta_a passes `check_radius`.
 
     With delta_a = 0 the closed form resolves the identity exactly at every
     truncation: each diagonal is 1/4, and the off-diagonal entries of the
     sum are exact zeros (`_identical_arm_operators`).
     """
-    if not 0.0 <= delta_a < np.inf:
-        raise ValueError(f"postselection radius must be finite and >= 0, got {delta_a}")
+    check_radius(det, delta_a, N)
     if N < 1:
         raise ValueError("cutoff N must be >= 1")
-    x = delta_a * delta_a / (1 + max(det.nu1, det.nu2))
-    if math.exp(-x) <= CLAMP_REL:
-        raise ValueError(f"delta_a = {delta_a} leaves the vacuum at most e^-{x:.4g} outside the disk at cutoff {N}")
     if det.simple_case():
         return _identical_arm_operators(det, delta_a, N)[0]
     return _general_regions(det, delta_a, N)

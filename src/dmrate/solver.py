@@ -260,7 +260,7 @@ def solve(values: np.ndarray, problem: Problem, ec: tuple[float, float] = (0.0, 
     that meets the rows only to the interior-point tolerance; the reported
     rate still comes from the certified bound alone.  Raises ValueError
     unless delta_EC >= 0 and p_pass > 0, both finite (p_pass is not capped
-    at 1, which quadrature overshoots by ulps), or unless `values` is a
+    at 1, which a sum of masses can pass by ulps), or unless `values` is a
     finite (m,) array that keeps the relations among the problem's reduced
     rows, and InfeasibleError if the feasibility solve gives no start.
     """

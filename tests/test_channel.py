@@ -14,7 +14,7 @@ from dmrate.channel import (
 from dmrate.detector import DetectorModel
 from dmrate.fock import quadrature_operators
 from dmrate.observables import moment_observables
-from support.channel import pdf_outcome, simulated_conditional_state
+from support.channel import angular_distribution, pdf_outcome, simulated_conditional_state
 from support.fock import displaced_thermal_matrix
 
 DET = DetectorModel.simple(0.719, 0.01)
@@ -102,12 +102,25 @@ INFINITE[1, 2] = np.inf
             ),
             "identical detector arms",
         ),
+        # The region operators' radius rule, applied before any work.
+        (
+            lambda: discretization_distribution(ChannelModel(0.5, 0.01), DET, ProtocolParams(alpha=0.75, delta_a=6.0)),
+            "delta_a = 6.0 leaves the vacuum at most",
+        ),
         (lambda: ec_cost(UNIFORM, 0.0), "reconciliation efficiency"),
         (lambda: ec_cost(UNIFORM, 1.5), "reconciliation efficiency"),
         (lambda: ec_cost(NEGATIVE, 0.95), "cannot price the joint"),
         (lambda: ec_cost(INFINITE, 0.95), "cannot price the joint"),
     ],
-    ids=["moments", "distinct-arms-discretization", "beta-0", "beta-1.5", "negative-joint", "infinite-joint"],
+    ids=[
+        "moments",
+        "distinct-arms-discretization",
+        "unresolvable-radius-discretization",
+        "beta-0",
+        "beta-1.5",
+        "negative-joint",
+        "infinite-joint",
+    ],
 )
 def test_inputs_outside_the_model_raise(call, match):
     with pytest.raises(ValueError, match=match):
@@ -255,7 +268,7 @@ class TestDiscretization:
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_against_raw_2d_quadrature(self):
-        # The sector rule against adaptive 2-D quadrature of the outcome
+        # The sector masses against adaptive 2-D quadrature of the outcome
         # density, over postselection radii and the sharply peaked strong
         # signal of test_strong_signal_limit; r_max leaves < 1e-20 mass out.
         cases = [(self.CH, DET, ProtocolParams(alpha=0.75, delta_a=da), 10.0) for da in (0.0, 0.5, 1.5)]
@@ -273,14 +286,47 @@ class TestDiscretization:
                 )
                 assert cond[x, z] == pytest.approx(ref, abs=1e-9)
 
-    def test_unconverged_rule_raises(self, monkeypatch):
-        # No two Gauss-Legendre levels agree to a zero tolerance.
-        monkeypatch.setattr(channel, "SECTOR_TOL", 0.0)
-        with pytest.raises(RuntimeError, match="sector quadrature did not converge"):
-            discretization_distribution(self.CH, DET, ProtocolParams(alpha=0.75))
+    @pytest.mark.parametrize("det", [DET, DetectorModel.ideal()], ids=["trusted", "ideal"])
+    def test_against_angular_rule(self, det):
+        # The closed form against the angular Gauss-Legendre rule it
+        # replaced, over amplitudes, distances and radii up to 5.
+        for alpha in (0.05, 0.35, 0.75, 1.5, 3.0, 5.0):
+            for distance_km in (0.0, 20.0, 50.0, 100.0):
+                ch = ChannelModel.from_distance(distance_km, 0.01)
+                for delta_a in (0.0, 0.2, 0.5, 1.0, 2.0, 3.5, 5.0):
+                    pp = ProtocolParams(alpha=alpha, delta_a=delta_a)
+                    got, want = discretization_distribution(ch, det, pp), angular_distribution(ch, det, pp)
+                    assert np.max(np.abs(got - want)) <= 1e-14, (alpha, distance_km, delta_a)
+
+    @pytest.mark.parametrize(
+        "distance_km, delta_a, alpha",
+        [(20.0, 0.4, 0.7), (0.0, 0.0, 0.35), (0.0, 0.0, 0.75), (0.0, 0.0, 1.5), (50.0, 1.2, 0.9), (5.0, 5.0, 2.0)],
+    )
+    def test_exactly_circulant_and_mirror_symmetric(self, distance_km, delta_a, alpha):
+        # P(x, z) depends on z - x mod 4 alone, and is even in it: the
+        # quarter turn and the reflection of the constellation, exactly.
+        joint = discretization_distribution(
+            ChannelModel.from_distance(distance_km, 0.01), DET, ProtocolParams(alpha=alpha, delta_a=delta_a)
+        )
+        r = np.arange(4)
+        assert np.array_equal(joint, joint[np.ix_((r + 1) % 4, (r + 1) % 4)])
+        assert np.array_equal(joint, joint[np.ix_(-r % 4, -r % 4)])
+
+    @pytest.mark.parametrize("alpha", [100.0, 200.0, 400.0])
+    def test_strong_signal_passes_everything(self, alpha):
+        # Without postselection every round passes, however sharp the peak.
+        joint = discretization_distribution(ChannelModel.from_distance(0.0, 0.01), DET, ProtocolParams(alpha=alpha))
+        assert joint.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_vanishing_signal(self):
+        # alpha^2 underflows to 0: the outcome is centred noise, so every
+        # sector keeps a quarter of the mass e^{-delta_a^2/s} outside the disk.
+        s = 1 + 0.5 * DET.eta_d * self.CH.eta_t * self.CH.xi + DET.nu_el
+        joint = discretization_distribution(self.CH, DET, ProtocolParams(alpha=1e-170, delta_a=1.0))
+        np.testing.assert_allclose(joint, np.exp(-1.0 / s) / 16, rtol=1e-14, atol=0)
 
     def test_negative_sector_mass_raises(self, monkeypatch):
-        # A mass below -1e-10 is a failed quadrature, not rounding to clip.
+        # A mass below -1e-10 is a fault, not rounding to clip.
         mass = np.full((4, 4), 0.25)
         mass[1, 2] = -1e-6
         monkeypatch.setattr(channel, "_sector_mass", lambda c, s, delta_a: mass)

@@ -11,10 +11,10 @@ from dmrate.fock import (
     gammaln,
     gauss_legendre,
     hermitian_sqrt,
+    lattice_gamma,
     quadrature_operators,
     refined,
 )
-from dmrate.observables import _lattice_gamma
 from support.fock import coherent_state_vector, displaced_thermal_matrix, laguerre
 from support.maps import hermitian_log
 
@@ -62,17 +62,17 @@ class TestSpecialFunctions:
         for N in range(2, 21):
             s = np.arange(2 * N + 1) / 2 + 1
             for x in np.geomspace(1e-12, 100.0, 200):
-                p, q = _lattice_gamma(x, N)
+                p, q = lattice_gamma(x, N)
                 np.testing.assert_allclose(p, special.gammainc(s, x), rtol=1e-13, atol=0, err_msg=f"P, x={x}")
                 np.testing.assert_allclose(q, special.gammaincc(s, x), rtol=1e-13, atol=0, err_msg=f"Q, x={x}")
 
     def test_regularized_gamma_shapes_and_edges(self):
         for N in (1, 2, 7, 20):
-            p, q = _lattice_gamma(0.0, N)
+            p, q = lattice_gamma(0.0, N)
             assert p.shape == q.shape == (2 * N + 1,)
             assert (p == 0.0).all() and (q == 1.0).all()
             for x in (0.5, 7.0, 40.0):
-                p, q = _lattice_gamma(x, N)
+                p, q = lattice_gamma(x, N)
                 assert p.shape == q.shape == (2 * N + 1,)
                 # P and Q are separate sums, each held to 1e-13 against scipy
                 # above, so they add to 1 to that accuracy, not to one ulp.
@@ -91,8 +91,8 @@ class TestSpecialFunctions:
         np.testing.assert_allclose(gammaln(np.arange(1, 40)), special.gammaln(np.arange(1, 40)), rtol=1e-13, atol=0)
         assert np.ndim(gammaln(3)) == 0
 
-    # The small rules, and every rule the package uses: the polar patches
-    # take 24..120 nodes, the key sectors 32..512.
+    # The small rules, every rule the package uses (the polar patches take
+    # 24..120 nodes) and the 32..512 of the sector oracle in the tests.
     @pytest.mark.parametrize("n", [1, 2, 3, 24, 32, 36, 48, 60, 64, 72, 96, 120, 128, 256, 512])
     def test_gauss_legendre_against_numpy(self, n):
         x, w = gauss_legendre(n)

@@ -219,7 +219,7 @@ class TestKeyRate:
             solve(values, problem, ec)
 
     def test_p_pass_not_capped_at_one(self):
-        # At delta_a = 0 the sector quadrature's p_pass overshoots 1 by ulps.
+        # A sum of sector masses can round to a few ulps above 1.
         values, problem = setup_problem(cutoff=4)
         res = solve(values, problem, (0.0, 1.0000000000000027))
         assert res.p_pass == 1.0000000000000027
