@@ -29,9 +29,9 @@ __all__ = [
     "hermitian_sqrt",
 ]
 
-# Relative eigenvalue floor of the clamped logs in `entropy` (and, mirrored
-# at zero, of the matrix sqrt).  Mirrors the usual perturbation trick for
-# relative entropies of rank-deficient states.
+# A relative floor for three rules: the eigenvalues of `entropy`'s clamped
+# logs (rank-deficient states), those `hermitian_sqrt` zeroes, and the vacuum
+# mass outside the disk a radius must exceed in `observables.check_radius`.
 CLAMP_REL = 1e-12
 
 POWERS_OF_I = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^k at k mod 4, exact

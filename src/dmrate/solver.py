@@ -20,22 +20,17 @@ interior-point solver; the subproblem's dual vector, repaired to exact dual
 feasibility by shifting the coordinate of row 0, the trace, turns the
 linearization into a valid lower bound on the true minimum (weak duality +
 convexity), whether or not the states meet the rows.  The subproblems, the
-bound and the closing correction all read the stated values of the kept rows.
-The step toward the subproblem's state comes from one golden-section search
-over logit t = ln(t / (1 - t)), as steps span many decades near 0 and 1.
-The best bound over all iterations is reported, so even a run stopped at the
+bound and `_gibbs` all read the stated values of the kept rows.  The step
+toward the subproblem's state comes from one golden-section search over
+logit t = ln(t / (1 - t)), as steps span many decades near 0 and 1.  The
+best bound over all iterations is reported, so even a run stopped at the
 iteration cap, or by a subproblem that fails its usability check
-("subproblem_failure"), is certified.  The start is a feasibility solve,
-one interior-point solve whose objective is the trace row.  One correction
-moves a state onto the rows, in its own metric, and it serves twice: it
-turns that solve's point into the start, and the last iterate into the
-returned state (or the start is returned where it fails), so the primal
-value is taken at a state that meets the rows exactly and stays above the
-bound.  Atoms are used as the subproblem returns them.  If no PSD state near
-the feasibility solve's point meets the kept rows (the closure check covers
-the rest), the solve raises InfeasibleError.  The returned state is lifted
-back to A (x) B, and its residual is taken against every row of the
-problem, from the factors.
+("subproblem_failure"), is certified.  One Newton solve, `_gibbs`, puts a
+state on the kept rows twice: the start is the maximum-entropy state on them
+(else InfeasibleError), and the returned state the last iterate's
+I-projection (else the start), so the primal value is taken on the rows,
+above the bound; lifted back to A (x) B, its residual is taken against every
+row of the problem, from the factors.
 """
 
 from __future__ import annotations
@@ -69,14 +64,13 @@ CLOSURE_TOL = 1e-9
 # largest belong to exact dependencies (the trace is the sum of the ptrace-d
 # rows); closure bounds a unit row's squared norm outside their span by it too.
 RANK_CUT = 1e-12
+NEWTON_STEPS = 200  # trial points of every `_gibbs` solve, halved steps included
 
 
 class InfeasibleError(RuntimeError):
-    """No PSD state near the feasibility solve's point meets the kept rows,
-    so the solve has no start point.  A feasible state may exist all the
-    same, e.g. at some inputs with xi = 0 and trusted noise, where the set
-    is thin.  `max_residual` is the largest kept-row residual of the
-    feasibility solve's point."""
+    """`_gibbs` found no state on the kept rows; one may exist all the same
+    where the set has no interior, as at some inputs with xi = 0 and trusted
+    noise.  `max_residual` is the largest kept-row residual of its last one."""
 
     def __init__(self, message: str, max_residual: float):
         super().__init__(f"{message} (max constraint residual {max_residual:.3e})")
@@ -88,14 +82,16 @@ class KeyRateResult:
     """One solve, in bits.  `rate` is max(0, lower_bound - p_pass delta_ec),
     or 0 without a bound, with `lower_bound` the best certified bound of the
     run and (`delta_ec`, `p_pass`) the solve's `ec` pair: (0, 1) by default,
-    `channel.ec_cost` of the key map's P(x, z) in `evaluate_point`.  `rho`
-    is the last iterate on A (x) B after the closing correction onto the
-    rows, or the start where that correction fails; `primal_value` is its
-    objective.  `status`: "converged" (gap below GAP_TOL), "converged_bound"
-    (bound plateau), "converged_approx" or the uncertified "stalled" (no
-    descent at a small or a large gap), "rate_zero" (primal below p_pass
-    delta_ec), "subproblem_failure" or "max_iters".  `constraint_residual`
-    is the largest |Tr(rho Gamma_i) - c_i| over every row of the problem."""
+    `channel.ec_cost` of the key map's P(x, z) in `evaluate_point`.  `rho`,
+    on A (x) B, is the last iterate's I-projection onto the rows (the start
+    where that fails), `primal_value` its objective, `constraint_residual`
+    its largest |Tr(rho Gamma_i) - c_i| over every row of the problem, and
+    `primal_history` the objective at the start and after each step.  After
+    `iterations` Frank-Wolfe iterations, the last of gap `gap`, `status` is
+    "converged" (gap below GAP_TOL), "converged_bound" (bound plateau),
+    "converged_approx" or "stalled" (no descent at a small or a large gap),
+    "rate_zero" (primal below p_pass delta_ec), "subproblem_failure" or
+    "max_iters"; `certified` means a bound was found and it is not "stalled"."""
 
     primal_value: float
     lower_bound: float
@@ -205,33 +201,40 @@ def _line_search(phi) -> tuple[float, float]:
     return (logistic(u1), f1) if f1 <= f2 else (logistic(u2), f2)
 
 
-def _residual(ops: np.ndarray, rho: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(ops.reshape(len(b), -1) @ rho.ravel() - b)))
-
-
-def _scaled_correction(sigma: np.ndarray, ops: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """sigma corrected onto A(sigma) = b in its own metric, PSD, or None.
-    The step sigma A*(z) sigma = sigma^1/2 (sigma^1/2 A*(z) sigma^1/2) sigma^1/2
-    moves each eigendirection in proportion to its eigenvalue, so a
-    correction small against the state keeps it PSD; a plain projection
-    leaves the cone near a face, and alternating projection crawls back
-    only slowly.  A second step removes what rounding leaves of the first,
-    whose linear system is ill-conditioned near a face; on a thin set up to
-    two more follow while the residual is above 1e-13."""
-    m = len(b)
-    flat = ops.reshape(m, -1)
-    for step in range(4):
-        if step >= 2 and _residual(ops, sigma, b) <= 1e-13:
-            break
-        scaled = sigma @ ops @ sigma
+def _gibbs(exponent: float | np.ndarray, ops: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sigma = exp(exponent + sum_i y_i A_i), blockwise, at the y maximizing
+    the concave g(y) = b.y - Tr sigma, whose gradient is the residual
+    r = b - A(sigma): the state on the kept rows nearest exp(exponent) in
+    relative entropy (Jaynes, Phys. Rev. 106, 620 (1957)).  Newton from y, one
+    trial point y + t step a pass, halving t where g rises too little (it is
+    -inf where exp would overflow), unless rounding hides the rise (r.step <
+    1e-12).  InfeasibleError unless |r| reaches 1e-13 before r.step is 1e-26."""
+    t, step, dec, g = 0.0, 0.0, 0.0, -np.inf
+    for _ in range(NEWTON_STEPS):
+        w, u = np.linalg.eigh(exponent + np.tensordot(y + t * step, ops, axes=1))
+        g_t = float(b @ (y + t * step) - np.sum(np.exp(w))) if w.max() < 700.0 else -np.inf
+        if not (g_t >= g + 0.25 * t * dec or (dec < 1e-12 and g_t > -np.inf)):
+            t /= 2.0
+            continue
+        y, g = y + t * step, g_t
+        sigma = (u * np.exp(w)[..., None, :]) @ u.swapaxes(-1, -2)
+        r = b - np.tensordot(ops, sigma, axes=3)
+        if np.max(np.abs(r)) <= 1e-13:
+            return sigma
+        # The Hessian <A_i, Dexp[A_j]> from exp's divided differences in the
+        # eigenbasis, each e^max(a, b) (1 - e^-|a - b|) / |a - b|, e^a at a = b.
+        rot = (u.swapaxes(-1, -2) @ ops @ u).reshape(len(b), -1)
+        gap = np.abs(w[..., :, None] - w[..., None, :])
+        div = np.divide(-np.expm1(-gap), gap, out=np.ones_like(gap), where=gap > 0)
+        div *= np.exp(np.maximum(w[..., :, None], w[..., None, :]))
         try:
-            z = np.linalg.solve(scaled.reshape(m, -1) @ flat.T, b - flat @ sigma.ravel())
-        except np.linalg.LinAlgError:
-            return None
-        sigma = hermitize(sigma + np.tensordot(z, scaled, axes=1))
-    if _residual(ops, sigma, b) > 1e-13 or np.linalg.eigvalsh(sigma).min() < -1e-12:
-        return None
-    return sigma
+            step = np.linalg.solve((rot * div.ravel()) @ rot.T, r)
+        except np.linalg.LinAlgError:  # singular, as where the set has no interior
+            break
+        t, dec = 1.0, float(r @ step)
+        if not dec >= 1e-26:
+            break
+    raise InfeasibleError("no state meets the kept rows", float(np.max(np.abs(r))))
 
 
 def _repaired_dual(grad: np.ndarray, ops: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -262,7 +265,7 @@ def solve(values: np.ndarray, problem: Problem, ec: tuple[float, float] = (0.0, 
     unless delta_EC >= 0 and p_pass > 0, both finite (p_pass is not capped
     at 1, which a sum of masses can pass by ulps), or unless `values` is a
     finite (m,) array that keeps the relations among the problem's reduced
-    rows, and InfeasibleError if the feasibility solve gives no start.
+    rows, and InfeasibleError if no maximum-entropy state meets the rows.
     """
     delta_ec, p_pass = ec
     if not (0.0 <= delta_ec < math.inf and 0.0 < p_pass < math.inf):
@@ -278,13 +281,8 @@ def solve(values: np.ndarray, problem: Problem, ec: tuple[float, float] = (0.0, 
         i = int(np.argmax(mismatch))
         raise ValueError(f"constraint values are not invariant under the symmetry group (row {problem.labels[i]!r})")
     maps, ops, b = problem.maps, problem.ops, values[problem.kept]
-    # Tr rho is 1 on the feasible set, so this objective chooses nothing:
-    # the solve finds a point that meets the rows to the IPM tolerance, and
-    # the scaled correction makes it exact and PSD.
-    pre = solve_sdp(ops[0], ops, b)
-    rho = _scaled_correction(pre.x, ops, b)
-    if rho is None:
-        raise InfeasibleError("no feasible state found", _residual(ops, pre.x, b))
+    # Row 0 is the trace, so the start's Newton solve sets out from 1/(K d).
+    rho = _gibbs(0.0, ops, b, -math.log(ops.shape[1] * ops.shape[2]) * np.eye(len(b))[0])
 
     f, grad = objective_with_gradient(rho, maps)
     start = rho, f
@@ -334,12 +332,14 @@ def solve(values: np.ndarray, problem: Problem, ec: tuple[float, float] = (0.0, 
         f, grad = objective_with_gradient(rho, maps)
         history.append(f)
 
-    # The iterate meets the rows only to its atoms' interior-point
-    # tolerance, and a residual r can take f below the minimum by |y| r.
-    # The scaled correction makes it exact and keeps it PSD; where it fails,
-    # the start gives a looser primal at a state that meets the rows.
-    exact = _scaled_correction(rho, ops, b)
-    rho, f = start if exact is None else (exact, objective_with_gradient(exact, maps)[0])
+    # The iterate meets the rows only to its atoms' IPM tolerance, which can
+    # take f below the minimum; rounding leaves eigenvalues at or below 0.
+    w, u = np.linalg.eigh(rho)
+    try:
+        rho = _gibbs((u * np.log(np.maximum(w, 1e-300))[..., None, :]) @ u.swapaxes(-1, -2), ops, b, np.zeros(len(b)))
+        f = objective_with_gradient(rho, maps)[0]
+    except InfeasibleError:
+        rho, f = start
     rho = maps.lift(rho)
     residual = float(np.max(np.abs(problem.residuals(rho, values))))
     lower = best_lower if best_lower > -np.inf else np.nan

@@ -81,27 +81,30 @@ class TestSolve:
 class TestFailedChecks:
     # A subproblem check that fails ends the run, but the subproblem's dual
     # vector, once repaired, still certifies a bound.  The closing
-    # correction is spoiled as well (every call after the first, which
-    # makes the start), so the start is returned in place of the iterate.
+    # I-projection is spoiled as well (every `_gibbs` call after the first,
+    # which makes the start), so the start is returned in place of the iterate.
     @pytest.mark.parametrize("loosen", [{"status": "stalled", "primal_residual": 1e-3}], ids=["subproblem"])
     def test_bound_survives_failed_check(self, monkeypatch, loosen):
         values, problem = setup_problem(cutoff=5)
         solve_sdp_exact = solver.solve_sdp
-        scaled_correction = solver._scaled_correction
+        gibbs = solver._gibbs
         calls = []
 
         def loose_solve_sdp(*args, **kwargs):
             return replace(solve_sdp_exact(*args, **kwargs), **loosen)
 
-        def start_only(sigma, ops, b):
-            calls.append(sigma)
-            return scaled_correction(sigma, ops, b) if len(calls) == 1 else None
+        def start_only(*args):
+            calls.append(args)
+            if len(calls) > 1:
+                raise InfeasibleError("spoiled", np.inf)
+            return gibbs(*args)
 
         monkeypatch.setattr(solver, "solve_sdp", loose_solve_sdp)
-        monkeypatch.setattr(solver, "_scaled_correction", start_only)
+        monkeypatch.setattr(solver, "_gibbs", start_only)
         res = solve(values, problem)
         assert res.status == "subproblem_failure"
         assert res.iterations == 1
+        assert len(calls) == 2
         assert np.isfinite(res.lower_bound)
         assert res.certified
         assert res.constraint_residual <= 1e-12
@@ -111,9 +114,10 @@ class TestFailedChecks:
 class TestSanityRuns:
     def test_xi_zero_raises_only_with_trusted_noise(self):
         # With no excess noise and trusted detector noise the truncated set
-        # is at best thin: at these inputs no PSD state near the feasibility
-        # solve's point meets the rows.  Untrusted noise reads the same data
-        # as an ideal detector's, and there a start is found.
+        # is at best thin: at these inputs the Newton solve of the start
+        # finds no state on the rows, at 0 km on a singular Hessian.
+        # Untrusted noise reads the same data as an ideal detector's, and
+        # there a start is found.
         pp = ProtocolParams(alpha=0.75, cutoff=8)
         for det, distance in ((DetectorModel.ideal(), 0.0), (DET, 20.0)):
             with pytest.raises(InfeasibleError):
@@ -124,19 +128,21 @@ class TestSanityRuns:
 
     @pytest.mark.parametrize("det", [DET, DetectorModel.ideal()], ids=["trusted", "ideal"])
     def test_thin_set_returns_a_state_on_the_rows(self, det):
-        # At xi = 1e-4 the truncated set is thin, and the closing correction
-        # of the last iterate fails at 20 km; the start, returned in its
-        # place, meets the rows and keeps the primal above the bound.
+        # At xi = 1e-4 the truncated set is thin.  The last iterate's
+        # I-projection onto the rows still succeeds at 20 km, so the primal
+        # is taken near the minimum, 1e-7 to 1e-6 bits above the bound, not
+        # at the start, whose primal is 1.5e-4 to 1.8e-4 above it.
         pp = ProtocolParams(alpha=0.75, cutoff=8)
         res = evaluate_point(ChannelModel.from_distance(20.0, 1e-4), det, pp, "trusted")
         assert res.lower_bound <= res.primal_value + 1e-10
+        assert res.primal_value - res.lower_bound <= 1e-5
         assert res.constraint_residual <= 1e-12
 
-    def test_thin_set_start_takes_a_third_correction_step(self):
-        # At xi = 1e-4, 50 km, cutoff 8 the feasibility solve stalls 4.5e-7
-        # off the rows, and two correction steps leave 1.9e-13, above the
-        # 1e-13 the start must meet; a third leaves 2.2e-16, and the point
-        # is certified.  With two steps it raised InfeasibleError.
+    def test_thin_set_at_50_km_is_certified(self):
+        # At xi = 1e-4, 50 km, cutoff 8 the set is thin enough that a start
+        # corrected from an interior-point solve's point once missed the
+        # rows and raised InfeasibleError; the maximum-entropy start meets
+        # them, and the point is certified.
         pp = ProtocolParams(alpha=0.75, cutoff=8)
         res = evaluate_point(ChannelModel.from_distance(50.0, 1e-4), DET, pp, "trusted")
         assert res.certified
@@ -276,82 +282,105 @@ class TestPipeline:
 
 
 class TestFeasibleStart:
-    def test_scaled_correction_on_thin_set(self):
-        # A thin feasible set: X >= 0 on 2 x 2 with X_11 = 0.99 and trace 1,
-        # so |X_12| <= 0.0995.  From X_12 = 0.1, outside the cone, the
-        # correction fails; from a PSD point 1e-4 off the rows it meets them.
-        ops = np.array([np.eye(2)[None], np.diag([1.0, 0.0])[None]])
-        b = np.array([1.0, 0.99])
-        outside = np.array([[[0.99, 0.1], [0.1, 0.01]]])
-        assert solver._scaled_correction(outside, ops, b) is None
-        near = np.array([[[0.99 + 1e-4, 0.05], [0.05, 0.01]]])
-        assert np.linalg.eigvalsh(near).min() > 0.0
-        start = solver._scaled_correction(near, ops, b)
-        assert start is not None
-        assert solver._residual(ops, start, b) <= 1e-13
-        assert np.linalg.eigvalsh(start).min() >= 0.0
+    # A thin feasible set: X >= 0 on 2 x 2 with trace 1 and X_11 = x11, so
+    # |X_12| <= sqrt(x11 (1 - x11)): none but diag(1, 0) at x11 = 1, and
+    # none at all past it.
+    OPS = np.array([np.eye(2)[None], np.diag([1.0, 0.0])[None]])
+    START = np.array([-np.log(2.0), 0.0])
 
-    def test_scaled_correction_from_zero(self):
-        # A zero sigma makes the scaled Gram matrix zero, so its linear
-        # solve is singular: the correction reports None instead of raising.
-        ops = np.array([np.eye(2)[None], np.diag([1.0, 0.0])[None]])
+    def test_gibbs_on_thin_set(self):
+        # The state meets the rows, is positive definite, and is the
+        # exponential of a combination of the rows.
         b = np.array([1.0, 0.99])
-        assert solver._scaled_correction(np.zeros((1, 2, 2)), ops, b) is None
+        sigma = solver._gibbs(0.0, self.OPS, b, self.START)
+        assert np.max(np.abs(np.einsum("ikab,kab->i", self.OPS, sigma) - b)) <= 1e-13
+        w, u = np.linalg.eigh(sigma)
+        assert w.min() > 0.0
+        log_sigma = (u * np.log(w)[..., None, :]) @ u.swapaxes(-1, -2)
+        y = np.linalg.lstsq(self.OPS.reshape(2, -1).T, log_sigma.ravel(), rcond=None)[0]
+        assert np.allclose(np.tensordot(y, self.OPS, axes=1), log_sigma, atol=1e-12)
+
+    def test_gibbs_raises_where_no_state_meets_the_rows(self):
+        # Just past x11 = 1 every state misses the rows by 5e-10 or more,
+        # and the Hessian turns singular as the Gibbs state's small
+        # eigenvalue underflows: the solve raises instead of returning a
+        # state off the rows.  At x11 = 1, where the set has no interior,
+        # Gibbs states approach its one state to within the tolerance.
+        with pytest.raises(InfeasibleError) as err:
+            solver._gibbs(0.0, self.OPS, np.array([1.0, 1.0 + 1e-9]), self.START)
+        assert err.value.max_residual >= 5e-10
+        sigma = solver._gibbs(0.0, self.OPS, np.array([1.0, 1.0]), self.START)
+        assert np.max(np.abs(sigma - np.diag([1.0, 0.0]))) <= 1e-13
 
     @pytest.mark.parametrize("mode", ["trusted", "untrusted"])
     def test_start_meets_the_stated_values(self, monkeypatch, mode):
         # The subproblems read the stated values of the kept rows, which is
         # sound because the start point meets them to rounding.  The first
-        # scaled correction of a solve makes the start, the last closes it.
+        # `_gibbs` call of a solve makes the start, the last closes it.
         values, problem = setup_problem(cutoff=5, mode=mode)
-        scaled_correction = solver._scaled_correction
+        gibbs = solver._gibbs
         calls = []
 
-        def traced_correction(sigma, ops, b):
-            exact = scaled_correction(sigma, ops, b)
-            calls.append((ops, exact, b))
-            return exact
+        def traced_gibbs(exponent, ops, b, y):
+            sigma = gibbs(exponent, ops, b, y)
+            calls.append((ops, sigma, b))
+            return sigma
 
-        monkeypatch.setattr(solver, "_scaled_correction", traced_correction)
+        monkeypatch.setattr(solver, "_gibbs", traced_gibbs)
         solve(values, problem)
         ops, start, b = calls[0]
-        assert start is not None
-        assert solver._residual(ops, start, b) <= 1e-13
+        assert len(calls) == 2
+        assert np.max(np.abs(ops.reshape(len(b), -1) @ start.ravel() - b)) <= 1e-13
 
     @pytest.mark.parametrize(
         "det", [DET, DetectorModel(0.70, 0.74, 0.01, 0.02)], ids=["quarter-turn", "half-turn"]
     )
-    def test_start_solve_takes_the_trace_row(self, monkeypatch, det):
-        # Tr rho, row 0, is 1 on the feasible set, so the first interior-point
-        # solve of `solve`, whose objective is that row, only finds a point
-        # that meets the rows.  The row reduces to exactly the identity blocks.
+    def test_start_is_the_maximum_entropy_state(self, monkeypatch, det):
+        # The start is exp(sum_i y_i Gamma_i) from y = (-ln(K d), 0, ...),
+        # whose trace row reduces to exactly the identity blocks: it meets
+        # the kept rows, and no state on them, the returned one included,
+        # has more entropy.  No interior-point solve is spent on it, so the
+        # first subproblem's objective is the gradient at the start.
         pp = ProtocolParams(alpha=0.75, delta_a=0.5, cutoff=5)
         obs, problem = point_artifacts(det, pp, "trusted")
         stats = simulate_statistics(ChannelModel.from_distance(20.0, 0.01), det, pp)
         values = build_constraints(stats, obs, pp, "trusted")
-        ops = problem.ops
+        ops, b = problem.ops, values[problem.kept]
         identity = np.broadcast_to(np.eye(ops.shape[-1]), ops.shape[1:])
         assert problem.maps.quarter_turn == (det == DET)
         assert problem.labels[0] == "trace" and problem.kept[0] == 0 and values[0] == 1.0
         assert np.array_equal(ops[0], identity)
 
-        solve_sdp_exact = solver.solve_sdp
-        objectives = []
+        gibbs, solve_sdp_exact = solver._gibbs, solver.solve_sdp
+        starts, objectives = [], []
+
+        def traced_gibbs(*args):
+            starts.append(gibbs(*args))
+            return starts[-1]
 
         def recorded(c_mat, ops, b):
             objectives.append(c_mat)
             return solve_sdp_exact(c_mat, ops, b)
 
+        monkeypatch.setattr(solver, "_gibbs", traced_gibbs)
         monkeypatch.setattr(solver, "solve_sdp", recorded)
-        solve(values, problem)
-        assert np.array_equal(objectives[0], identity)
+        res = solve(values, problem)
+        start = starts[0]
+        assert np.max(np.abs(ops.reshape(len(b), -1) @ start.ravel() - b)) <= 1e-13
+
+        def entropy(w):
+            w = w[w > 0]
+            return -float(np.sum(w * np.log(w)))
+
+        assert entropy(np.linalg.eigvalsh(start).ravel()) >= entropy(np.linalg.eigvalsh(res.rho))
+        assert np.array_equal(objectives[0], solver.objective_with_gradient(start, problem.maps)[1])
 
 
 class TestProperties:
     # derandomize alone would seed the draw from a hash of this test's source,
     # so any edit here would reshuffle the examples; @seed fixes them, and
-    # derandomize keeps the example database out.  The pinned thin-set input
-    # needs the start's third correction step.
+    # derandomize keeps the example database out.  The pinned input, a thin
+    # set at 0 km with xi = 0.001, once failed the property.
     @settings(max_examples=20, deadline=None, derandomize=True)
     @seed(0)
     @example(alpha=0.6379, distance=0.0, xi=0.001, delta_a=0.0, mode="trusted", eta_d=1.0, nu_el=0.0)
