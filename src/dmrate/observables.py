@@ -14,10 +14,14 @@ is a finite sum of positive terms, a gamma function times a regularized
 incomplete gamma function Q (outside the disk) or P (inside it), summed on
 the lattices of its orders 1, 3/2, ..., N + 1 (`fock.lattice_gamma`).  The ideal
 detector is thermal occupation 0 of that sum, not a separate path.  Only the
-regions of distinct arms are numeric: they integrate the POVM over a tensor
-Gauss-Legendre grid in polar coordinates (radius times angle), refined by
-`fock.refined` until two levels agree.  Each grid is one call of the batched
-kernel `detector.povm_weighted_sum`, one matmul whatever the number of nodes.
+regions of distinct arms are numeric, and only two of them: sectors 0 and 1
+integrate the POVM over a tensor Gauss-Legendre grid in polar coordinates
+(radius times angle), refined by `fock.refined` until two levels agree, and
+the half turn S = diag((-1)^n) gives the other two, R_2 = S R_0 S and
+R_3 = S R_1 S, so the regions are exactly covariant under the half turn and
+the reflection (`_general_regions`).  Each grid is one call of the batched
+kernel `detector.povm_weighted_sum`, one real GEMM whatever the number of
+nodes.
 One rule (`check_radius`, which the channel's P(x, z) applies too) refuses a
 radius the regions cannot resolve, with ValueError and before any work that
 grows with it: e^{-delta_a^2/(1 + max(nu1, nu2))} at most `fock.CLAMP_REL`.
@@ -144,14 +148,21 @@ def _polar_grid_integral(det: DetectorModel, N: int, r_lo, r_hi, th_lo, th_hi, n
 
 
 def _general_regions(det: DetectorModel, delta_a: float, N: int) -> tuple[np.ndarray, ...]:
-    # Each sector's patch is refined from 48 x 24 to 120 x 60 nodes until two levels agree to POLAR_TOL.
+    # Sectors 0 and 1 are refined from 48 x 24 to 120 x 60 nodes until two
+    # levels agree to POLAR_TOL.  The half turn S = diag((-1)^n) maps them
+    # onto sectors 2 and 3.  The reflection y -> conj(y) keeps each arm on its
+    # axis and conjugates G_y, so R_0 = conj(R_0) and R_3 = conj(R_1): R_0 is
+    # taken real and R_1 averaged with S conj(R_1) S, so both hold exactly.
     r_hi = 6.0 * np.sqrt(1.0 + max(det.nu1, det.nu2)) + 4.0
     levels = ((48, 24), (72, 36), (96, 48), (120, 60))
     ops = []
-    for j in range(4):
+    for j in (0, 1):
         rule = partial(_polar_grid_integral, det, N, delta_a, r_hi, (2 * j - 1) * np.pi / 4, (2 * j + 1) * np.pi / 4)
         ops.append(hermitize(refined(rule, levels, POLAR_TOL, "polar quadrature")))
-    return tuple(ops)
+    half_turn = (-1.0) ** np.add.outer(np.arange(N + 1), np.arange(N + 1))  # S X S = half_turn * X
+    r_0 = ops[0].real + 0j
+    r_1 = 0.5 * (ops[1] + half_turn * ops[1].conj())
+    return r_0, r_1, half_turn * r_0, half_turn * r_1
 
 
 def check_radius(det: DetectorModel, delta_a: float, N: int) -> None:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dmrate.detector import DetectorModel, povm_weighted_sum
-from support.detector import povm_element, povm_element_kernel, povm_element_simple
+from support.detector import povm_element, povm_element_kernel, povm_element_simple, povm_weighted_sum_complex
 from support.fock import displaced_thermal_matrix
 from support.wigner import povm_oracle_entry
 
@@ -136,6 +136,35 @@ class TestWeightedSum:
     def test_cutoff_below_one_rejected(self):
         with pytest.raises(ValueError, match="cutoff N must be >= 1"):
             povm_weighted_sum(self.YS, np.ones(len(self.YS)), GENERAL, 0)
+
+    @pytest.mark.parametrize("det", [GENERAL, GENERAL_SWAPPED, DEGENERATE], ids=["general", "swapped", "degenerate"])
+    @pytest.mark.parametrize("N", [1, 8, 15])
+    def test_matches_complex_gram(self, det, N):
+        # 300 nodes fill four partial Gram matrices and part of a fifth; the
+        # real GEMM only reorders the complex product's sums.
+        rng = np.random.default_rng(7)
+        ys = 2.0 * (rng.normal(size=300) + 1j * rng.normal(size=300))
+        w = rng.normal(size=300)
+        expect = povm_weighted_sum_complex(ys, w, det, N)
+        got = povm_weighted_sum(ys, w, det, N)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize(
+        "ys, weights",
+        [(YS, [1.0]), (YS[:1], 1.0), (YS[None, :], np.ones((1, 3))), (YS, np.ones(4))],
+        ids=["length-one-weights", "scalar-weight", "2-D", "lengths-differ"],
+    )
+    def test_shapes_rejected(self, ys, weights):
+        # Length-one weights would broadcast over every outcome: the all-ones sum.
+        with pytest.raises(ValueError, match="1-D of one length"):
+            povm_weighted_sum(ys, weights, GENERAL, 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            povm_weighted_sum(self.YS, [1.0, bad, 0.5], GENERAL, 4)
+        with pytest.raises(ValueError, match="finite"):
+            povm_weighted_sum(np.array([0.1, complex(bad, 0.0), 0.3j]), np.ones(3), GENERAL, 4)
 
     def test_continuous_in_the_lambda_gap(self):
         # Gaps 1e-14 and 1e-12 lie on the line through gaps 0 and 1e-10: the

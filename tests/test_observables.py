@@ -310,6 +310,16 @@ class TestGeneralNumericPath:
         for M in (obs.sq, obs.sp):
             assert np.linalg.eigvalsh(M).min() > -1e-8
 
+    @pytest.mark.parametrize("det", [DetectorModel(0.70, 0.74, 0.01, 0.02), GENERAL], ids=["bench", "general"])
+    @pytest.mark.parametrize("delta_a", [0.0, 0.5])
+    def test_exactly_covariant_under_half_turn(self, det, delta_a):
+        # Sectors 2 and 3 are the half turn of sectors 0 and 1, R_0 is real
+        # and R_1 is averaged with its reflection, so the half turn and the
+        # reflection hold without rounding.
+        regions = region_operators(det, delta_a, 6)
+        assert _covariance_deviation(regions, 2) == 0.0
+        assert _covariance_deviation(regions, 1) > 1e-6
+
     def test_numeric_regions_resolve_identity(self):
         regions = region_operators(self.GENERAL, 0.0, 3)
         total = sum(regions)
