@@ -29,9 +29,10 @@ __all__ = [
     "hermitian_sqrt",
 ]
 
-# A relative floor for three rules: the eigenvalues of `entropy`'s clamped
-# logs (rank-deficient states), those `hermitian_sqrt` zeroes, and the vacuum
-# mass outside the disk a radius must exceed in `observables.check_radius`.
+# A relative floor for two rules: the eigenvalues `hermitian_sqrt` zeroes,
+# and the vacuum mass outside the disk a radius must exceed in
+# `observables.check_radius`.  The objective reads no floor: the solver's
+# states are Gibbs states, whose logs are known.
 CLAMP_REL = 1e-12
 
 POWERS_OF_I = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^k at k mod 4, exact

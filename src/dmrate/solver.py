@@ -1,5 +1,6 @@
-"""Frank-Wolfe minimization of the relative-entropy objective with a
-certified lower bound, on the symmetry-reduced state.
+"""Alternating minimization of the relative-entropy objective over Gibbs
+states on the constraint rows, with a certified lower bound, on the
+symmetry-reduced state.
 
 The state is the stack of real blocks of `maps`.  Only the values change
 from point to point, so a `Problem`, built once per artifact key, reduces
@@ -7,30 +8,42 @@ every constraint row Gamma_i = A_i (x) B_i to its blocks (those of its
 group average T(Gamma_i)) entrywise from its two factors, without forming
 the row on A (x) B, and makes every row check, once: every T(Gamma_i) must
 lie in the span of the rows, and the first independent row kept must reduce
-to exactly the identity blocks, the trace, which the start and the dual
-repair both rest on.  `solve` checks that every relation among the reduced
-rows holds for the values.  Then the twirl of any feasible state is
-feasible, the objective is convex and invariant, and the minimum over
+to exactly the identity blocks, the trace, which the start and the
+certificate's shift both rest on.  `solve` checks that every relation among
+the reduced rows holds for the values.  Then the twirl of any feasible state
+is feasible, the objective is convex and invariant, and the minimum over
 invariant states is the minimum over all states.  Otherwise ValueError.
 
-Each iteration linearizes the objective at `entropy.perturbed(rho)`, where f
-and its gradient are taken (Winick, Lutkenhaus, Coles, Quantum 2, 77 (2018)),
-and solves min <sigma, grad> over the constrained PSD set with the dense
-interior-point solver; the subproblem's dual vector, repaired to exact dual
-feasibility by shifting the coordinate of row 0, the trace, turns the
-linearization into a valid lower bound on the true minimum (weak duality +
-convexity), whether or not the states meet the rows.  The subproblems, the
-bound and `_gibbs` all read the stated values of the kept rows.  The step
-toward the subproblem's state comes from one golden-section search over
-logit t = ln(t / (1 - t)), as steps span many decades near 0 and 1.  The
-best bound over all iterations is reported, so even a run stopped at the
-iteration cap, or by a subproblem that fails its usability check
-("subproblem_failure"), is certified.  One Newton solve, `_gibbs`, puts a
-state on the kept rows twice: the start is the maximum-entropy state on them
-(else InfeasibleError), and the returned state the last iterate's
-I-projection (else the start), so the primal value is taken on the rows,
-above the bound; lifted back to A (x) B, its residual is taken against every
-row of the problem, from the factors.
+The solve works in the coordinates sigma = W rho W^T of `entropy`, where the
+kept rows read A'_i = W^-T A_i W^-1 and -Tr P ln P = min_Q [-Tr P ln Q +
+Tr Q - Tr P] (Gibbs' inequality, equality at Q = P) makes f(sigma) the
+minimum over Q of a function jointly convex in (sigma, Q).  Minimizing it in
+each by turns lowers f at every step (Csiszar and Tusnady, Statistics &
+Decisions, Suppl. 1, 205 (1984); in the quantum Blahut-Arimoto form of
+Ramakrishnan, Iten, Scholz and Berta, IEEE Trans. Inf. Theory 67, 946
+(2021)).  The Q-step takes Q = P(sigma), which leaves the exponent
+L = sum_r w_r F'_r^T (ln P_r + 1) F'_r - 1 = ln sigma - grad f(sigma); the
+sigma-step, `_gibbs`, puts exp(L + sum_i y_i A'_i) on the kept rows,
+warm-started at the last y.  The start is the maximum-entropy state rho_0 on
+the rows (else InfeasibleError), mapped to sigma_0 with its log from a
+graded factorization of W rho_0^1/2, and y = 0.
+
+Every iterate is a Gibbs state whose log is known exactly, its exponent.  So
+the slack S = grad f(sigma) - sum_i y_i A'_i is known, and tends to 0 at the
+fixed point.  Shifting y_0, the trace row's coordinate, by lambda_min of
+C^-1 S C^-T, C = chol(A'_0) = W^-T (so C^-1 S C^-T = W^T S W, the slack in
+rho coordinates), less a rounding margin, makes y' dual feasible for the
+linearization at sigma, and convexity and weak duality make
+f(sigma) - <sigma, grad f(sigma)> + b.y' a lower bound on the minimum,
+whether or not sigma meets the rows, provided some state does.  The first
+two terms, c = <sigma, sum_r w_r F'_r^T F'_r - 1>, vanish in exact
+arithmetic and are computed, not dropped.  No bound can pass
+log2 4 = 2 bits, which f obeys for every state: one that does beyond its
+margin shows that no state meets the rows, and raises InfeasibleError.  A
+certificate is taken every CERTIFY_EVERY outer iterations and at every exit;
+the best one is reported.  The returned state is the last iterate, on the
+rows to `_gibbs`'s tolerance; lifted back to A (x) B, its residual is taken
+against every row of the problem, from the factors.
 """
 
 from __future__ import annotations
@@ -41,22 +54,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import DIM_A
-from .entropy import line_objective, objective_with_gradient, perturbed
+from .entropy import graded_eig, objective_with_gradient
 from .fock import hermitize
 from .maps import PostprocessingMaps
-from .sdp import independent_rows, solve_sdp
 
-__all__ = ["KeyRateResult", "InfeasibleError", "Problem", "solve"]
+__all__ = ["KeyRateResult", "InfeasibleError", "Problem", "solve", "independent_rows"]
 
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-GAP_TOL = 1e-6  # bits
-MAX_ITERS = 300
-LINE_SEARCH_POINTS = 21
-# Stop once the certified bound has improved by less than this (bits) over
-# the trailing window; the bound is the reported quantity, so extra
-# iterations past its plateau only polish the primal.
-BOUND_PLATEAU_TOL = 2.5e-7
-BOUND_PLATEAU_WINDOW = 15
+LN2 = math.log(2.0)
+MAX_ITERS = 1000  # outer iterations of every solve
+CERTIFY_EVERY = 5  # outer iterations between certificates
+BOUND_GAP = 1e-9  # bits: f - bound at which a solve has converged
+CEILING = 2.0  # bits: log2 of the four key values, above f at every state
+# The iterate's log-eigenvalues are clipped here: exp(-300) is far above
+# underflow, and the clipped state is still a Gibbs state with a known log.
+LOG_FLOOR = -300.0
 # Per unit-norm row: the norm of a group average that counts as vanishing,
 # and the mismatch of a value that closure accepts.
 CLOSURE_TOL = 1e-9
@@ -64,13 +75,18 @@ CLOSURE_TOL = 1e-9
 # largest belong to exact dependencies (the trace is the sum of the ptrace-d
 # rows); closure bounds a unit row's squared norm outside their span by it too.
 RANK_CUT = 1e-12
+# A row is independent when its distance from the span of the rows before
+# it is more than this fraction of its norm.
+RANK_TOL = 1e-9
 NEWTON_STEPS = 200  # trial points of every `_gibbs` solve, halved steps included
 
 
 class InfeasibleError(RuntimeError):
-    """`_gibbs` found no state on the kept rows; one may exist all the same
-    where the set has no interior, as at some inputs with xi = 0 and trusted
-    noise.  `max_residual` is the largest kept-row residual of its last one."""
+    """No state was found on the kept rows: `_gibbs` missed a row's
+    tolerance, or a certified bound passed the 2-bit ceiling.  One may exist
+    all the same where the set has no interior, as at some inputs with
+    xi = 0 and trusted noise.  `max_residual` is the largest kept-row
+    residual of the last state tried."""
 
     def __init__(self, message: str, max_residual: float):
         super().__init__(f"{message} (max constraint residual {max_residual:.3e})")
@@ -80,18 +96,17 @@ class InfeasibleError(RuntimeError):
 @dataclass(frozen=True)
 class KeyRateResult:
     """One solve, in bits.  `rate` is max(0, lower_bound - p_pass delta_ec),
-    or 0 without a bound, with `lower_bound` the best certified bound of the
-    run and (`delta_ec`, `p_pass`) the solve's `ec` pair: (0, 1) by default,
-    `channel.ec_cost` of the key map's P(x, z) in `evaluate_point`.  `rho`,
-    on A (x) B, is the last iterate's I-projection onto the rows (the start
-    where that fails), `primal_value` its objective, `constraint_residual`
-    its largest |Tr(rho Gamma_i) - c_i| over every row of the problem, and
-    `primal_history` the objective at the start and after each step.  After
-    `iterations` Frank-Wolfe iterations, the last of gap `gap`, `status` is
-    "converged" (gap below GAP_TOL), "converged_bound" (bound plateau),
-    "converged_approx" or "stalled" (no descent at a small or a large gap),
-    "rate_zero" (primal below p_pass delta_ec), "subproblem_failure" or
-    "max_iters"; `certified` means a bound was found and it is not "stalled"."""
+    with `lower_bound` the best certified bound of the run and (`delta_ec`,
+    `p_pass`) the solve's `ec` pair: (0, 1) by default, `channel.ec_cost` of
+    the key map's P(x, z) in `evaluate_point`.  `rho`, on A (x) B, is the
+    last iterate, `primal_value` its objective, `constraint_residual` its
+    largest |Tr(rho Gamma_i) - c_i| over every row of the problem, and
+    `primal_history` the objective at the start and after each of the
+    `iterations` outer iterations.  `gap` is primal_value - lower_bound.
+    `status` is "converged" (gap below BOUND_GAP), "rate_zero" (primal below
+    p_pass delta_ec at an iterate, the start included) or "max_iters" (the
+    MAX_ITERS cap).  Every exit is certified: `certified` means the bound is
+    finite."""
 
     primal_value: float
     lower_bound: float
@@ -105,6 +120,26 @@ class KeyRateResult:
     certified: bool
     rho: np.ndarray | None = field(default=None, repr=False, compare=False)
     primal_history: tuple[float, ...] = field(default=(), repr=False, compare=False)
+
+
+def independent_rows(ops: np.ndarray) -> list[int]:
+    """Indices of a maximal linearly independent subset of the real
+    constraint operators (the first axis of ``ops``), chosen greedily in
+    order (earlier rows win ties).  One unpivoted Householder QR of the unit
+    rows, each extended by a coordinate of its own of size s = sqrt(eps *
+    RANK_TOL): |R_ii| is row i's distance from the span of the rows before it
+    there, at least that in the rows' own space, and at most s (1 + |c|^2)^1/2
+    for a zero row or a combination c of the unit rows before it.  Unextended,
+    a dependent row's step pivots on rounding and spends a direction of the
+    rows' space, so a later independent row can read as dependent."""
+    if np.iscomplexobj(ops):
+        raise TypeError("independent_rows takes real operators only")
+    m = len(ops)
+    ext = np.vstack([np.sqrt(np.finfo(float).eps * RANK_TOL) * np.eye(m), ops.reshape(m, -1).T])
+    norms = np.linalg.norm(ext[m:], axis=0)
+    ext[m:] /= np.where(norms > 0.0, norms, 1.0)
+    r = np.linalg.qr(ext, mode="r")
+    return np.flatnonzero(np.abs(np.diag(r)) > RANK_TOL).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,34 +216,18 @@ class Problem:
         return np.einsum("iyx,imn,xnym->i", self.a_parts, self.b_parts, blocks).real - values
 
 
-def _line_search(phi) -> tuple[float, float]:
-    # Exact minimization of the convex phi over t in (0, 1).  A convex phi is
-    # unimodal in u = logit t as well, so one golden section over u in [-30, 30]
-    # finds the minimizer to about 0.3% of t near 0 and of 1 - t near 1.
-    def logistic(u): return 1.0 / (1.0 + math.exp(-u))
-    lo, hi = -30.0, 30.0
-    u1, u2 = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
-    f1, f2 = phi(logistic(u1)), phi(logistic(u2))
-    for _ in range(LINE_SEARCH_POINTS - 2):
-        if f1 <= f2:
-            hi, u2, f2 = u2, u1, f1
-            u1 = hi - GOLDEN * (hi - lo)
-            f1 = phi(logistic(u1))
-        else:
-            lo, u1, f1 = u1, u2, f2
-            u2 = lo + GOLDEN * (hi - lo)
-            f2 = phi(logistic(u2))
-    return (logistic(u1), f1) if f1 <= f2 else (logistic(u2), f2)
-
-
-def _gibbs(exponent: float | np.ndarray, ops: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _gibbs(
+    exponent: float | np.ndarray, ops: np.ndarray, b: np.ndarray, y: np.ndarray, tol: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """sigma = exp(exponent + sum_i y_i A_i), blockwise, at the y maximizing
     the concave g(y) = b.y - Tr sigma, whose gradient is the residual
     r = b - A(sigma): the state on the kept rows nearest exp(exponent) in
-    relative entropy (Jaynes, Phys. Rev. 106, 620 (1957)).  Newton from y, one
-    trial point y + t step a pass, halving t where g rises too little (it is
-    -inf where exp would overflow), unless rounding hides the rise (r.step <
-    1e-12).  InfeasibleError unless |r| reaches 1e-13 before r.step is 1e-26."""
+    relative entropy (Jaynes, Phys. Rev. 106, 620 (1957)).  Returns the
+    eigenpairs (w, u) of its exponent and y.  Newton from y, one trial point
+    y + t step a pass, halving t where g rises too little (it is -inf where
+    exp would overflow), unless rounding hides the rise (r.step < 1e-12).
+    InfeasibleError unless every |r_i| reaches its ``tol`` before r.step is
+    1e-26."""
     t, step, dec, g = 0.0, 0.0, 0.0, -np.inf
     for _ in range(NEWTON_STEPS):
         w, u = np.linalg.eigh(exponent + np.tensordot(y + t * step, ops, axes=1))
@@ -219,8 +238,8 @@ def _gibbs(exponent: float | np.ndarray, ops: np.ndarray, b: np.ndarray, y: np.n
         y, g = y + t * step, g_t
         sigma = (u * np.exp(w)[..., None, :]) @ u.swapaxes(-1, -2)
         r = b - np.tensordot(ops, sigma, axes=3)
-        if np.max(np.abs(r)) <= 1e-13:
-            return sigma
+        if np.all(np.abs(r) <= tol):
+            return w, u, y
         # The Hessian <A_i, Dexp[A_j]> from exp's divided differences in the
         # eigenbasis, each e^max(a, b) (1 - e^-|a - b|) / |a - b|, e^a at a = b.
         rot = (u.swapaxes(-1, -2) @ ops @ u).reshape(len(b), -1)
@@ -237,17 +256,28 @@ def _gibbs(exponent: float | np.ndarray, ops: np.ndarray, b: np.ndarray, y: np.n
     raise InfeasibleError("no state meets the kept rows", float(np.max(np.abs(r))))
 
 
-def _repaired_dual(grad: np.ndarray, ops: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # Shift y[0], the trace row's coordinate, until sum_i y_i Gamma_i <= grad
-    # holds exactly; any dual-feasible y gives a valid bound b.y on
-    # min <sigma, grad>.
-    s_mat = grad - np.tensordot(y, ops, axes=1)
-    lam_min = float(np.linalg.eigvalsh(hermitize(s_mat)).min())
-    margin = 1e-12 * (1.0 + float(np.max(np.abs(grad))))
-    y = y.copy()
-    if lam_min < margin:
-        y[0] += lam_min - margin
-    return y
+def _certificate(
+    f: float, grad: np.ndarray, sigma: np.ndarray, y: np.ndarray, w: np.ndarray, ops: np.ndarray, b: np.ndarray
+) -> tuple[float, float]:
+    """The lower bound c + b.y' on the minimum, in nats, from the iterate
+    sigma, its objective f and gradient ``grad`` and the multipliers y of
+    the rows A'_i, and the margin taken off it.  With C = W^-T, C^-1 S C^-T
+    is W^T grad W - sum_i y_i A_i on the rows ``ops`` of rho coordinates,
+    and y'_0 = y_0 + its lambda_min - margin.  The margin, 1e-12 (1 +
+    max |W^T grad W|), covers the rounding of that eigenvalue."""
+    slack = w.swapaxes(-1, -2) @ grad @ w
+    margin = 1e-12 * (1.0 + float(np.max(np.abs(slack))))
+    shift = float(np.linalg.eigvalsh(hermitize(slack - np.tensordot(y, ops, axes=1))).min()) - margin
+    return f - float(np.vdot(sigma, grad)) + float(b @ y) + float(b[0]) * shift, margin
+
+
+def _check_ceiling(bound: float, margin: float, residual: float) -> float:
+    """``bound`` (bits), unless it passes CEILING by more than ``margin``:
+    then no state meets the rows, whose kept-row residual at the iterate is
+    ``residual``, and InfeasibleError."""
+    if bound > CEILING + margin:
+        raise InfeasibleError(f"certified bound {bound:.6f} bits is above the {CEILING:g}-bit ceiling", residual)
+    return bound
 
 
 def solve(values: np.ndarray, problem: Problem, ec: tuple[float, float] = (0.0, 1.0)) -> KeyRateResult:
@@ -259,13 +289,12 @@ def solve(values: np.ndarray, problem: Problem, ec: tuple[float, float] = (0.0, 
     and rate = max(0, lower_bound - p_pass delta_EC), all in bits; the
     default (0, 1) leaves the bound clipped at 0.  Once the primal f drops
     below p_pass delta_EC the solve exits early ("rate_zero"), since f only
-    decreases and dominates the minimum.  That test reads f at an iterate
-    that meets the rows only to the interior-point tolerance; the reported
-    rate still comes from the certified bound alone.  Raises ValueError
-    unless delta_EC >= 0 and p_pass > 0, both finite (p_pass is not capped
-    at 1, which a sum of masses can pass by ulps), or unless `values` is a
-    finite (m,) array that keeps the relations among the problem's reduced
-    rows, and InfeasibleError if no maximum-entropy state meets the rows.
+    decreases and dominates the minimum; the reported rate still comes from
+    the certified bound alone.  Raises ValueError unless delta_EC >= 0 and
+    p_pass > 0, both finite (p_pass is not capped at 1, which a sum of
+    masses can pass by ulps), or unless `values` is a finite (m,) array that
+    keeps the relations among the problem's reduced rows, and
+    InfeasibleError where no state is found on the rows.
     """
     delta_ec, p_pass = ec
     if not (0.0 <= delta_ec < math.inf and 0.0 < p_pass < math.inf):
@@ -280,81 +309,58 @@ def solve(values: np.ndarray, problem: Problem, ec: tuple[float, float] = (0.0, 
     if np.max(mismatch) > CLOSURE_TOL:
         i = int(np.argmax(mismatch))
         raise ValueError(f"constraint values are not invariant under the symmetry group (row {problem.labels[i]!r})")
-    maps, ops, b = problem.maps, problem.ops, values[problem.kept]
+    maps, b = problem.maps, values[problem.kept]
+    w = maps.kraus_factor
+    w_inv = np.linalg.inv(w)
+    ops = w_inv.swapaxes(-1, -2) @ problem.ops @ w_inv
+    pinch = maps.pinch_factors @ w_inv
+
+    # Rounding in Tr(A'_i sigma) grows with |A'_i| |sigma|, and |sigma| <=
+    # |W|^2 |rho|: each row's tolerance is 1e-13 max(1, |A'_i| |W|^2 / |A_i|)
+    # in spectral norms, exactly 1e-13 where W = 1 (delta_a = 0).
+    def norm2(a):
+        return np.max(np.linalg.norm(a, ord=2, axis=(-2, -1)), axis=-1)
+
+    tol = 1e-13 * np.maximum(1.0, norm2(ops) * norm2(w) ** 2 / norm2(problem.ops))
     # Row 0 is the trace, so the start's Newton solve sets out from 1/(K d).
-    rho = _gibbs(0.0, ops, b, -math.log(ops.shape[1] * ops.shape[2]) * np.eye(len(b))[0])
-
-    f, grad = objective_with_gradient(rho, maps)
-    start = rho, f
-    history = [f]
-    lower_history: list[float] = []
-    best_lower = -np.inf
-    gap = np.inf
-    status = "max_iters"
-    iterations = 0
-
-    for iterations in range(1, MAX_ITERS + 1):
-        sub = solve_sdp(grad, ops, b)
-        # Any finite dual vector, once repaired, certifies a bound, since dual
-        # feasibility does not involve the constraint values; so the bound is
-        # taken before the checks below, which only judge the direction.
-        if np.isfinite(sub.y).all():
-            lower_k = f - float(np.vdot(perturbed(rho), grad)) + float(b @ _repaired_dual(grad, ops, sub.y))
-            best_lower = max(best_lower, lower_k)
-        # A slightly loose subproblem is still usable: the direction only
-        # needs near-feasibility, and the dual repair keeps the bound valid.
-        if not (sub.converged or (sub.primal_residual < 1e-6 and sub.dual_residual < 1e-6)):
-            status = "subproblem_failure"
-            break
-
-        gap = float(np.vdot(rho - sub.x, grad))
-        gap = max(gap, 0.0)
-        lower_history.append(best_lower)
-
-        if f < p_pass * delta_ec:
+    lam, u, _ = _gibbs(0.0, problem.ops, b, -math.log(w.shape[0] * w.shape[1]) * np.eye(len(b))[0], 1e-13)
+    lam, u = graded_eig(w @ (u * np.exp(0.5 * np.maximum(lam, LOG_FLOOR))[..., None, :]))
+    y = np.zeros(len(b))
+    history: list[float] = []
+    best, status = -np.inf, None
+    for iterations in range(MAX_ITERS + 1):
+        lam = np.maximum(lam, LOG_FLOOR)
+        f, grad = objective_with_gradient(lam, u, pinch, maps.pinch_weights)
+        history.append(f / LN2)
+        if history[-1] < p_pass * delta_ec:
             status = "rate_zero"
+        elif iterations == MAX_ITERS:
+            status = "max_iters"
+        sigma = (u * np.exp(lam)[..., None, :]) @ u.swapaxes(-1, -2)
+        if status or iterations % CERTIFY_EVERY == 0:
+            bound, margin = _certificate(f, grad, sigma, y, w, problem.ops, b)
+            residual = float(np.max(np.abs(np.tensordot(ops, sigma, axes=3) - b)))
+            best = max(best, _check_ceiling(bound / LN2, margin / LN2, residual))
+            if status is None and history[-1] - best < BOUND_GAP:
+                status = "converged"
+        if status:
             break
-        if gap < GAP_TOL:
-            status = "converged"
-            break
-        w = BOUND_PLATEAU_WINDOW
-        if len(lower_history) > 2 * w and best_lower - lower_history[-w] < BOUND_PLATEAU_TOL:
-            status = "converged_bound"
-            break
+        log_sigma = (u * lam[..., None, :]) @ u.swapaxes(-1, -2)
+        lam, u, y = _gibbs(log_sigma - grad, ops, b, y, tol)
 
-        delta = sub.x - rho
-        phi = line_objective(rho, delta, maps)
-        t_step, f_step = _line_search(phi)
-        if f_step >= f - 1e-14:
-            status = "converged_approx" if gap < 1e3 * GAP_TOL else "stalled"
-            break
-        rho = rho + t_step * delta
-        f, grad = objective_with_gradient(rho, maps)
-        history.append(f)
-
-    # The iterate meets the rows only to its atoms' IPM tolerance, which can
-    # take f below the minimum; rounding leaves eigenvalues at or below 0.
-    w, u = np.linalg.eigh(rho)
-    try:
-        rho = _gibbs((u * np.log(np.maximum(w, 1e-300))[..., None, :]) @ u.swapaxes(-1, -2), ops, b, np.zeros(len(b)))
-        f = objective_with_gradient(rho, maps)[0]
-    except InfeasibleError:
-        rho, f = start
-    rho = maps.lift(rho)
+    rho = maps.lift(w_inv @ sigma @ w_inv.swapaxes(-1, -2))
     residual = float(np.max(np.abs(problem.residuals(rho, values))))
-    lower = best_lower if best_lower > -np.inf else np.nan
     return KeyRateResult(
-        primal_value=f,
-        lower_bound=lower,
+        primal_value=history[-1],
+        lower_bound=best,
         delta_ec=delta_ec,
         p_pass=p_pass,
-        rate=max(0.0, lower - p_pass * delta_ec) if np.isfinite(lower) else 0.0,
+        rate=max(0.0, best - p_pass * delta_ec),
         iterations=iterations,
         constraint_residual=residual,
-        gap=gap,
+        gap=history[-1] - best,
         status=status,
-        certified=status != "stalled" and np.isfinite(lower),
+        certified=bool(np.isfinite(best)),
         rho=rho,
         primal_history=tuple(history),
     )
-

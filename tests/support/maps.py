@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from dmrate.entropy import PERTURBATION
+from dmrate.entropy import objective_with_gradient
 from dmrate.fock import CLAMP_REL, check_hermitian, hermitian_sqrt, hermitize
 from dmrate.maps import PostprocessingMaps
 
@@ -132,11 +132,6 @@ def hermitian_log(M: np.ndarray) -> np.ndarray:
     return hermitize((U * np.log(w)) @ U.conj().T)
 
 
-def _perturb(rho: np.ndarray) -> np.ndarray:
-    d = rho.shape[0]
-    return (1.0 - PERTURBATION) * rho + (PERTURBATION / d) * np.eye(d, dtype=complex)
-
-
 def _clamped_log(mat: np.ndarray) -> tuple[np.ndarray, float]:
     w, u = np.linalg.eigh(mat)
     w = np.maximum(w, CLAMP_REL * w[-1] if w[-1] > 0 else 1e-300)
@@ -151,7 +146,7 @@ def full_objective_with_gradient(rho: np.ndarray, sqrt_regions) -> tuple[float, 
     register-diagonal blocks of G(rho) are E_z rho E_z+."""
     blocks = kraus_blocks(sqrt_regions)
     w = np.linalg.qr(np.vstack(blocks), mode="r")
-    rho = _perturb(np.asarray(rho, dtype=complex))
+    rho = np.asarray(rho, dtype=complex)
     log_sigma, term1 = _clamped_log(w @ rho @ w.conj().T)
     grad = w.conj().T @ log_sigma @ w
     term2 = 0.0
@@ -164,3 +159,14 @@ def full_objective_with_gradient(rho: np.ndarray, sqrt_regions) -> tuple[float, 
 
 def full_objective(rho: np.ndarray, sqrt_regions) -> float:
     return full_objective_with_gradient(rho, sqrt_regions)[0]
+
+
+def reduced_objective_with_gradient(stack: np.ndarray, maps: PostprocessingMaps) -> tuple[float, np.ndarray]:
+    """The package's objective at a positive definite stack rho, in bits,
+    and its gradient in rho coordinates: `entropy.objective_with_gradient`
+    at sigma = W rho W^T, from an eigendecomposition of sigma, with its
+    gradient pulled back as W^T grad W."""
+    w = maps.kraus_factor
+    lam, u = np.linalg.eigh(w @ stack @ w.swapaxes(1, 2))
+    f, grad = objective_with_gradient(np.log(lam), u, maps.pinch_factors @ np.linalg.inv(w), maps.pinch_weights)
+    return f / LN2, w.swapaxes(1, 2) @ grad @ w / LN2

@@ -2,10 +2,20 @@ import numpy as np
 import pytest
 
 from dmrate.detector import DetectorModel
-from dmrate.entropy import line_objective, objective_with_gradient
+from dmrate.entropy import graded_eig, objective_with_gradient
 from dmrate.maps import build_postprocessing_maps
 from dmrate.observables import region_operators
-from support.maps import apply_G, apply_G_adjoint, apply_Z, full_objective, hermitian_log, kraus_gram, reduce, z_projector
+from support.maps import (
+    apply_G,
+    apply_G_adjoint,
+    apply_Z,
+    full_objective,
+    hermitian_log,
+    kraus_gram,
+    reduce,
+    reduced_objective_with_gradient,
+    z_projector,
+)
 
 DET = DetectorModel.simple(0.719, 0.01)
 
@@ -33,7 +43,7 @@ def random_direction(rng, maps):
 
 
 def objective(rho, maps):
-    return objective_with_gradient(rho, maps)[0]
+    return reduced_objective_with_gradient(rho, maps)[0]
 
 
 def detector_maps(delta_a=0.0, N=5, det=DET):
@@ -173,10 +183,7 @@ class TestObjective:
         maps = detector_maps(0.3, N=4)
         stack = random_stack(rng, maps)
         rho = maps.lift(stack)
-        from dmrate.entropy import PERTURBATION
-
-        rho_p = (1 - PERTURBATION) * rho + PERTURBATION * np.eye(maps.dim_ab) / maps.dim_ab
-        sigma = apply_G(rho_p, maps)
+        sigma = apply_G(rho, maps)
         tau = apply_Z(sigma, maps)
         w_sig = np.linalg.eigvalsh(sigma)
         w_sig = w_sig[w_sig > 1e-13]
@@ -188,9 +195,13 @@ class TestObjective:
 
 class TestGradient:
     def test_hermitian(self):
+        # The gradient in sigma coordinates, which the solver reads, is
+        # exactly symmetric.
         rng = np.random.default_rng(8)
         maps = detector_maps(0.2)
-        _, g = objective_with_gradient(random_stack(rng, maps), maps)
+        w = maps.kraus_factor
+        lam, u = np.linalg.eigh(w @ random_stack(rng, maps) @ w.swapaxes(1, 2))
+        _, g = objective_with_gradient(np.log(lam), u, maps.pinch_factors @ np.linalg.inv(w), maps.pinch_weights)
         assert g.dtype == float
         assert np.max(np.abs(g - g.transpose(0, 2, 1))) == 0.0
 
@@ -207,7 +218,7 @@ class TestGradient:
         while checked < 10:
             rho = 0.5 * random_stack(rng, maps) + 0.5 * reduce(maps, np.eye(maps.dim_ab)) / maps.dim_ab
             delta = random_direction(rng, maps)
-            _, g = objective_with_gradient(rho, maps)
+            _, g = reduced_objective_with_gradient(rho, maps)
             overlap = float(np.vdot(delta, g))
             if abs(overlap) < 0.05 * np.linalg.norm(g):
                 continue
@@ -224,7 +235,7 @@ class TestGradient:
         t = 1e-5
         rho = 0.5 * random_stack(rng, maps) + 0.5 * reduce(maps, np.eye(maps.dim_ab)) / maps.dim_ab
         delta = random_direction(rng, maps)
-        _, g = objective_with_gradient(rho, maps)
+        _, g = reduced_objective_with_gradient(rho, maps)
         g_bad = g + 0.01 * np.linalg.norm(g) * delta
         overlap_bad = float(np.vdot(delta, g_bad))
         f_plus = objective(rho + t * delta, maps)
@@ -232,12 +243,32 @@ class TestGradient:
         rel = abs((f_plus - f_minus) / 2 - t * overlap_bad) / abs(t * overlap_bad)
         assert rel > 1e-3
 
-    def test_line_objective_consistency(self):
-        rng = np.random.default_rng(10)
-        maps = detector_maps(0.35)
-        rho = random_stack(rng, maps)
-        sigma = random_stack(rng, maps)
-        phi = line_objective(rho, sigma - rho, maps)
-        for t in (0.0, 0.25, 0.7, 1.0):
-            direct = objective((1 - t) * rho + t * sigma, maps)
-            assert phi(t) == pytest.approx(direct, abs=1e-11)
+
+class TestGradedEig:
+    @pytest.mark.parametrize("n", [4, 12, 44, 84])
+    def test_recovers_a_graded_spectrum(self, n):
+        # X = Q diag(s) Pi, with Q orthogonal, s running down to 1e-60 and
+        # Pi a column permutation: the singular values of X are s, and x x^T
+        # has the eigenvalues s^2 on the columns of Q.  numpy's SVD of X, or
+        # of its R factor, gets those below eps s_max wrong past 25 columns.
+        rng = np.random.default_rng(n)
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        s = np.logspace(0.0, -60.0, n)
+        x = (q * s)[:, rng.permutation(n)]
+        log_eig, v = graded_eig(x)
+        assert np.max(np.abs(np.exp(0.5 * log_eig) / s - 1.0)) <= 1e-13
+        assert np.max(np.abs(np.abs(np.sum(v * q, axis=0)) - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [5, 30])
+    def test_stacks(self, n):
+        # A stack is factored matrix by matrix, to rounding: each matrix's
+        # log-eigenvalues agree with its own factorization's, and its
+        # eigenpairs give back x x^T.
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(3, n, n)) * np.logspace(0.0, -30.0, n)
+        log_eig, v = graded_eig(x)
+        for k in range(3):
+            one_eig, one_v = graded_eig(x[k])
+            assert np.max(np.abs(np.sort(log_eig[k]) - np.sort(one_eig))) <= 1e-12
+            p = x[k] @ x[k].T
+            assert np.max(np.abs(v[k] * np.exp(log_eig[k]) @ v[k].T - p)) <= 1e-13 * np.max(np.abs(p))

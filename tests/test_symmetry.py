@@ -15,15 +15,12 @@ from dmrate import solver
 from dmrate.channel import ChannelModel, ProtocolParams, simulate_statistics
 from dmrate.constraints import DIM_A, build_constraints
 from dmrate.detector import DetectorModel
-from dmrate.entropy import line_objective, objective_with_gradient
 from dmrate.maps import build_postprocessing_maps
 from dmrate.observables import observable_set, region_operators
 from dmrate.pipeline import point_artifacts
-from dmrate.sdp import independent_rows
-from dmrate.solver import solve
-from support.constraints import full_operators, rebuilt
-from support.maps import _perturb, full_objective, full_objective_with_gradient, lift, reduce, roots
-from support.sdp import embed, greedy_rows, solve_hermitian_sdp
+from dmrate.solver import LN2, independent_rows, solve
+from support.constraints import full_operators, gibbs_state, greedy_rows, rebuilt
+from support.maps import full_objective, full_objective_with_gradient, lift, reduce, reduced_objective_with_gradient, roots
 
 DET = DetectorModel.simple(0.719, 0.01)
 DISTINCT = DetectorModel(0.70, 0.74, 0.01, 0.02)
@@ -105,81 +102,68 @@ class TestEquivalence:
         for _ in range(3):
             rho = twirl(random_state(rng, maps.dim_ab), maps)
             stack = reduce(maps, rho)
-            f, grad = objective_with_gradient(stack, maps)
+            f, grad = reduced_objective_with_gradient(stack, maps)
             f_full, grad_full = full_objective_with_gradient(rho, roots(maps))
             assert abs(f - f_full) < 1e-12
             assert np.max(np.abs(maps.lift(grad) - grad_full)) < 1e-12
             residuals = red.reshape(len(prob.labels), -1) @ stack.ravel() - values
             assert np.max(np.abs(residuals - prob.residuals(rho, values))) < 1e-12
 
-    def test_line_objective(self, case):
-        maps = problem(case)[1].maps
-        rng = np.random.default_rng(2)
-        rho, sigma = (twirl(random_state(rng, maps.dim_ab), maps) for _ in range(2))
-        phi = line_objective(reduce(maps, rho), reduce(maps, sigma - rho), maps)
-        for t in (0.0, 0.3, 1.0):
-            assert abs(phi(t) - full_objective((1 - t) * rho + t * sigma, roots(maps))) < 1e-12
-
 
 @pytest.mark.parametrize("case", CASES)
 def test_full_space_certificate(case, monkeypatch):
-    # Every Frank-Wolfe certificate, lifted: grad f - sum_i y_i T(Gamma_i),
-    # with T the literal group average of the original rows, is PSD by a
-    # full complex eigvalsh, and the best one, with f from the oracle, is the
-    # reported bound.  The oracle's own gradient agrees with the lifted one
-    # as far as the log's conditioning allows: the iterates are nearly rank
-    # deficient, with eigenvalues down to PERTURBATION / dim.
+    # Every certificate, lifted: W^T grad W - sum_i y'_i T(Gamma_i), with T
+    # the literal group average of the original rows, is PSD by a full
+    # complex eigvalsh, and the bound c + b.y' holds with c from the oracle's
+    # f at the iterate; the best one is the reported bound.  c vanishes in
+    # exact arithmetic, since the pinching keeps the trace.
     values, prob = problem(case, cutoff=4)
     maps, kept = prob.maps, prob.kept
-    gradient, repaired = solver.objective_with_gradient, solver._repaired_dual
-    last, certificates = [], []
+    certificate = solver._certificate
+    certificates = []
 
-    def traced_gradient(rho, maps):
-        out = gradient(rho, maps)
-        last[:] = [rho, out[1]]
+    def traced(f, grad, sigma, y, w, ops, b):
+        out = certificate(f, grad, sigma, y, w, ops, b)
+        certificates.append((f, grad, sigma, y, w, b, out[0]))
         return out
 
-    def traced_dual(grad, ops, y):
-        y_rep = repaired(grad, ops, y)
-        certificates.append((*last, y_rep))
-        return y_rep
-
-    monkeypatch.setattr(solver, "objective_with_gradient", traced_gradient)
-    monkeypatch.setattr(solver, "_repaired_dual", traced_dual)
+    monkeypatch.setattr(solver, "_certificate", traced)
     res = solve(values, prob)
-    assert res.certified and certificates
+    assert res.certified and len(certificates) == res.iterations // solver.CERTIFY_EVERY + 1
 
     ops = full_operators(prob)
     twirled = np.array([twirl(ops[i], maps) for i in kept])
     bounds = []
-    for stack, grad, y in certificates:
-        rho, grad = maps.lift(stack), maps.lift(grad)
-        f, grad_full = full_objective_with_gradient(rho, roots(maps))
-        assert np.max(np.abs(grad - grad_full)) < 1e-5
-        slack = grad - np.tensordot(y, twirled, axes=1)
-        assert np.linalg.eigvalsh(0.5 * (slack + slack.conj().T)).min() >= -1e-12
-        # f and its gradient are taken at the perturbed state, and so is
-        # the linearization.
-        bounds.append(f - np.vdot(_perturb(rho), grad).real + values[kept] @ y)
-    assert max(bounds) == pytest.approx(res.lower_bound, abs=1e-10)
+    for f, grad, sigma, y, w, b, bound in certificates:
+        w_inv = np.linalg.inv(w)
+        rho = maps.lift(w_inv @ sigma @ w_inv.swapaxes(1, 2))
+        c = f - np.vdot(sigma, grad)
+        assert abs(c) <= 1e-12
+        y = y.copy()
+        y[0] += (bound - c - b @ y) / b[0]
+        slack = maps.lift(w.swapaxes(1, 2) @ grad @ w) - np.tensordot(y, twirled, axes=1)
+        assert np.linalg.eigvalsh(0.5 * (slack + slack.conj().T)).min() >= 0.0
+        assert full_objective(rho, roots(maps)) * LN2 == pytest.approx(f, abs=1e-10)
+        bounds.append((c + b @ y) / LN2)
+    assert max(bounds) == pytest.approx(res.lower_bound, abs=1e-12)
 
 
 @pytest.mark.parametrize("case", ["identical-d0", "distinct"])
 def test_weak_duality_at_non_symmetric_states(case):
-    # Feasible states from full-space solves with random objectives are not
-    # symmetric; the objective there is never below the certified bound.
+    # Gibbs states of random exponents on the full-space rows are feasible
+    # and not symmetric; the objective there is never below the certified
+    # bound.
     values, prob = problem(case)
     maps, dim = prob.maps, prob.maps.dim_ab
     res = solve(values, prob)
     ops = full_operators(prob)
-    kept = independent_rows(embed(ops))
     for seed in range(3):
         rng = np.random.default_rng(seed)
-        c_rand = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        feas = solve_hermitian_sdp(c_rand + c_rand.conj().T, ops[kept], values[kept])
-        assert np.max(np.abs(feas.x - twirl(feas.x, maps))) > 1e-3
-        assert np.max(np.abs(prob.residuals(feas.x, values))) < 1e-7
-        assert full_objective(feas.x, roots(maps)) >= res.lower_bound - 1e-7
+        h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        x = gibbs_state(h + h.conj().T, ops, values)
+        assert np.max(np.abs(x - twirl(x, maps))) > 1e-3
+        assert np.max(np.abs(prob.residuals(x, values))) < 1e-7
+        assert full_objective(x, roots(maps)) >= res.lower_bound - 1e-7
 
 
 @pytest.mark.parametrize("case, rows", [("identical-d0", 7), ("identical-d0.5", 7), ("ideal-untrusted", 7), ("distinct", 12)])
