@@ -58,7 +58,7 @@ from .entropy import graded_eig, objective_with_gradient
 from .fock import hermitize
 from .maps import PostprocessingMaps
 
-__all__ = ["KeyRateResult", "InfeasibleError", "Problem", "solve", "independent_rows"]
+__all__ = ["KeyRateResult", "InfeasibleError", "Problem", "solve", "independent_rows", "solve_sdp", "line_objective"]
 
 LN2 = math.log(2.0)
 MAX_ITERS = 1000  # outer iterations of every solve
@@ -216,6 +216,19 @@ class Problem:
         return np.einsum("iyx,imn,xnym->i", self.a_parts, self.b_parts, blocks).real - values
 
 
+def line_objective(exponent: float | np.ndarray, ops: np.ndarray, b: np.ndarray, y: np.ndarray, step):
+    """t -> (g(y + t step), w, u): the dual g(y) = b.y - Tr exp(exponent +
+    sum_i y_i A_i) of `_gibbs` along ``step`` from y, with the eigenpairs
+    (w, u) of the exponent there; g is -inf where exp would overflow."""
+
+    def line(t: float) -> tuple[float, np.ndarray, np.ndarray]:
+        z = y + t * step
+        w, u = np.linalg.eigh(exponent + np.tensordot(z, ops, axes=1))
+        return (float(b @ z - np.sum(np.exp(w))) if w.max() < 700.0 else -np.inf), w, u
+
+    return line
+
+
 def _gibbs(
     exponent: float | np.ndarray, ops: np.ndarray, b: np.ndarray, y: np.ndarray, tol: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -229,9 +242,9 @@ def _gibbs(
     InfeasibleError unless every |r_i| reaches its ``tol`` before r.step is
     1e-26."""
     t, step, dec, g = 0.0, 0.0, 0.0, -np.inf
+    line = line_objective(exponent, ops, b, y, step)
     for _ in range(NEWTON_STEPS):
-        w, u = np.linalg.eigh(exponent + np.tensordot(y + t * step, ops, axes=1))
-        g_t = float(b @ (y + t * step) - np.sum(np.exp(w))) if w.max() < 700.0 else -np.inf
+        g_t, w, u = line(t)
         if not (g_t >= g + 0.25 * t * dec or (dec < 1e-12 and g_t > -np.inf)):
             t /= 2.0
             continue
@@ -253,7 +266,15 @@ def _gibbs(
         t, dec = 1.0, float(r @ step)
         if not dec >= 1e-26:
             break
+        line = line_objective(exponent, ops, b, y, step)
     raise InfeasibleError("no state meets the kept rows", float(np.max(np.abs(r))))
+
+
+# The bench (bench/spans.py) traces every sigma-step, the start's included,
+# and its line search by the names of the Frank-Wolfe solver's subproblem
+# and line objective; `solve` and `_gibbs` look both up per call, so a
+# rebinding reaches them.
+solve_sdp = _gibbs
 
 
 def _certificate(
@@ -323,7 +344,7 @@ def solve(values: np.ndarray, problem: Problem, ec: tuple[float, float] = (0.0, 
 
     tol = 1e-13 * np.maximum(1.0, norm2(ops) * norm2(w) ** 2 / norm2(problem.ops))
     # Row 0 is the trace, so the start's Newton solve sets out from 1/(K d).
-    lam, u, _ = _gibbs(0.0, problem.ops, b, -math.log(w.shape[0] * w.shape[1]) * np.eye(len(b))[0], 1e-13)
+    lam, u, _ = solve_sdp(0.0, problem.ops, b, -math.log(w.shape[0] * w.shape[1]) * np.eye(len(b))[0], 1e-13)
     lam, u = graded_eig(w @ (u * np.exp(0.5 * np.maximum(lam, LOG_FLOOR))[..., None, :]))
     y = np.zeros(len(b))
     history: list[float] = []
@@ -346,7 +367,7 @@ def solve(values: np.ndarray, problem: Problem, ec: tuple[float, float] = (0.0, 
         if status:
             break
         log_sigma = (u * lam[..., None, :]) @ u.swapaxes(-1, -2)
-        lam, u, y = _gibbs(log_sigma - grad, ops, b, y, tol)
+        lam, u, y = solve_sdp(log_sigma - grad, ops, b, y, tol)
 
     rho = maps.lift(w_inv @ sigma @ w_inv.swapaxes(-1, -2))
     residual = float(np.max(np.abs(problem.residuals(rho, values))))

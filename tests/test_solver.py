@@ -276,7 +276,8 @@ class TestFeasibleStart:
 
     @pytest.mark.parametrize("mode", ["trusted", "untrusted"])
     def test_start_meets_the_stated_values(self, monkeypatch, mode):
-        # The first `_gibbs` call of a solve makes the start on the kept rows
+        # The first `_gibbs` call of a solve (through `solver.solve_sdp`, as
+        # every call of a solve) makes the start on the kept rows
         # to 1e-13; every later one is a sigma-step on the rows A'_i =
         # W^-T A_i W^-1, each to its scaled tolerance, never below 1e-13 and
         # exactly that where W = 1 (delta_a = 0).  The primal values are
@@ -289,7 +290,7 @@ class TestFeasibleStart:
             calls.append((ops, self.state(w, u), b, np.broadcast_to(tol, b.shape)))
             return w, u, y
 
-        monkeypatch.setattr(solver, "_gibbs", traced_gibbs)
+        monkeypatch.setattr(solver, "solve_sdp", traced_gibbs)
         for delta_a in (0.0, 0.5):
             values, problem = setup_problem(cutoff=5, mode=mode, delta_a=delta_a)
             calls.clear()
@@ -327,7 +328,7 @@ class TestFeasibleStart:
             starts.append(self.state(*out[:2]))
             return out
 
-        monkeypatch.setattr(solver, "_gibbs", traced_gibbs)
+        monkeypatch.setattr(solver, "solve_sdp", traced_gibbs)
         res = solve(values, problem)
         start = starts[0]
         assert np.max(np.abs(ops.reshape(len(b), -1) @ start.ravel() - b)) <= 1e-13
