@@ -89,7 +89,7 @@ class ProtocolParams:
             raise ValueError(f"cutoff must be >= 2, got {self.cutoff}")
 
     def signal(self, x: int) -> complex:
-        return self.alpha * np.exp(1j * x * np.pi / 2)
+        return self.alpha * POWERS_OF_I[x % 4]
 
 
 @dataclass(frozen=True)

@@ -62,9 +62,10 @@ def _register(i: int, j: int, entry: complex = 1.0) -> np.ndarray:
 def constraint_rows(obs: ObservableSet) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """The rows of the key-rate minimization as their factors: the A_i as an
     (m, 4, 4) and the B_i as an (m, N+1, N+1) complex array, and one label
-    per row.  The trace comes first: the solver's dual repair shifts row 0.
-    The 16 real functionals pinning Tr_B(rho) to Alice's Gram matrix follow,
-    then obs.fq, obs.fp, obs.sq, obs.sp, one row per signal."""
+    per row.  The trace comes first: the solver's start sets out from 1/(K d)
+    on it, and its certificate shifts its multiplier.  The 16 real functionals
+    pinning Tr_B(rho) to Alice's Gram matrix follow, then obs.fq, obs.fp,
+    obs.sq, obs.sp, one row per signal."""
     eye_b = np.eye(obs.fq.shape[0])
     rows = [("trace", np.eye(DIM_A), eye_b)]
     rows += [(f"ptrace-d{i}", _register(i, i), eye_b) for i in range(DIM_A)]

@@ -14,8 +14,9 @@ the reduced rows holds for the values.  Then the twirl of any feasible state
 is feasible, the objective is convex and invariant, and the minimum over
 invariant states is the minimum over all states.  Otherwise ValueError.
 
-The solve works in the coordinates sigma = W rho W^T of `entropy`, where the
-kept rows read A'_i = W^-T A_i W^-1 and -Tr P ln P = min_Q [-Tr P ln Q +
+The solve works in the coordinates sigma = W rho W^T of `entropy`, which the
+`Problem` builds once: the kept rows A'_i = W^-T A_i W^-1, the pinch factors
+F'_r = F_r W^-1 and each row's tolerance.  -Tr P ln P = min_Q [-Tr P ln Q +
 Tr Q - Tr P] (Gibbs' inequality, equality at Q = P) makes f(sigma) the
 minimum over Q of a function jointly convex in (sigma, Q).  Minimizing it in
 each by turns lowers f at every step (Csiszar and Tusnady, Statistics &
@@ -103,10 +104,11 @@ class KeyRateResult:
     largest |Tr(rho Gamma_i) - c_i| over every row of the problem, and
     `primal_history` the objective at the start and after each of the
     `iterations` outer iterations.  `gap` is primal_value - lower_bound.
-    `status` is "converged" (gap below BOUND_GAP), "rate_zero" (primal below
-    p_pass delta_ec at an iterate, the start included) or "max_iters" (the
-    MAX_ITERS cap).  Every exit is certified: `certified` means the bound is
-    finite."""
+    `status` is "converged" (gap below BOUND_GAP), "max_iters" (the MAX_ITERS
+    cap) or "rate_zero" (primal below p_pass delta_ec at an iterate, the start
+    included): there the rate is 0 from the primal alone, and `lower_bound`,
+    the best certificate so far, can lie far below the minimum (-21 bits at
+    an exit on the start).  Every exit is `certified`: the bound is finite."""
 
     primal_value: float
     lower_bound: float
@@ -151,9 +153,11 @@ class Problem:
     and fit the maps, the rows are closed under the maps' group and the first
     kept row is the trace.  ``kept`` indexes independent reduced rows, ``ops``
     holds their blocks, ``scale`` the rows' norms and ``coef`` each unit
-    reduced row as a combination of the kept ones.  The factors are copied;
-    every array is read-only, since cached problems are shared by every point.
-    A problem compares and hashes by identity."""
+    reduced row as a combination of the kept ones.  It builds the solve's
+    sigma-coordinates too: ``w_inv`` = W^-1, ``sigma_ops`` the A'_i,
+    ``sigma_pinch`` the F'_r and ``row_tol`` each kept row's tolerance.  The
+    factors are copied; every array is read-only, since cached problems are
+    shared by every point.  A problem compares and hashes by identity."""
 
     maps: PostprocessingMaps = field(repr=False)
     a_parts: np.ndarray = field(repr=False)
@@ -163,6 +167,10 @@ class Problem:
     ops: np.ndarray = field(init=False, repr=False)
     scale: np.ndarray = field(init=False, repr=False)
     coef: np.ndarray = field(init=False, repr=False)
+    w_inv: np.ndarray = field(init=False, repr=False)
+    sigma_ops: np.ndarray = field(init=False, repr=False)
+    sigma_pinch: np.ndarray = field(init=False, repr=False)
+    row_tol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         a, b = np.array(self.a_parts, dtype=complex), np.array(self.b_parts, dtype=complex)
@@ -198,7 +206,20 @@ class Problem:
         if not np.array_equal(red[kept[0]], np.broadcast_to(np.eye(red.shape[-1]), red.shape[1:])):
             raise ValueError("row 0 must be the trace, whose blocks are the identity")
         coef = np.linalg.solve(gram_red[np.ix_(kept, kept)], gram_red[kept])
-        for name, arr in (("kept", kept), ("ops", red[kept]), ("scale", scale), ("coef", coef)):
+        ops, w = red[kept], self.maps.kraus_factor
+        w_inv = np.linalg.inv(w)
+        sigma_ops = w_inv.swapaxes(-1, -2) @ ops @ w_inv
+
+        # Rounding in Tr(A'_i sigma) grows with |A'_i| |sigma|, and |sigma| <=
+        # |W|^2 |rho|: each row's tolerance is 1e-13 max(1, |A'_i| |W|^2 / |A_i|)
+        # in spectral norms, exactly 1e-13 where W = 1 (delta_a = 0).
+        def norm2(a):
+            return np.max(np.linalg.norm(a, ord=2, axis=(-2, -1)), axis=-1)
+
+        row_tol = 1e-13 * np.maximum(1.0, norm2(sigma_ops) * norm2(w) ** 2 / norm2(ops))
+        sigma_pinch = self.maps.pinch_factors @ w_inv
+        for name, arr in (("kept", kept), ("ops", ops), ("scale", scale), ("coef", coef), ("w_inv", w_inv),
+                          ("sigma_ops", sigma_ops), ("sigma_pinch", sigma_pinch), ("row_tol", row_tol)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -330,19 +351,8 @@ def solve(values: np.ndarray, problem: Problem, ec: tuple[float, float] = (0.0, 
     if np.max(mismatch) > CLOSURE_TOL:
         i = int(np.argmax(mismatch))
         raise ValueError(f"constraint values are not invariant under the symmetry group (row {problem.labels[i]!r})")
-    maps, b = problem.maps, values[problem.kept]
+    maps, b, ops = problem.maps, values[problem.kept], problem.sigma_ops
     w = maps.kraus_factor
-    w_inv = np.linalg.inv(w)
-    ops = w_inv.swapaxes(-1, -2) @ problem.ops @ w_inv
-    pinch = maps.pinch_factors @ w_inv
-
-    # Rounding in Tr(A'_i sigma) grows with |A'_i| |sigma|, and |sigma| <=
-    # |W|^2 |rho|: each row's tolerance is 1e-13 max(1, |A'_i| |W|^2 / |A_i|)
-    # in spectral norms, exactly 1e-13 where W = 1 (delta_a = 0).
-    def norm2(a):
-        return np.max(np.linalg.norm(a, ord=2, axis=(-2, -1)), axis=-1)
-
-    tol = 1e-13 * np.maximum(1.0, norm2(ops) * norm2(w) ** 2 / norm2(problem.ops))
     # Row 0 is the trace, so the start's Newton solve sets out from 1/(K d).
     lam, u, _ = solve_sdp(0.0, problem.ops, b, -math.log(w.shape[0] * w.shape[1]) * np.eye(len(b))[0], 1e-13)
     lam, u = graded_eig(w @ (u * np.exp(0.5 * np.maximum(lam, LOG_FLOOR))[..., None, :]))
@@ -351,14 +361,14 @@ def solve(values: np.ndarray, problem: Problem, ec: tuple[float, float] = (0.0, 
     best, status = -np.inf, None
     for iterations in range(MAX_ITERS + 1):
         lam = np.maximum(lam, LOG_FLOOR)
-        f, grad = objective_with_gradient(lam, u, pinch, maps.pinch_weights)
+        f, grad = objective_with_gradient(lam, u, problem.sigma_pinch, maps.pinch_weights)
         history.append(f / LN2)
         if history[-1] < p_pass * delta_ec:
             status = "rate_zero"
         elif iterations == MAX_ITERS:
             status = "max_iters"
-        sigma = (u * np.exp(lam)[..., None, :]) @ u.swapaxes(-1, -2)
         if status or iterations % CERTIFY_EVERY == 0:
+            sigma = (u * np.exp(lam)[..., None, :]) @ u.swapaxes(-1, -2)
             bound, margin = _certificate(f, grad, sigma, y, w, problem.ops, b)
             residual = float(np.max(np.abs(np.tensordot(ops, sigma, axes=3) - b)))
             best = max(best, _check_ceiling(bound / LN2, margin / LN2, residual))
@@ -367,9 +377,9 @@ def solve(values: np.ndarray, problem: Problem, ec: tuple[float, float] = (0.0, 
         if status:
             break
         log_sigma = (u * lam[..., None, :]) @ u.swapaxes(-1, -2)
-        lam, u, y = solve_sdp(log_sigma - grad, ops, b, y, tol)
+        lam, u, y = solve_sdp(log_sigma - grad, ops, b, y, problem.row_tol)
 
-    rho = maps.lift(w_inv @ sigma @ w_inv.swapaxes(-1, -2))
+    rho = maps.lift(problem.w_inv @ sigma @ problem.w_inv.swapaxes(-1, -2))
     residual = float(np.max(np.abs(problem.residuals(rho, values))))
     return KeyRateResult(
         primal_value=history[-1],

@@ -37,10 +37,9 @@ class TestChannelModel:
 
 class TestProtocolParams:
     def test_signal_constellation(self):
+        # alpha i^x exactly: exp(i x pi/2) made signal 1 4.6e-17 + 0.75j.
         pp = ProtocolParams(alpha=0.75)
-        assert pp.signal(0) == pytest.approx(0.75)
-        assert pp.signal(1) == pytest.approx(0.75j)
-        assert pp.signal(2) == pytest.approx(-0.75)
+        assert [pp.signal(x) for x in range(8)] == [0.75, 0.75j, -0.75, -0.75j] * 2
         assert sum(pp.PRIORS) == 1.0
 
     def test_validation(self):
@@ -146,6 +145,10 @@ class TestSimulatedStatistics:
         target = 2 * 0.719 * ch.eta_t * 0.8**2
         for x in range(4):
             assert stats.fq[x] ** 2 + stats.fp[x] ** 2 == pytest.approx(target)
+        # Exact signals make the moments that vanish exactly 0 (F_Q of
+        # signal 3 once read -1.0e-16 at 20 km) and the rest exactly opposite.
+        assert stats.fq[1] == stats.fq[3] == stats.fp[0] == stats.fp[2] == 0.0
+        assert stats.fq[0] == -stats.fq[2] and stats.fp[1] == -stats.fp[3]
 
     def test_consistency_bridge(self):
         # Truncated-operator traces against the analytic statistics at N=20,

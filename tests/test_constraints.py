@@ -76,6 +76,15 @@ class TestAliceGram:
         assert np.linalg.eigvalsh(rho_a).min() > 0
         assert np.max(np.abs(rho_a - rho_a.conj().T)) < 1e-15
 
+    def test_real_entries_exact(self):
+        # <alpha_j|alpha_i> = e^{-alpha^2 (1 - i^(i-j))} is real where i - j
+        # is even, and exactly so from exact signals (rho_A[0, 2] once had an
+        # imaginary part of -5.6e-18).
+        rho_a = alice_gram(ProtocolParams(alpha=0.75))
+        even = (np.arange(DIM_A)[:, None] - np.arange(DIM_A)[None, :]) % 2 == 0
+        assert np.all(rho_a.imag[even] == 0.0)
+        assert rho_a[0, 2] == rho_a[2, 0] == rho_a[1, 3] == rho_a[3, 1] == pytest.approx(0.25 * np.exp(-2 * 0.75**2))
+
 
 class TestBuildConstraints:
     def test_counts_and_labels(self):

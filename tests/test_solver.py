@@ -155,6 +155,48 @@ class TestProblem:
         with pytest.raises(ValueError, match=message):
             Problem(maps, *rows)
 
+    @pytest.mark.parametrize("det", [DET, DetectorModel(0.70, 0.74, 0.01, 0.02)], ids=["identical", "distinct"])
+    def test_sigma_coordinates(self, det):
+        # The problem builds the solve's coordinates sigma = W rho W^T once,
+        # read-only: W^-1, the kept rows A'_i = W^-T A_i W^-1, the pinch
+        # factors F' = F W^-1 and each row's tolerance 1e-13 max(1,
+        # |A'_i| |W|^2 / |A_i|) in spectral norms, here taken block by block.
+        pp = ProtocolParams(alpha=0.75, delta_a=0.5, cutoff=5)
+        obs = observable_set(det, pp.delta_a, pp.cutoff)
+        problem = Problem(build_postprocessing_maps(obs.regions), *constraint_rows(obs))
+        w = problem.maps.kraus_factor
+        w_inv = np.stack([np.linalg.solve(block, np.eye(len(block))) for block in w])
+        assert problem.maps.quarter_turn == (det == DET) and np.max(np.abs(w - np.eye(w.shape[-1]))) > 0.1
+
+        def norm2(stack):
+            return max(np.linalg.svd(block, compute_uv=False)[0] for block in stack)
+
+        sigma_ops = np.einsum("jba,ijbc,jcd->ijad", w_inv, problem.ops, w_inv)
+        tol = [1e-13 * max(1.0, norm2(s) * norm2(w) ** 2 / norm2(a)) for s, a in zip(sigma_ops, problem.ops)]
+        for got, want in ((problem.w_inv, w_inv), (problem.sigma_ops, sigma_ops),
+                          (problem.sigma_pinch, np.einsum("rjab,jbc->rjac", problem.maps.pinch_factors, w_inv)),
+                          (problem.row_tol, tol)):
+            assert not got.flags.writeable
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.max(np.abs(want)))
+        assert np.max(problem.row_tol) > 1e-13
+
+    def test_many_value_vectors_on_one_problem(self, monkeypatch):
+        # Every per-key array is built with the problem: once it is built,
+        # solves at two distances on it take no inverse, and each equals the
+        # solve on a problem built afresh, field for field.
+        shared = setup_problem(cutoff=5, delta_a=0.5)[1]
+        points = [setup_problem(L=L, cutoff=5, delta_a=0.5) for L in (10.0, 40.0)]
+
+        def no_inverse(*args, **kwargs):
+            raise AssertionError("np.linalg.inv called after the problem was built")
+
+        monkeypatch.setattr(np.linalg, "inv", no_inverse)
+        for values, fresh in points:
+            res, ref = solve(values, shared), solve(values, fresh)
+            assert res.certified and res.lower_bound <= res.primal_value + 1e-10
+            for f in fields(KeyRateResult):
+                assert np.array_equal(getattr(res, f.name), getattr(ref, f.name)), f.name
+
 
 class TestKeyRate:
     def test_rate_floor(self):
