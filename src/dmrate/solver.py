@@ -25,9 +25,9 @@ Ramakrishnan, Iten, Scholz and Berta, IEEE Trans. Inf. Theory 67, 946
 (2021)).  The Q-step takes Q = P(sigma), which leaves the exponent
 L = sum_r w_r F'_r^T (ln P_r + 1) F'_r - 1 = ln sigma - grad f(sigma); the
 sigma-step, `_gibbs`, puts exp(L + sum_i y_i A'_i) on the kept rows,
-warm-started at the last y.  The start is the maximum-entropy state rho_0 on
-the rows (else InfeasibleError), mapped to sigma_0 with its log from a
-graded factorization of W rho_0^1/2, and y = 0.
+warm-started at the last y, the first at y = 0.  The start is the maximum-
+entropy state rho_0 = exp(sum_i y_i A_i) on the rows (else InfeasibleError),
+mapped to sigma_0 with its log from a graded factorization of W rho_0^1/2.
 
 Every iterate is a Gibbs state whose log is known exactly, its exponent.  So
 the slack S = grad f(sigma) - sum_i y_i A'_i is known, and tends to 0 at the
@@ -40,11 +40,11 @@ whether or not sigma meets the rows, provided some state does.  The first
 two terms, c = <sigma, sum_r w_r F'_r^T F'_r - 1>, vanish in exact
 arithmetic and are computed, not dropped.  No bound can pass
 log2 4 = 2 bits, which f obeys for every state: one that does beyond its
-margin shows that no state meets the rows, and raises InfeasibleError.  A
-certificate is taken every CERTIFY_EVERY outer iterations and at every exit;
-the best one is reported.  The returned state is the last iterate, on the
-rows to `_gibbs`'s tolerance; lifted back to A (x) B, its residual is taken
-against every row of the problem, from the factors.
+margin shows that no state meets the rows, and raises InfeasibleError.  Any
+y gives a bound, so every iterate is certified, the start with rho_0's y; the
+best is reported.  The returned state is the last iterate, on the rows to
+`_gibbs`'s tolerance; lifted back to A (x) B, its residual is taken against
+every row of the problem, from the factors.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ __all__ = ["KeyRateResult", "InfeasibleError", "Problem", "solve", "independent_
 
 LN2 = math.log(2.0)
 MAX_ITERS = 1000  # outer iterations of every solve
-CERTIFY_EVERY = 5  # outer iterations between certificates
 BOUND_GAP = 1e-9  # bits: f - bound at which a solve has converged
 CEILING = 2.0  # bits: log2 of the four key values, above f at every state
 # The iterate's log-eigenvalues are clipped here: exp(-300) is far above
@@ -106,9 +105,8 @@ class KeyRateResult:
     `iterations` outer iterations.  `gap` is primal_value - lower_bound.
     `status` is "converged" (gap below BOUND_GAP), "max_iters" (the MAX_ITERS
     cap) or "rate_zero" (primal below p_pass delta_ec at an iterate, the start
-    included): there the rate is 0 from the primal alone, and `lower_bound`,
-    the best certificate so far, can lie far below the minimum (-21 bits at
-    an exit on the start).  Every exit is `certified`: the bound is finite."""
+    included): there the rate is 0 from the primal alone.  Every iterate is
+    certified, so every exit is `certified`: the bound is finite."""
 
     primal_value: float
     lower_bound: float
@@ -258,15 +256,17 @@ def _gibbs(
     r = b - A(sigma): the state on the kept rows nearest exp(exponent) in
     relative entropy (Jaynes, Phys. Rev. 106, 620 (1957)).  Returns the
     eigenpairs (w, u) of its exponent and y.  Newton from y, one trial point
-    y + t step a pass, halving t where g rises too little (it is -inf where
-    exp would overflow), unless rounding hides the rise (r.step < 1e-12).
-    InfeasibleError unless every |r_i| reaches its ``tol`` before r.step is
-    1e-26."""
+    y + t step a pass, halving t where g rises too little, unless rounding
+    hides the rise (r.step < 1e-12), and never taking a point where exp would
+    overflow (g = -inf).  InfeasibleError (residual inf if exp overflows at y)
+    unless every |r_i| reaches its ``tol`` before r.step is 1e-26."""
     t, step, dec, g = 0.0, 0.0, 0.0, -np.inf
     line = line_objective(exponent, ops, b, y, step)
     for _ in range(NEWTON_STEPS):
         g_t, w, u = line(t)
-        if not (g_t >= g + 0.25 * t * dec or (dec < 1e-12 and g_t > -np.inf)):
+        if not (g_t > -np.inf and (g_t >= g + 0.25 * t * dec or dec < 1e-12)):
+            if t == 0.0:  # no step yet: exp overflows at y itself
+                raise InfeasibleError("exp overflows at the Newton solve's first point", math.inf)
             t /= 2.0
             continue
         y, g = y + t * step, g_t
@@ -329,14 +329,15 @@ def solve(values: np.ndarray, problem: Problem, ec: tuple[float, float] = (0.0, 
 
     Returns the primal value at the returned state, a certified lower bound
     and rate = max(0, lower_bound - p_pass delta_EC), all in bits; the
-    default (0, 1) leaves the bound clipped at 0.  Once the primal f drops
-    below p_pass delta_EC the solve exits early ("rate_zero"), since f only
-    decreases and dominates the minimum; the reported rate still comes from
-    the certified bound alone.  Raises ValueError unless delta_EC >= 0 and
-    p_pass > 0, both finite (p_pass is not capped at 1, which a sum of
-    masses can pass by ulps), or unless `values` is a finite (m,) array that
-    keeps the relations among the problem's reduced rows, and
-    InfeasibleError where no state is found on the rows.
+    default (0, 1) leaves the bound clipped at 0.  Every outer iteration is
+    certified, and the solve stops at the first iterate within BOUND_GAP of
+    the best bound ("converged"), or once the primal f drops below p_pass
+    delta_EC ("rate_zero"), since f only decreases and dominates the minimum;
+    the rate still comes from the certified bound alone.  Raises ValueError
+    unless delta_EC >= 0 and p_pass > 0, both finite (p_pass is not capped
+    at 1, which a sum of masses can pass by ulps), or unless `values` is a
+    finite (m,) array that keeps the relations among the problem's reduced
+    rows, and InfeasibleError where no state is found on the rows.
     """
     delta_ec, p_pass = ec
     if not (0.0 <= delta_ec < math.inf and 0.0 < p_pass < math.inf):
@@ -354,30 +355,29 @@ def solve(values: np.ndarray, problem: Problem, ec: tuple[float, float] = (0.0, 
     maps, b, ops = problem.maps, values[problem.kept], problem.sigma_ops
     w = maps.kraus_factor
     # Row 0 is the trace, so the start's Newton solve sets out from 1/(K d).
-    lam, u, _ = solve_sdp(0.0, problem.ops, b, -math.log(w.shape[0] * w.shape[1]) * np.eye(len(b))[0], 1e-13)
+    lam, u, y = solve_sdp(0.0, problem.ops, b, -math.log(w.shape[0] * w.shape[1]) * np.eye(len(b))[0], 1e-13)
     lam, u = graded_eig(w @ (u * np.exp(0.5 * np.maximum(lam, LOG_FLOOR))[..., None, :]))
-    y = np.zeros(len(b))
     history: list[float] = []
     best, status = -np.inf, None
     for iterations in range(MAX_ITERS + 1):
         lam = np.maximum(lam, LOG_FLOOR)
         f, grad = objective_with_gradient(lam, u, problem.sigma_pinch, maps.pinch_weights)
         history.append(f / LN2)
+        sigma = (u * np.exp(lam)[..., None, :]) @ u.swapaxes(-1, -2)
+        bound, margin = _certificate(f, grad, sigma, y, w, problem.ops, b)
+        residual = float(np.max(np.abs(np.tensordot(ops, sigma, axes=3) - b)))
+        best = max(best, _check_ceiling(bound / LN2, margin / LN2, residual))
         if history[-1] < p_pass * delta_ec:
             status = "rate_zero"
+        elif history[-1] - best < BOUND_GAP:
+            status = "converged"
         elif iterations == MAX_ITERS:
             status = "max_iters"
-        if status or iterations % CERTIFY_EVERY == 0:
-            sigma = (u * np.exp(lam)[..., None, :]) @ u.swapaxes(-1, -2)
-            bound, margin = _certificate(f, grad, sigma, y, w, problem.ops, b)
-            residual = float(np.max(np.abs(np.tensordot(ops, sigma, axes=3) - b)))
-            best = max(best, _check_ceiling(bound / LN2, margin / LN2, residual))
-            if status is None and history[-1] - best < BOUND_GAP:
-                status = "converged"
         if status:
             break
         log_sigma = (u * lam[..., None, :]) @ u.swapaxes(-1, -2)
-        lam, u, y = solve_sdp(log_sigma - grad, ops, b, y, problem.row_tol)
+        # The first sigma-step sets out from y = 0: rho_0's y finds no state at trusted delta_a 3, 4 and untrusted 3.
+        lam, u, y = solve_sdp(log_sigma - grad, ops, b, y if iterations else np.zeros(len(b)), problem.row_tol)
 
     rho = maps.lift(problem.w_inv @ sigma @ problem.w_inv.swapaxes(-1, -2))
     residual = float(np.max(np.abs(problem.residuals(rho, values))))

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -205,6 +206,17 @@ class TestKeyRate:
         assert res.rate == 0.0
         assert res.status == "rate_zero"
 
+    @pytest.mark.parametrize("cutoff", [6, 10])
+    @pytest.mark.parametrize("delta_a", [0.0, 0.5])
+    def test_rate_zero_on_the_start_is_certified(self, cutoff, delta_a):
+        # At 20 km the untrusted primal starts below p_pass delta_EC, so the
+        # solve exits on the start.  Its certificate takes the start's own
+        # multipliers, not y = 0, which read -21 to -34 bits here.
+        ch = ChannelModel.from_distance(20.0, 0.01)
+        res = evaluate_point(ch, DET, ProtocolParams(alpha=0.75, delta_a=delta_a, cutoff=cutoff), "untrusted")
+        assert res.status == "rate_zero" and res.iterations == 0 and res.rate == 0.0
+        assert 0.0 < res.lower_bound <= res.primal_value
+
     def test_zero_ec_cost_gives_lower_bound(self):
         values, problem = setup_problem(cutoff=5)
         res = solve(values, problem, (0.0, 1.0))
@@ -306,6 +318,15 @@ class TestFeasibleStart:
         assert err.value.max_residual >= 5e-10
         sigma = self.state(*solver._gibbs(0.0, self.OPS, np.array([1.0, 1.0]), self.START, 1e-13)[:2])
         assert np.max(np.abs(sigma - np.diag([1.0, 0.0]))) <= 1e-13
+
+    def test_gibbs_rejects_an_overflowed_point(self):
+        # exp(800) overflows at y itself: no state is tried, and the solve
+        # raises with an infinite residual before any warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleError) as err:
+                solver.solve_sdp(800.0 * np.eye(3)[None], np.eye(3)[None, None], np.array([1.0]), np.zeros(1), 1e-13)
+        assert err.value.max_residual == np.inf
 
     def test_gibbs_tolerance_per_row(self):
         # Each row is held to its own tolerance: the trace row's 1e-13 alone
